@@ -14,13 +14,21 @@ ENV_VAR = "TURANCOVER_SIZE_GUARD"
 
 
 def resolve_limit(explicit, default):
-    """Pick the active limit: explicit argument > env override > default."""
+    """Pick the active limit: explicit argument > env override > default.
+
+    A negative explicit or environment limit is a ParameterError.
+    """
     if explicit is not None:
+        if explicit < 0:
+            raise ParameterError(f"a limit must be non-negative, got {explicit}")
         return explicit
     env = os.environ.get(ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"{ENV_VAR} must be an integer, got {env!r}") from None
-    return default
+    if not env:
+        return default
+    try:
+        limit = int(env)
+    except ValueError:
+        raise ParameterError(f"{ENV_VAR} must be an integer, got {env!r}") from None
+    if limit < 0:
+        raise ParameterError(f"{ENV_VAR} must be non-negative, got {env!r}")
+    return limit

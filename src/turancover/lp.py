@@ -12,19 +12,33 @@ also bounds the primal support: every supported vertex v has
 sum_{e through v} y_e = 1, so |support| = sum_{v in S} sum_{e through v} y_e
 <= t * sum_e y_e = t * objective.
 
-Exact mode runs a dense tableau simplex over arbitrary-precision
-rationals with Bland's anticycling pivot rule, so termination is
-guaranteed and optima are exact.  The tableau is oriented so the row
-count is min(n, m): with few vertices the matching program is solved
-from its slack basis, with few edges the covering program is solved in
-two phases, and in either orientation the other program's optimum is
-read off the final reduced costs of the slack or surplus columns.
-Variables enter in id order, which pins down the returned basic
-solution.
+Exact mode solves the covering program once with scipy's HiGHS dual
+simplex, reads the primal x and the dual y (the negated constraint
+marginals) off that one solve, and turns them into an exact rational
+pair through a fixed ladder:
 
-Float mode delegates to scipy's HiGHS dual simplex for instances past
-the exact-mode size guard.  Support membership then uses a 1e-9
-tolerance and no exactness assertions are made.
+1. rationalize each value with ``Fraction.limit_denominator``;
+2. failing that, re-solve the support systems exactly over the
+   integers by fraction-free (Bareiss) elimination: ``A[T,S] x_S = 1``
+   over the edges whose covering constraint is tight and
+   ``A[T,S]^T y_T = 1`` over the vertices whose matching constraint is
+   tight, where S and T are the float supports; columns that do not
+   pivot (degenerate supports) are set to zero;
+3. failing that, run the dense rational tableau simplex below.
+
+A pair is returned only once ``check_complementary_slackness`` accepts
+it exactly: both sides feasible, complementary and of equal objective,
+which certifies both optimal.  The simplex uses Bland's anticycling
+rule, so it terminates; its tableau is oriented so the row count is
+min(n, m): with few vertices the matching program is solved from its
+slack basis, with few edges the covering program is solved in two
+phases, and in either orientation the other program's optimum is read
+off the final reduced costs of the slack or surplus columns.  HiGHS is
+deterministic, so the returned optimum is a pure function of the
+instance, though not always the vertex the simplex would pick.
+
+Float mode returns HiGHS's values as they are.  Support membership
+then uses a 1e-9 tolerance and no exactness assertions are made.
 """
 
 from __future__ import annotations
@@ -251,61 +265,156 @@ def _to_fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
-def _solve_pair_exact(H: Hypergraph, size_guard=None):
-    guard = resolve_limit(size_guard, EXACT_SIZE_GUARD)
-    if H.m == 0:
-        return Fraction(0), {}, {}
-    if H.n * H.m > guard:
-        raise ResourceLimitError(
-            f"exact mode needs n*m <= {guard}, got {H.n}*{H.m} = {H.n * H.m}"
-        )
+def _simplex_pair(H: Hypergraph):
+    """Ladder step 3: the rational tableau simplex, in its smaller orientation."""
     if H.n <= H.m:
-        obj, x, y = _pair_matching_oriented(H)
+        _, x, y = _pair_matching_oriented(H)
     else:
-        obj, x, y = _pair_covering_oriented(H)
+        _, x, y = _pair_covering_oriented(H)
     return (
-        _to_fraction(obj),
         {v: _to_fraction(q) for v, q in x.items()},
         {e: _to_fraction(q) for e, q in y.items()},
     )
 
 
-def _solve_vc_float(H: Hypergraph):
+def _rationalized_pair(H: Hypergraph, x, y):
+    """Ladder step 1: the nearest fractions with denominators up to 10**6."""
+
+    def rationalize(values):
+        out = {}
+        for i, value in enumerate(values):
+            if value > FLOAT_SUPPORT_TOL:
+                q = Fraction(float(value)).limit_denominator()
+                if q:
+                    out[i] = q
+        return out
+
+    return rationalize(x), rationalize(y)
+
+
+def _solve_ones(matrix, ncols):
+    """Exact z with ``matrix @ z = 1`` for a list of integer rows.
+
+    Fraction-free (Bareiss) forward elimination with row swaps, so every
+    intermediate entry is an integer minor; a column with no pivot gets
+    z = 0.  Rows left without a pivot are not checked: the caller's
+    certificate rejects an inconsistent system.
+    """
+    rows = [list(row) + [1] for row in matrix]
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        piv = top[c]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            rows[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = piv
+        pivots.append(c)
+    z = [Fraction(0)] * ncols
+    for r in reversed(range(len(pivots))):
+        row = rows[r]
+        c = pivots[r]
+        rest = sum(row[j] * z[j] for j in pivots[r + 1:] if row[j])
+        z[c] = (row[ncols] - rest) / Fraction(row[c])
+    return z
+
+
+def _support_pair(H: Hypergraph, x, y):
+    """Ladder step 2: re-solve the float supports' tight systems exactly."""
+    tol = FLOAT_SUPPORT_TOL
+    S = [v for v in range(H.n) if x[v] > tol]
+    T = [e for e in range(H.m) if y[e] > tol]
+    members = [set(e) for e in H.edges]
+    tight_edges = [ei for ei, e in enumerate(H.edges)
+                   if abs(sum(x[v] for v in e) - 1) <= tol]
+    vertex_load = [0.0] * H.n
+    for ei in T:
+        for v in H.edges[ei]:
+            vertex_load[v] += y[ei]
+    tight_vertices = [v for v in range(H.n) if abs(vertex_load[v] - 1) <= tol]
+    xs = _solve_ones([[int(v in members[ei]) for v in S] for ei in tight_edges], len(S))
+    ys = _solve_ones([[int(v in members[ei]) for ei in T] for v in tight_vertices], len(T))
+    return ({v: q for v, q in zip(S, xs) if q},
+            {ei: q for ei, q in zip(T, ys) if q})
+
+
+def _exact_pair(x: dict, y: dict):
+    return (LPSolution("primal", x, sum(x.values(), Fraction(0)), "exact"),
+            LPSolution("dual", y, sum(y.values(), Fraction(0)), "exact"))
+
+
+def _solve_pair_exact(H: Hypergraph, size_guard=None):
+    """Certified optimal (primal, dual) pair; see the module docstring."""
+    guard = resolve_limit(size_guard, EXACT_SIZE_GUARD)
+    if H.m == 0:
+        return _exact_pair({}, {})
+    if H.n * H.m > guard:
+        raise ResourceLimitError(
+            f"exact mode needs n*m <= {guard}, got {H.n}*{H.m} = {H.n * H.m}"
+        )
+    res = _highs_cover(H)
+    x, y = res.x, -res.ineqlin.marginals
+    for step in (_rationalized_pair, _support_pair):
+        primal, dual = _exact_pair(*step(H, x, y))
+        try:
+            check_complementary_slackness(primal, dual, H)
+        except VerificationError:
+            continue
+        return primal, dual
+    primal, dual = _exact_pair(*_simplex_pair(H))
+    check_complementary_slackness(primal, dual, H)
+    return primal, dual
+
+
+def _incidence(H: Hypergraph):
+    """Sparse edge-by-vertex 0/1 matrix of H, shape (m, n)."""
     import numpy as np
     from scipy import sparse
-    from scipy.optimize import linprog
 
     rows, cols = [], []
     for ei, e in enumerate(H.edges):
         rows.extend([ei] * len(e))
         cols.extend(e)
-    A = sparse.csr_matrix((np.full(len(rows), -1.0), (rows, cols)), shape=(H.m, H.n))
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(H.m, H.n))
+
+
+def _highs_cover(H: Hypergraph):
+    """One HiGHS dual-simplex solve of the covering program (H has edges)."""
+    import numpy as np
+    from scipy.optimize import linprog
+
     res = linprog(
         np.ones(H.n),
-        A_ub=A,
+        A_ub=-_incidence(H),
         b_ub=-np.ones(H.m),
         bounds=(0, None),
         method="highs-ds",
     )
     if not res.success:  # pragma: no cover - the program is feasible and bounded
         raise VerificationError(f"float covering solve failed: {res.message}")
+    return res
+
+
+def _solve_vc_float(H: Hypergraph):
+    res = _highs_cover(H)
     values = {int(i): float(v) for i, v in enumerate(res.x) if v > FLOAT_SUPPORT_TOL}
     return float(res.fun), values
 
 
 def _solve_matching_float(H: Hypergraph):
     import numpy as np
-    from scipy import sparse
     from scipy.optimize import linprog
 
-    rows, cols = [], []
-    for ei, e in enumerate(H.edges):
-        rows.extend(e)
-        cols.extend([ei] * len(e))
-    A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(H.n, H.m))
     res = linprog(
         -np.ones(H.m),
-        A_ub=A,
+        A_ub=_incidence(H).T,
         b_ub=np.ones(H.n),
         bounds=(0, None),
         method="highs-ds",
@@ -319,13 +428,13 @@ def _solve_matching_float(H: Hypergraph):
 def solve_vc_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSolution:
     """Optimal fractional vertex cover of H.
 
-    Exact mode returns the basic optimal solution the simplex terminates
-    at (a vertex of the covering polytope) with a Fraction objective.
-    An edgeless instance yields the empty solution with objective 0.
+    Exact mode returns a Fraction-valued optimum that has passed
+    ``check_complementary_slackness`` together with its matching, with
+    a Fraction objective.  An edgeless instance yields the empty
+    solution with objective 0.
     """
     if mode == "exact":
-        obj, x, _ = _solve_pair_exact(H, size_guard)
-        return LPSolution("primal", x, obj, "exact")
+        return _solve_pair_exact(H, size_guard)[0]
     if mode == "float":
         if H.m == 0:
             return LPSolution("primal", {}, 0.0, "float")
@@ -337,8 +446,7 @@ def solve_vc_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSoluti
 def solve_matching_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSolution:
     """Optimal fractional matching of H; same conventions as solve_vc_lp."""
     if mode == "exact":
-        obj, _, y = _solve_pair_exact(H, size_guard)
-        return LPSolution("dual", y, obj, "exact")
+        return _solve_pair_exact(H, size_guard)[1]
     if mode == "float":
         if H.m == 0:
             return LPSolution("dual", {}, 0.0, "float")

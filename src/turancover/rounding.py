@@ -151,7 +151,8 @@ class ThresholdResult:
     ``residual`` keeps the original vertex ids (removed vertices are
     simply isolated) so blow-up labels remain addressable; ``solution``
     is the optimal LP solution of the residual, all values strictly
-    below the threshold.
+    below the threshold, and ``root`` the first pass's optimal solution
+    of the whole instance.
     """
 
     thresholded: tuple[int, ...]
@@ -159,6 +160,7 @@ class ThresholdResult:
     solution: LPSolution
     lp_opt: Fraction | float
     lp_opt_residual: Fraction | float
+    root: LPSolution
 
 
 def _splitmix64(x: int) -> int:
@@ -226,8 +228,7 @@ def recursive_threshold(instance, gamma, mode: str = "exact",
     """
     H = _as_hypergraph(instance)
     cut = _resolve_gamma(gamma, mode)
-    solution = solve_vc_lp(H, mode=mode, size_guard=size_guard)
-    first_objective = solution.objective
+    root = solution = solve_vc_lp(H, mode=mode, size_guard=size_guard)
     taken: set[int] = set()
     current = H
     while True:
@@ -238,7 +239,7 @@ def recursive_threshold(instance, gamma, mode: str = "exact",
         surviving = [e for e in current.edges if not hot.intersection(e)]
         current = Hypergraph(current.t, current.n, surviving)
         solution = solve_vc_lp(current, mode=mode, size_guard=size_guard)
-    if mode == "exact" and len(taken) * cut > first_objective - solution.objective:
+    if mode == "exact" and len(taken) * cut > root.objective - solution.objective:
         raise VerificationError(
             "threshold accounting failed: "
             f"{len(taken)} vertices at {cut} exceed the objective drop")
@@ -246,8 +247,9 @@ def recursive_threshold(instance, gamma, mode: str = "exact",
         thresholded=tuple(sorted(taken)),
         residual=current,
         solution=solution,
-        lp_opt=first_objective,
+        lp_opt=root.objective,
         lp_opt_residual=solution.objective,
+        root=root,
     )
 
 
@@ -303,8 +305,13 @@ def fallback_threshold_cover(instance, mode: str = "exact",
     vertex clears the bar and the output is a cover of size at most
     uniformity times the fractional optimum.
     """
+    solution = solve_vc_lp(_as_hypergraph(instance), mode=mode, size_guard=size_guard)
+    return _threshold_cover(instance, solution, mode)
+
+
+def _threshold_cover(instance, solution: LPSolution, mode: str) -> CoverResult:
+    """The trivial cover read off an optimal LP solution of the instance."""
     H = _as_hypergraph(instance)
-    solution = solve_vc_lp(H, mode=mode, size_guard=size_guard)
     if H.m == 0:
         taken: tuple[int, ...] = ()
     else:
@@ -347,9 +354,11 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     Recursive thresholding first; the residual support is then finished
     by the best of ``params.trials`` independent parity/discrepancy
     trials (ties keep the lowest trial index).  Every trial produces a
-    valid cover, so the randomness only affects the size.  The trivial
-    uniformity-threshold cover is always computed as well and wins when
-    strictly smaller; both sizes are recorded on the result.
+    valid cover, so the randomness only affects the size; with an empty
+    residual support every trial gives the same cover and one is run.
+    The trivial uniformity-threshold cover is always read off the same
+    root LP solution as well and wins when strictly smaller; both sizes
+    are recorded on the result.
     """
     if B.k != B.base_t - 1:
         raise ParameterError(
@@ -364,7 +373,9 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
         raise VerificationError("residual support exceeds its certified bound")
     forced = set(thr.thresholded)
     best = None
-    for trial in range(params.trials):
+    # with no residual support every trial yields the same cover, and ties
+    # keep trial 0, so one trial gives the same result as all of them
+    for trial in range(params.trials if support else 1):
         coloring = two_coloring(B.base_n, child_seed(params.seed, trial))
         lopsided, parity = color_trial(support, B.labels, params.t, coloring)
         if 2 * len(parity) > len(support):
@@ -374,7 +385,7 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
         if best is None or len(cover) < len(best[0]):
             best = (cover, lopsided, parity, trial)
     cover, lopsided, parity, trial = best
-    fallback = fallback_threshold_cover(B, mode=mode, size_guard=size_guard)
+    fallback = _threshold_cover(B, thr.root, mode)
     if fallback.size < len(cover):
         return CoverResult(
             cover=fallback.cover,

@@ -183,6 +183,13 @@ def test_resource_guard_exit_code():
     assert "limit" in err
 
 
+def test_negative_limits_are_parameter_errors():
+    for args in (["lp", "vc", "--size-guard", "-5"], ["oracle", "tau", "--limit", "-1"]):
+        code, _, err = run(args, "HG 3 4 1\n0 1 2\n")
+        assert code == 3, args
+        assert "non-negative" in err
+
+
 def test_file_input_and_output(tmp_path):
     src = tmp_path / "in.hg"
     dst = tmp_path / "out.txt"

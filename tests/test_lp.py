@@ -1,11 +1,15 @@
 """Exact and float LP solves plus the optimal-pair certificate checks."""
 
+import math
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turancover import lp
 from turancover.errors import ParameterError, ResourceLimitError, VerificationError
 from turancover.generators import complete, random_hypergraph
 from turancover.hypergraph import Hypergraph, blow_up
@@ -95,16 +99,23 @@ def test_primal_feasible_and_dual_feasible():
 
 
 def test_slackness_rejects_perturbed_primal():
-    """A feasible but non-optimal primal must be called out by vertex name."""
+    """A feasible but non-optimal primal must be called out by name.
+
+    Both edges alone are optimal matchings; against either one the
+    checker names the slack side of the first broken complementarity.
+    """
     H = Hypergraph(3, 5, [(0, 1, 2), (0, 3, 4)])
-    dual = solve_matching_lp(H)
     bad = LPSolution(
         kind="primal",
         values={0: Fraction(1), 1: Fraction(1, 3)},
         objective=Fraction(4, 3),
         mode="exact",
     )
+    dual = LPSolution("dual", {1: Fraction(1)}, Fraction(1), "exact")
     with pytest.raises(VerificationError, match="vertex 1 has positive weight"):
+        check_complementary_slackness(bad, dual, H)
+    dual = LPSolution("dual", {0: Fraction(1)}, Fraction(1), "exact")
+    with pytest.raises(VerificationError, match="edge 0 has positive weight"):
         check_complementary_slackness(bad, dual, H)
 
 
@@ -141,7 +152,96 @@ def test_size_guard_env_override(monkeypatch):
     assert solve_vc_lp(complete(4, 3), mode="exact", size_guard=1000).objective == Fraction(4, 3)
 
 
+def test_negative_size_guard_rejected(monkeypatch):
+    with pytest.raises(ParameterError, match="non-negative"):
+        solve_vc_lp(complete(4, 3), mode="exact", size_guard=-5)
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "-1")
+    with pytest.raises(ParameterError, match="TURANCOVER_SIZE_GUARD"):
+        solve_vc_lp(complete(4, 3), mode="exact")
+
+
 def test_blow_up_lp_known_value():
     B = blow_up(complete(4, 3), 2)
     primal = solve_vc_lp(B.hyper)
     assert primal.objective == 2
+
+
+# --- the certification ladder of exact mode ---------------------------------
+
+
+def _forbid(monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise RuntimeError(f"ladder reached {name}")
+
+    monkeypatch.setattr(lp, name, forbidden)
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(lp, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, name, spy)
+    return calls
+
+
+def _assert_certified(H):
+    primal, dual = solve_vc_lp(H), solve_matching_lp(H)
+    report = check_complementary_slackness(primal, dual, H)
+    assert report.objective == primal.objective == dual.objective
+    return primal
+
+
+def test_ladder_step1_rationalizes_a_corpus_instance(monkeypatch):
+    # acceptance-corpus instance 5: t = 8, n = 11, about 23 base edges
+    G = random_hypergraph(11, 8, 23 / math.comb(11, 8), seed=31_005)
+    H = blow_up(G, 7).hyper
+    _forbid(monkeypatch, "_support_pair")
+    _forbid(monkeypatch, "_simplex_pair")
+    assert _assert_certified(H).objective > 0
+
+
+def test_ladder_step2_solves_the_support_exactly(monkeypatch):
+    # a 243x98 LP whose optimum has denominators past the rationalizer's 10**6
+    H = blow_up(random_hypergraph(10, 6, 0.45, 40_000), 5).hyper
+    assert (H.n, H.m) == (243, 98)
+    res = lp._highs_cover(H)
+    rounded = lp._exact_pair(*lp._rationalized_pair(H, res.x, -res.ineqlin.marginals))
+    with pytest.raises(VerificationError):
+        check_complementary_slackness(*rounded, H)
+    calls = _spy(monkeypatch, "_support_pair")
+    _forbid(monkeypatch, "_simplex_pair")
+    primal = _assert_certified(H)
+    assert len(calls) == 2  # one ladder per solve_*_lp call
+    assert primal.objective.denominator > 10**6
+
+
+def test_ladder_step3_runs_the_simplex_when_both_cheap_steps_fail(monkeypatch):
+    G = random_hypergraph(8, 3, 0.4, seed=5)
+    zero = SimpleNamespace(x=np.zeros(G.n), ineqlin=SimpleNamespace(marginals=np.zeros(G.m)))
+    monkeypatch.setattr(lp, "_highs_cover", lambda H: zero)
+    calls = _spy(monkeypatch, "_simplex_pair")
+    primal = _assert_certified(G)
+    assert len(calls) == 2
+    obj, _, _ = lp._pair_matching_oriented(G)
+    assert primal.objective == lp._to_fraction(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(4, 9),
+       st.sampled_from([0.15, 0.3, 0.6]))
+def test_certified_pair_agrees_with_both_simplex_orientations(seed, t, n, p):
+    G = random_hypergraph(n, t, p, seed)
+    if G.m == 0:
+        return
+    certified = lp._solve_pair_exact(G)
+    check_complementary_slackness(*certified, G)
+    for oriented in (lp._pair_matching_oriented, lp._pair_covering_oriented):
+        obj, x, y = oriented(G)
+        pair = lp._exact_pair({v: lp._to_fraction(q) for v, q in x.items()},
+                              {e: lp._to_fraction(q) for e, q in y.items()})
+        check_complementary_slackness(*pair, G)
+        assert lp._to_fraction(obj) == pair[0].objective == certified[0].objective

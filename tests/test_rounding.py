@@ -175,6 +175,26 @@ def test_ahtp_cover_records_both_candidate_sizes():
     assert res.size == min(res.rounding_size, res.fallback_size)
 
 
+def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
+    # the residual of a full blow-up at the default threshold is edgeless
+    # (t <= 67), so the trivial cover reuses the root solve and one trial runs
+    from turancover import rounding
+
+    counts = {"solve_vc_lp": 0, "two_coloring": 0}
+    for name in counts:
+        real = getattr(rounding, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(rounding, name, spy)
+    G = random_hypergraph(8, 4, 0.3, seed=2)
+    res = ahtp_cover(G, RoundingParams(t=4, seed=9, trials=50), mode="exact")
+    assert res.trial_index == 0 and res.parity_class == ()
+    assert counts == {"solve_vc_lp": 2, "two_coloring": 1}
+
+
 def test_ahtp_cover_uniformity_mismatch():
     with pytest.raises(ParameterError):
         ahtp_cover(complete(5, 4), RoundingParams(t=3), mode="exact")
