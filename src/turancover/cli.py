@@ -32,7 +32,7 @@ from .setcover import SetSystem, greedy_set_cover, is_simple_system
 __all__ = ["main"]
 
 
-def _add_seed(parser, required_hint=True):
+def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (64-bit; defaults to 0 unless --strict)")
 
@@ -180,7 +180,7 @@ def _run_round(args) -> str:
 def _run_oracle(args) -> str:
     if args.quantity == "taustar":
         solution = solve_vc_lp(_hyper(args), mode=args.mode, size_guard=args.limit)
-        return formats._render_value(solution.objective) + "\n"
+        return formats.render_value(solution.objective) + "\n"
     H = _hyper(args)
     if args.quantity == "tau":
         return f"{brute_tau(H, limit=args.limit)}\n"
@@ -194,7 +194,7 @@ def _run_oracle(args) -> str:
         lines.extend(" ".join(map(str, witness)) for witness in tents)
         return "\n".join(lines) + "\n"
     if args.quantity == "rho":
-        return formats._render_value(rho(H, limit=args.limit)) + "\n"
+        return formats.render_value(rho(H, limit=args.limit)) + "\n"
     raise ParameterError(f"unknown quantity '{args.quantity}'")
 
 

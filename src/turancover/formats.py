@@ -40,6 +40,7 @@ __all__ = [
     "parse_setsystem",
     "serialize_lp_solution",
     "parse_lp_solution",
+    "render_value",
     "serialize_cover",
     "parse_cover",
     "serialize_matching",
@@ -225,7 +226,9 @@ def parse_setsystem(text: str) -> SetSystem:
 
 # ----------------------------------------------------------------- LP values
 
-def _render_value(value) -> str:
+def render_value(value) -> str:
+    """Text form of an LP value: "-" for None, 17 significant digits for a
+    float, "num/den" for a rational."""
     if value is None:
         return "-"
     if isinstance(value, float):
@@ -250,8 +253,8 @@ def _parse_value(cursor: _Cursor, lineno: int, token: str):
 
 
 def serialize_lp_solution(solution: LPSolution) -> str:
-    lines = [f"{i} {_render_value(solution.values[i])}" for i in solution.support]
-    lines.append(f"OBJ {_render_value(solution.objective)}")
+    lines = [f"{i} {render_value(solution.values[i])}" for i in solution.support]
+    lines.append(f"OBJ {render_value(solution.objective)}")
     return "\n".join(lines) + "\n"
 
 
@@ -299,8 +302,8 @@ def serialize_cover(result: CoverResult) -> str:
                  f" U={_render_csv(result.forced)}"
                  f" SPRIME={_render_csv(result.high_discrepancy)}"
                  f" PARITY={_render_csv(result.parity_class)}")
-    lines.append(f"LP OPT={_render_value(result.lp_opt)}"
-                 f" RESIDUAL={_render_value(result.lp_opt_residual)}")
+    lines.append(f"LP OPT={render_value(result.lp_opt)}"
+                 f" RESIDUAL={render_value(result.lp_opt_residual)}")
     seed = "-" if result.seed is None else str(result.seed)
     trial = "-" if result.trial_index is None else str(result.trial_index)
     lines.append(f"SEED {seed} TRIAL {trial}")

@@ -6,12 +6,15 @@ lexicographically with duplicates rejected.  The canonical form makes
 equality structural and keeps every downstream artifact reproducible.
 
 All types are immutable after construction and all operations are pure
-functions, so values can be shared freely between threads.
+functions, so values can be shared freely between threads.  The one
+derived value, ``Hypergraph.edge_array``, is built lazily, cached and
+read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -24,6 +27,7 @@ __all__ = [
     "blow_up",
     "is_simple",
     "is_vertex_cover",
+    "first_non_cover",
     "is_matching",
     "dual",
 ]
@@ -64,6 +68,18 @@ class Hypergraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def edge_array(self):
+        """The edges as a read-only numpy ``(m, t)`` array of ``intp`` ids.
+
+        Built on first use; numpy is imported only then.
+        """
+        import numpy as np
+
+        arr = np.array(self.edges, dtype=np.intp).reshape(self.m, self.t)
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass(frozen=True)
@@ -136,13 +152,47 @@ def is_simple(H: Hypergraph) -> bool:
     return True
 
 
-def is_vertex_cover(H: Hypergraph, cover) -> bool:
-    """True when every edge of H contains a vertex of ``cover``."""
+def _vertex_set(H: Hypergraph, cover) -> set[int]:
     cov = set(cover)
     for v in cov:
         if not isinstance(v, int) or not 0 <= v < H.n:
             raise ParameterError(f"vertex id {v} out of range")
+    return cov
+
+
+def is_vertex_cover(H: Hypergraph, cover) -> bool:
+    """True when every edge of H contains a vertex of ``cover``."""
+    cov = _vertex_set(H, cover)
     return all(not cov.isdisjoint(e) for e in H.edges)
+
+
+def first_non_cover(H: Hypergraph, covers) -> int | None:
+    """Index of the first of ``covers`` that misses an edge of H, or None.
+
+    Equivalent to checking each cover with ``is_vertex_cover`` in turn,
+    ids validated the same way, but bit-sliced: cover i sets bit i % 64
+    of a per-vertex word, each edge ORs the words of its vertices, and
+    the AND over all edges has a zero bit for every non-cover.  One
+    64-cover word is gathered at a time, so the pass over the edges
+    takes m * t * 8 bytes.
+    """
+    sets = [_vertex_set(H, cover) for cover in covers]
+    if not sets or H.m == 0:
+        return None
+    import numpy as np
+
+    E = H.edge_array
+    for start in range(0, len(sets), 64):
+        chunk = sets[start:start + 64]
+        bits = np.zeros(H.n, dtype=np.uint64)
+        for i, cov in enumerate(chunk):
+            ids = np.fromiter(cov, dtype=np.intp, count=len(cov))
+            bits[ids] |= np.uint64(1 << i)
+        covered = np.bitwise_and.reduce(np.bitwise_or.reduce(bits[E], axis=1))
+        missed = ~int(covered) & ((1 << len(chunk)) - 1)
+        if missed:
+            return start + (missed & -missed).bit_length() - 1
+    return None
 
 
 def is_matching(H: Hypergraph, edge_ids) -> bool:

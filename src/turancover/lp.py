@@ -50,11 +50,6 @@ from .errors import ParameterError, ResourceLimitError, VerificationError
 from .guards import resolve_limit
 from .hypergraph import Hypergraph
 
-try:  # gmpy2 rationals are several times faster inside the pivot loop
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _Q
-
 __all__ = [
     "LPSolution",
     "SlacknessReport",
@@ -68,8 +63,8 @@ __all__ = [
 EXACT_SIZE_GUARD = 50_000
 FLOAT_SUPPORT_TOL = 1e-9
 
-_ZERO = _Q(0)
-_ONE = _Q(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +111,7 @@ class _Tableau:
         self.ncols = ncols
 
     def reduced_costs(self, costs):
-        red = [_Q(c) for c in costs]
+        red = list(costs)
         for r, row in enumerate(self.rows):
             cb = costs[self.basis[r]]
             if cb:
@@ -261,20 +256,13 @@ def _pair_covering_oriented(H: Hypergraph):
     return tab.objective(phase2), x, y
 
 
-def _to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 def _simplex_pair(H: Hypergraph):
     """Ladder step 3: the rational tableau simplex, in its smaller orientation."""
     if H.n <= H.m:
         _, x, y = _pair_matching_oriented(H)
     else:
         _, x, y = _pair_covering_oriented(H)
-    return (
-        {v: _to_fraction(q) for v, q in x.items()},
-        {e: _to_fraction(q) for e, q in y.items()},
-    )
+    return x, y
 
 
 def _rationalized_pair(H: Hypergraph, x, y):
@@ -374,15 +362,16 @@ def _solve_pair_exact(H: Hypergraph, size_guard=None):
 
 
 def _incidence(H: Hypergraph):
-    """Sparse edge-by-vertex 0/1 matrix of H, shape (m, n)."""
+    """Sparse edge-by-vertex 0/1 matrix of H, shape (m, n).
+
+    Row i of ``H.edge_array`` is already the sorted column list of row i.
+    """
     import numpy as np
     from scipy import sparse
 
-    rows, cols = [], []
-    for ei, e in enumerate(H.edges):
-        rows.extend([ei] * len(e))
-        cols.extend(e)
-    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(H.m, H.n))
+    E = H.edge_array
+    indptr = np.arange(0, E.size + 1, H.t)
+    return sparse.csr_matrix((np.ones(E.size), E.ravel(), indptr), shape=(H.m, H.n))
 
 
 def _highs_cover(H: Hypergraph):

@@ -14,7 +14,10 @@ Exact mode keeps all LP arithmetic rational and asserts the per-run
 accounting identities; float mode trades that for speed on big
 instances.  All randomness flows from one 64-bit root seed: trial i
 colors vertices with the child seed root XOR mix(i), so trials are
-reproducible and independent of evaluation order.
+reproducible and independent of evaluation order.  Both LP finishers
+share one best-of-trials loop, which builds every trial's cover and
+then verifies all of them in one batched pass (``first_non_cover``);
+the lowest failing trial, if any, raises.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, VerificationError
-from .hypergraph import BlowUp, Hypergraph, blow_up, is_vertex_cover
+from .hypergraph import BlowUp, Hypergraph, blow_up, first_non_cover, is_vertex_cover
 from .lp import LPSolution, solve_vc_lp
 
 __all__ = [
@@ -50,6 +53,10 @@ __all__ = [
 _SEED_MASK = (1 << 64) - 1
 FLOAT_THRESHOLD_SLACK = 1e-9
 GAMMA_DENOMINATOR = 10**6
+
+
+def _delta(t: int) -> float:
+    return math.sqrt(4 * math.log(t) / (t - 1))
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ class RoundingParams:
 
         Exceeds 1 for t <= 10, making the high-discrepancy set empty there.
         """
-        return math.sqrt(4 * math.log(self.t) / (self.t - 1))
+        return _delta(self.t)
 
 
 @dataclass(frozen=True)
@@ -263,8 +270,7 @@ def color_trial(support, labels, t: int, coloring: Coloring):
     """
     if coloring.num_colors != 2:
         raise ParameterError("parity trials need exactly two colors")
-    delta = math.sqrt(4 * math.log(t) / (t - 1))
-    low_count = (1 - delta) * (t - 1) / 2
+    low_count = (1 - _delta(t)) * (t - 1) / 2
     colors = coloring.colors
     lopsided = []
     classes = ([], [])
@@ -290,6 +296,29 @@ def monochromatic_pairs(support, labels, coloring: Coloring):
 def _check_cover(B: BlowUp, cover, context: str):
     if not is_vertex_cover(B.hyper, cover):
         raise VerificationError(f"{context} produced a non-cover")
+
+
+def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
+                finish, context: str):
+    """Best of the color trials over a residual support.
+
+    Trial i two-colors the base vertices with child seed i, ``finish``
+    turns that coloring into the trial's classes, and the trial's cover
+    is ``forced`` plus their union.  With an empty support every trial
+    gives the same cover, so one is run.  All covers are verified in one
+    batched pass and the lowest failing trial raises.  Returns
+    (trial, cover, classes) for the smallest cover, ties to the lowest
+    trial index.
+    """
+    runs = []
+    for trial in range(trials if support else 1):
+        classes = finish(two_coloring(B.base_n, child_seed(seed, trial)))
+        runs.append((tuple(sorted(forced.union(*classes))), classes))
+    bad = first_non_cover(B.hyper, [cover for cover, _ in runs])
+    if bad is not None:
+        raise VerificationError(f"{context} trial {bad} produced a non-cover")
+    trial = min(range(len(runs)), key=lambda i: len(runs[i][0]))
+    return (trial, *runs[trial])
 
 
 def _residual_zero(mode):
@@ -371,20 +400,16 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     support = thr.solution.support
     if mode == "exact" and Fraction(len(support)) > B.hyper.t * thr.lp_opt_residual:
         raise VerificationError("residual support exceeds its certified bound")
-    forced = set(thr.thresholded)
-    best = None
-    # with no residual support every trial yields the same cover, and ties
-    # keep trial 0, so one trial gives the same result as all of them
-    for trial in range(params.trials if support else 1):
-        coloring = two_coloring(B.base_n, child_seed(params.seed, trial))
+
+    def finish(coloring):
         lopsided, parity = color_trial(support, B.labels, params.t, coloring)
         if 2 * len(parity) > len(support):
             raise VerificationError("parity class exceeds half the support")
-        cover = tuple(sorted(forced | set(lopsided) | set(parity)))
-        _check_cover(B, cover, f"rounding trial {trial}")
-        if best is None or len(cover) < len(best[0]):
-            best = (cover, lopsided, parity, trial)
-    cover, lopsided, parity, trial = best
+        return lopsided, parity
+
+    forced = set(thr.thresholded)
+    trial, cover, (lopsided, parity) = _best_trial(
+        B, forced, support, params.trials, params.seed, finish, "rounding")
     fallback = _threshold_cover(B, thr.root, mode)
     if fallback.size < len(cover):
         return CoverResult(
@@ -446,15 +471,10 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
     thr = recursive_threshold(B.hyper, cut, mode=mode, size_guard=size_guard)
     support = thr.solution.support
     forced = set(thr.thresholded)
-    best = None
-    for trial in range(trials):
-        coloring = two_coloring(B.base_n, child_seed(seed, trial))
-        same = monochromatic_pairs(support, B.labels, coloring)
-        cover = tuple(sorted(forced | set(same)))
-        _check_cover(B, cover, f"pair trial {trial}")
-        if best is None or len(cover) < len(best[0]):
-            best = (cover, same, trial)
-    cover, same, trial = best
+    trial, cover, (same,) = _best_trial(
+        B, forced, support, trials, seed,
+        lambda coloring: (monochromatic_pairs(support, B.labels, coloring),),
+        "pair")
     return CoverResult(
         cover=cover,
         forced=tuple(sorted(forced)),

@@ -12,6 +12,7 @@ from turancover.hypergraph import (
     Hypergraph,
     blow_up,
     dual,
+    first_non_cover,
     is_matching,
     is_simple,
     is_vertex_cover,
@@ -109,6 +110,68 @@ def test_vertex_cover_check():
     assert is_vertex_cover(G, {0, 1})
     assert not is_vertex_cover(G, {0})
     assert is_vertex_cover(G, range(4))
+
+
+def test_edge_array_is_cached_and_read_only():
+    G = Hypergraph(3, 5, [(4, 2, 0), (1, 0, 2)])
+    E = G.edge_array
+    assert E is G.edge_array
+    assert E.shape == (2, 3) and E.tolist() == [[0, 1, 2], [0, 2, 4]]
+    with pytest.raises(ValueError):
+        E[0, 0] = 3
+    assert Hypergraph(3, 0, []).edge_array.shape == (0, 3)
+
+
+def _first_non_cover_reference(H, covers):
+    return next((i for i, c in enumerate(covers) if not is_vertex_cover(H, c)), None)
+
+
+@st.composite
+def _hypergraph_and_covers(draw):
+    t = draw(st.integers(2, 4))
+    n = draw(st.integers(t - 1, 8).map(lambda n: n if n >= t else 0))
+    candidates = list(combinations(range(n), t))
+    edges = draw(st.lists(st.sampled_from(candidates), unique=True)) if n else []
+    H = Hypergraph(t, n, edges)
+    # everything but at most t-1 vertices always covers; a few arbitrary
+    # sets at drawn positions put the first failure anywhere in 0..149,
+    # across the 64- and 128-cover word boundaries
+    k = draw(st.integers(0, 150))
+    ids = st.integers(0, max(n - 1, 0))
+    covers = [[v for v in range(n) if v not in draw(st.sets(ids, max_size=t - 1))]
+              for _ in range(k)]
+    if k:
+        for i in draw(st.lists(st.integers(0, 149).map(lambda i: i % k), max_size=2)):
+            covers[i] = sorted(draw(st.sets(ids, max_size=n)))
+    return H, covers
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hypergraph_and_covers())
+def test_first_non_cover_matches_per_cover_check(case):
+    H, covers = case
+    assert first_non_cover(H, covers) == _first_non_cover_reference(H, covers)
+
+
+@pytest.mark.parametrize("bad", [None, 0, 62, 63, 64, 127, 128, 149])
+def test_first_non_cover_across_word_boundaries(bad):
+    G = complete(5, 3)
+    covers = [range(5)] * 150
+    if bad is not None:
+        covers[bad] = [0, 1]
+        covers[-1] = []
+    assert first_non_cover(G, covers) == bad
+    assert first_non_cover(Hypergraph(3, 5, []), covers) is None
+    assert first_non_cover(Hypergraph(3, 0, []), [[]] * 70) is None
+
+
+def test_first_non_cover_rejects_bad_ids():
+    G = complete(4, 3)
+    for bad in (-1, 4):
+        with pytest.raises(ParameterError, match="out of range"):
+            first_non_cover(G, [range(4), [0, bad]])
+    with pytest.raises(ParameterError, match="out of range"):
+        first_non_cover(Hypergraph(3, 0, []), [[0]])
 
 
 def test_matching_check():

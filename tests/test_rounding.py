@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turancover.errors import ParameterError
+from turancover.errors import ParameterError, VerificationError
 from turancover.generators import complete, random_hypergraph
 from turancover.hypergraph import Hypergraph, blow_up, is_vertex_cover
 from turancover.rounding import (
@@ -22,6 +22,7 @@ from turancover.rounding import (
     recursive_threshold,
     sample_coloring,
     t2_cover,
+    t2_cover_blowup,
     two_coloring,
 )
 
@@ -193,6 +194,27 @@ def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
     res = ahtp_cover(G, RoundingParams(t=4, seed=9, trials=50), mode="exact")
     assert res.trial_index == 0 and res.parity_class == ()
     assert counts == {"solve_vc_lp": 2, "two_coloring": 1}
+
+
+def test_ahtp_cover_reports_first_failing_trial(monkeypatch):
+    # gamma = 9/10 leaves three residual edges, so empty classes miss them
+    from turancover import rounding
+
+    monkeypatch.setattr(rounding, "color_trial", lambda *args: ((), ()))
+    B = blow_up(complete(5, 4), 3)
+    params = RoundingParams(t=4, seed=3, trials=70, gamma=Fraction(9, 10))
+    with pytest.raises(VerificationError, match=r"^rounding trial 0 produced a non-cover$"):
+        ahtp_cover_blowup(B, params, mode="exact")
+
+
+def test_t2_cover_reports_first_failing_trial(monkeypatch):
+    # every pair of complete(5, 3) stays in the residual support
+    from turancover import rounding
+
+    monkeypatch.setattr(rounding, "monochromatic_pairs", lambda *args: ())
+    B = blow_up(complete(5, 3), 2)
+    with pytest.raises(VerificationError, match=r"^pair trial 0 produced a non-cover$"):
+        t2_cover_blowup(B, seed=3, trials=70, mode="exact")
 
 
 def test_ahtp_cover_uniformity_mismatch():
