@@ -131,14 +131,10 @@ def blow_up(base: Hypergraph, k: int) -> BlowUp:
         raise ParameterError(f"subset size {k} not in [1, {base.t})")
     labels = sorted({sub for e in base.edges for sub in combinations(e, k)})
     index = {lab: i for i, lab in enumerate(labels)}
-    seen = set()
-    edges = []
-    for e in base.edges:
-        be = tuple(sorted(index[sub] for sub in combinations(e, k)))
-        if be not in seen:  # distinct base edges cannot collide; kept as a safety net
-            seen.add(be)
-            edges.append(be)
-    hyper = Hypergraph(comb(base.t, k), len(labels), tuple(edges))
+    # a canonical base edge yields its k-subsets in lexicographic order,
+    # so their label ids already increase
+    edges = tuple(tuple(map(index.__getitem__, combinations(e, k))) for e in base.edges)
+    hyper = Hypergraph(comb(base.t, k), len(labels), edges)
     return BlowUp(hyper, tuple(labels), base.t, base.n, k)
 
 

@@ -12,10 +12,12 @@ also bounds the primal support: every supported vertex v has
 sum_{e through v} y_e = 1, so |support| = sum_{v in S} sum_{e through v} y_e
 <= t * sum_e y_e = t * objective.
 
-Exact mode solves the covering program once with scipy's HiGHS dual
-simplex, reads the primal x and the dual y (the negated constraint
-marginals) off that one solve, and turns them into an exact rational
-pair through a fixed ladder:
+Both modes call HiGHS's dual simplex through the binding bundled with
+scipy (``scipy.optimize._highspy._core``), handing it the constraint
+matrix straight from ``Hypergraph.edge_array``.  Exact mode solves the
+covering program once, reads the primal x and the dual y (the negated
+row duals) off that one solve, and turns them into an exact rational pair
+through a fixed ladder:
 
 1. rationalize each value with ``Fraction.limit_denominator``;
 2. failing that, re-solve the support systems exactly over the
@@ -37,12 +39,17 @@ off the final reduced costs of the slack or surplus columns.  HiGHS is
 deterministic, so the returned optimum is a pure function of the
 instance, though not always the vertex the simplex would pick.
 
+The certificate check runs in integers: every value is scaled by the
+least common multiple D of all denominators, and each edge and vertex
+load is compared against D.
+
 Float mode returns HiGHS's values as they are.  Support membership
 then uses a 1e-9 tolerance and no exactness assertions are made.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -347,8 +354,7 @@ def _solve_pair_exact(H: Hypergraph, size_guard=None):
         raise ResourceLimitError(
             f"exact mode needs n*m <= {guard}, got {H.n}*{H.m} = {H.n * H.m}"
         )
-    res = _highs_cover(H)
-    x, y = res.x, -res.ineqlin.marginals
+    x, y = _highs_cover(H)
     for step in (_rationalized_pair, _support_pair):
         primal, dual = _exact_pair(*step(H, x, y))
         try:
@@ -361,57 +367,62 @@ def _solve_pair_exact(H: Hypergraph, size_guard=None):
     return primal, dual
 
 
-def _incidence(H: Hypergraph):
-    """Sparse edge-by-vertex 0/1 matrix of H, shape (m, n).
+def _highs(H: Hypergraph, matching: bool = False):
+    """One HiGHS dual-simplex solve, through the binding bundled with scipy.
 
-    Row i of ``H.edge_array`` is already the sorted column list of row i.
+    Both programs go in as ``minimize -s * sum(z)  subject to
+    s * M z <= s, z >= 0``: the covering program with s = -1 and M = A,
+    the edge-by-vertex incidence, given row-wise; the matching program
+    with s = 1 and M = A^T, given column-wise.  Row i of ``H.edge_array`` is already the
+    sorted index list of row (or column) i of either layout.  This is the
+    form ``scipy.optimize.linprog`` passed to HiGHS, and HiGHS's results
+    are not invariant under negating rows.  Returns the program's optimal
+    value, its variable values and the negated row duals, which are the
+    other program's values (H has edges).
     """
     import numpy as np
-    from scipy import sparse
+    from scipy.optimize._highspy import _core
 
     E = H.edge_array
-    indptr = np.arange(0, E.size + 1, H.t)
-    return sparse.csr_matrix((np.ones(E.size), E.ravel(), indptr), shape=(H.m, H.n))
+    model = _core.HighsLp()
+    A = model.a_matrix_
+    if matching:
+        s, ncol, nrow = 1.0, H.m, H.n
+        A.format_ = _core.MatrixFormat.kColwise
+    else:
+        s, ncol, nrow = -1.0, H.n, H.m
+        A.format_ = _core.MatrixFormat.kRowwise
+    model.num_col_ = A.num_col_ = ncol
+    model.num_row_ = A.num_row_ = nrow
+    model.col_cost_ = np.full(ncol, -s)
+    model.col_lower_ = np.zeros(ncol)
+    model.col_upper_ = np.full(ncol, np.inf)
+    model.row_lower_ = np.full(nrow, -np.inf)
+    model.row_upper_ = np.full(nrow, s)
+    A.start_ = np.arange(0, E.size + 1, H.t)
+    A.index_ = E.ravel()
+    A.value_ = np.full(E.size, s)
+
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(model)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:  # pragma: no cover - feasible and bounded
+        raise VerificationError(f"HiGHS solve failed: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    objective = -s * highs.getObjectiveValue()
+    return objective, np.array(solution.col_value), -np.array(solution.row_dual)
 
 
 def _highs_cover(H: Hypergraph):
-    """One HiGHS dual-simplex solve of the covering program (H has edges)."""
-    import numpy as np
-    from scipy.optimize import linprog
-
-    res = linprog(
-        np.ones(H.n),
-        A_ub=-_incidence(H),
-        b_ub=-np.ones(H.m),
-        bounds=(0, None),
-        method="highs-ds",
-    )
-    if not res.success:  # pragma: no cover - the program is feasible and bounded
-        raise VerificationError(f"float covering solve failed: {res.message}")
-    return res
+    """Primal x and dual y of one HiGHS solve of the covering program."""
+    _, x, y = _highs(H)
+    return x, y
 
 
-def _solve_vc_float(H: Hypergraph):
-    res = _highs_cover(H)
-    values = {int(i): float(v) for i, v in enumerate(res.x) if v > FLOAT_SUPPORT_TOL}
-    return float(res.fun), values
-
-
-def _solve_matching_float(H: Hypergraph):
-    import numpy as np
-    from scipy.optimize import linprog
-
-    res = linprog(
-        -np.ones(H.m),
-        A_ub=_incidence(H).T,
-        b_ub=np.ones(H.n),
-        bounds=(0, None),
-        method="highs-ds",
-    )
-    if not res.success:  # pragma: no cover
-        raise VerificationError(f"float matching solve failed: {res.message}")
-    values = {int(i): float(v) for i, v in enumerate(res.x) if v > FLOAT_SUPPORT_TOL}
-    return -float(res.fun), values
+def _float_values(values):
+    return {int(i): float(v) for i, v in enumerate(values) if v > FLOAT_SUPPORT_TOL}
 
 
 def solve_vc_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSolution:
@@ -427,8 +438,8 @@ def solve_vc_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSoluti
     if mode == "float":
         if H.m == 0:
             return LPSolution("primal", {}, 0.0, "float")
-        obj, x = _solve_vc_float(H)
-        return LPSolution("primal", x, obj, "float")
+        obj, x, _ = _highs(H)
+        return LPSolution("primal", _float_values(x), float(obj), "float")
     raise ParameterError(f"unknown mode {mode!r}")
 
 
@@ -439,8 +450,8 @@ def solve_matching_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LP
     if mode == "float":
         if H.m == 0:
             return LPSolution("dual", {}, 0.0, "float")
-        obj, y = _solve_matching_float(H)
-        return LPSolution("dual", y, obj, "float")
+        obj, y, _ = _highs(H, matching=True)
+        return LPSolution("dual", _float_values(y), float(obj), "float")
     raise ParameterError(f"unknown mode {mode!r}")
 
 
@@ -469,32 +480,42 @@ def check_complementary_slackness(
         if ye < 0:
             raise VerificationError(f"edge {e} has negative weight {ye}")
 
+    # every load is compared in integers scaled by the common denominator D
+    D = math.lcm(*{q.denominator for q in (*primal.values.values(), *dual.values.values())})
+    x = [0] * H.n
+    for v, xv in primal.values.items():
+        x[v] = xv.numerator * (D // xv.denominator)
     edge_load = []
     for ei, e in enumerate(H.edges):
-        load = sum(primal.value(v) for v in e)
-        if load < 1:
-            raise VerificationError(f"edge {ei} is undercovered: total weight {load}")
+        load = sum(map(x.__getitem__, e))
+        if load < D:
+            raise VerificationError(
+                f"edge {ei} is undercovered: total weight {Fraction(load, D)}"
+            )
         edge_load.append(load)
-    vertex_load = {}
-    for ei, e in enumerate(H.edges):
-        ye = dual.value(ei)
-        if ye:
-            for v in e:
-                vertex_load[v] = vertex_load.get(v, Fraction(0)) + ye
-    for v, load in vertex_load.items():
-        if load > 1:
-            raise VerificationError(f"vertex {v} is overloaded: matching weight {load}")
+    vertex_load = [0] * H.n
+    for ei, ye in dual.values.items():
+        scaled = ye.numerator * (D // ye.denominator)
+        for v in H.edges[ei]:
+            vertex_load[v] += scaled
+    if max(vertex_load, default=0) > D:
+        # report the first overloaded vertex in order of first incidence
+        loaded = (v for ei, e in enumerate(H.edges) if dual.value(ei) for v in e)
+        v = next(v for v in loaded if vertex_load[v] > D)
+        raise VerificationError(
+            f"vertex {v} is overloaded: matching weight {Fraction(vertex_load[v], D)}"
+        )
 
     tight_v = 0
     for v in primal.support:
-        if vertex_load.get(v, Fraction(0)) != 1:
+        if vertex_load[v] != D:
             raise VerificationError(
                 f"vertex {v} has positive weight but its matching constraint is slack"
             )
         tight_v += 1
     tight_e = 0
     for ei in dual.support:
-        if edge_load[ei] != 1:
+        if edge_load[ei] != D:
             raise VerificationError(
                 f"edge {ei} has positive weight but its covering constraint is slack"
             )

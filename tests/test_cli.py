@@ -213,3 +213,13 @@ def test_rounding_repeats_byte_identical():
     )
     args = ["round", "ahtp", "--seed", "21", "--trials", "6", "--mode", "exact"]
     assert run(args, doc) == run(args, doc)
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    # the LP and the trial check import them on first use only
+    code = ("import sys, turancover, turancover.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

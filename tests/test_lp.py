@@ -3,7 +3,6 @@
 import math
 import os
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,10 +60,18 @@ def test_float_mode_matches_exact_objective():
 
 
 def test_float_matching_agrees_too():
-    G = complete(5, 3)
-    exact = solve_matching_lp(G, mode="exact").objective
-    approx = solve_matching_lp(G, mode="float").objective
-    assert abs(float(exact) - approx) < 1e-6
+    instances = [complete(5, 3)]
+    instances += [random_hypergraph(9, 3, 0.4, seed) for seed in range(12)]
+    instances.append(blow_up(random_hypergraph(8, 4, 0.4, seed=3), 2).hyper)
+    for G in instances:
+        exact = solve_matching_lp(G, mode="exact").objective
+        approx = solve_matching_lp(G, mode="float")
+        assert abs(float(exact) - approx.objective) < 1e-6
+        loads = [0.0] * G.n
+        for ei, ye in approx.values.items():
+            for v in G.edges[ei]:
+                loads[v] += ye
+        assert max(loads) <= 1 + 1e-9
 
 
 def test_unknown_mode_rejected():
@@ -208,8 +215,8 @@ def test_ladder_step2_solves_the_support_exactly(monkeypatch):
     # a 243x98 LP whose optimum has denominators past the rationalizer's 10**6
     H = blow_up(random_hypergraph(10, 6, 0.45, 40_000), 5).hyper
     assert (H.n, H.m) == (243, 98)
-    res = lp._highs_cover(H)
-    rounded = lp._exact_pair(*lp._rationalized_pair(H, res.x, -res.ineqlin.marginals))
+    x, y = lp._highs_cover(H)
+    rounded = lp._exact_pair(*lp._rationalized_pair(H, x, y))
     with pytest.raises(VerificationError):
         check_complementary_slackness(*rounded, H)
     calls = _spy(monkeypatch, "_support_pair")
@@ -221,8 +228,7 @@ def test_ladder_step2_solves_the_support_exactly(monkeypatch):
 
 def test_ladder_step3_runs_the_simplex_when_both_cheap_steps_fail(monkeypatch):
     G = random_hypergraph(8, 3, 0.4, seed=5)
-    zero = SimpleNamespace(x=np.zeros(G.n), ineqlin=SimpleNamespace(marginals=np.zeros(G.m)))
-    monkeypatch.setattr(lp, "_highs_cover", lambda H: zero)
+    monkeypatch.setattr(lp, "_highs_cover", lambda H: (np.zeros(G.n), np.zeros(G.m)))
     calls = _spy(monkeypatch, "_simplex_pair")
     primal = _assert_certified(G)
     assert len(calls) == 2
@@ -245,3 +251,138 @@ def test_certified_pair_agrees_with_both_simplex_orientations(seed, t, n, p):
         pair = lp._exact_pair(x, y)
         check_complementary_slackness(*pair, G)
         assert obj == pair[0].objective == certified[0].objective
+
+
+# --- the integer certificate against the Fraction checker it replaced -------
+
+
+def _reference_check(primal, dual, H):
+    """The Fraction-arithmetic checker, kept verbatim as the test oracle."""
+    if primal.mode != "exact" or dual.mode != "exact":
+        raise ParameterError("slackness verification requires exact-mode solutions")
+    if primal.kind != "primal" or dual.kind != "dual":
+        raise ParameterError("expected a (primal, dual) pair in that order")
+    for v, xv in primal.values.items():
+        if not 0 <= v < H.n:
+            raise ParameterError(f"primal id {v} out of range")
+        if xv < 0:
+            raise VerificationError(f"vertex {v} has negative weight {xv}")
+    for e, ye in dual.values.items():
+        if not 0 <= e < H.m:
+            raise ParameterError(f"dual id {e} out of range")
+        if ye < 0:
+            raise VerificationError(f"edge {e} has negative weight {ye}")
+
+    edge_load = []
+    for ei, e in enumerate(H.edges):
+        load = sum(primal.value(v) for v in e)
+        if load < 1:
+            raise VerificationError(f"edge {ei} is undercovered: total weight {load}")
+        edge_load.append(load)
+    vertex_load = {}
+    for ei, e in enumerate(H.edges):
+        ye = dual.value(ei)
+        if ye:
+            for v in e:
+                vertex_load[v] = vertex_load.get(v, Fraction(0)) + ye
+    for v, load in vertex_load.items():
+        if load > 1:
+            raise VerificationError(f"vertex {v} is overloaded: matching weight {load}")
+
+    tight_v = 0
+    for v in primal.support:
+        if vertex_load.get(v, Fraction(0)) != 1:
+            raise VerificationError(
+                f"vertex {v} has positive weight but its matching constraint is slack"
+            )
+        tight_v += 1
+    tight_e = 0
+    for ei in dual.support:
+        if edge_load[ei] != 1:
+            raise VerificationError(
+                f"edge {ei} has positive weight but its covering constraint is slack"
+            )
+        tight_e += 1
+
+    # tightness plus feasibility already forces equal objectives; kept as a net
+    if primal.objective != dual.objective:
+        raise VerificationError(
+            f"objectives differ: cover {primal.objective} vs matching {dual.objective}"
+        )
+
+    bound = Fraction(H.t) * Fraction(primal.objective)
+    size = len(primal.support)
+    if size > bound:
+        raise VerificationError(f"support size {size} exceeds t * objective = {bound}")
+    return lp.SlacknessReport(Fraction(primal.objective), size, bound, tight_v, tight_e)
+
+
+def _outcome(check, primal, dual, H):
+    try:
+        return check(primal, dual, H)
+    except (ParameterError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(4, 9), st.booleans(),
+       st.sampled_from(["none", "bump", "drop", "add", "negate"]), st.booleans(),
+       st.integers(0, 10**6), st.integers(-12, 12).filter(bool), st.booleans())
+def test_integer_certificate_matches_the_fraction_checker(
+        seed, t, n, blown, change, on_primal, pick, q, resum):
+    G = random_hypergraph(n, t, 0.45, seed)
+    H = blow_up(G, t - 1).hyper if blown else G
+    if H.m == 0:
+        return
+    primal, dual = lp._solve_pair_exact(H)
+    side = primal if on_primal else dual
+    values = dict(side.values)
+    ids = sorted(values)
+    if change == "bump" and ids:
+        i = ids[pick % len(ids)]
+        values[i] += Fraction(1, q)
+    elif change == "drop" and ids:
+        del values[ids[pick % len(ids)]]
+    elif change == "add":  # any id, out of range or already present included
+        size = H.n if on_primal else H.m
+        values[pick % (size + 2) - 1] = Fraction(1, abs(q))
+    elif change == "negate" and ids:
+        i = ids[pick % len(ids)]
+        values[i] = -values[i]
+    objective = sum(values.values(), Fraction(0)) if resum else side.objective
+    changed = LPSolution(side.kind, values, objective, "exact")
+    pair = (changed, dual) if on_primal else (primal, changed)
+    expected = _outcome(_reference_check, *pair, H)
+    assert _outcome(check_complementary_slackness, *pair, H) == expected
+
+
+def test_overload_is_reported_in_order_of_first_incidence():
+    # vertex 3 is reached (by edge 0) before vertex 1, and both are overloaded
+    H = Hypergraph(2, 5, [(0, 3), (1, 2), (1, 4), (3, 4)])
+    primal = LPSolution("primal", {v: Fraction(1) for v in range(5)}, Fraction(5), "exact")
+    y = {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(2, 3), 3: Fraction(2, 3)}
+    dual = LPSolution("dual", y, sum(y.values()), "exact")
+    expected = (VerificationError, "vertex 3 is overloaded: matching weight 7/6")
+    assert _outcome(_reference_check, primal, dual, H) == expected
+    assert _outcome(check_complementary_slackness, primal, dual, H) == expected
+
+
+def test_direct_highs_call_matches_linprog_bit_for_bit():
+    # scipy's linprog is the reference for the model handed to HiGHS.  HiGHS
+    # is not invariant under negating rows, and the 842x324 blow-up here
+    # returns other last bits if the covering rows go in as 1 <= A x.
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    for H in (complete(5, 3), blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper):
+        E = H.edge_array
+        A = sparse.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.t)),
+                              shape=(H.m, H.n))
+        ref = linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds")
+        obj, x, y = lp._highs(H)
+        assert obj == ref.fun
+        assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
+        ref = linprog(-np.ones(H.m), A_ub=A.T, b_ub=np.ones(H.n), method="highs-ds")
+        obj, y, x = lp._highs(H, matching=True)
+        assert obj == -ref.fun
+        assert np.array_equal(y, ref.x) and np.array_equal(x, -ref.ineqlin.marginals)
