@@ -15,10 +15,10 @@ import random
 from itertools import combinations, product
 
 from .errors import ParameterError, ResourceLimitError
-from .guards import resolve_limit
+from .guards import comb_exceeds, resolve_limit
 from .hypergraph import Hypergraph
 from .oracles import contains_subhypergraph, rho
-from .setcover import SetSystem
+from .setcover import SetSystem, _kept_flags
 
 __all__ = [
     "complete",
@@ -31,12 +31,23 @@ __all__ = [
 ]
 
 LINES_GUARD = 50_000
+ENUMERATION_GUARD = 1_000_000
+
+
+def _check_candidates(n: int, t: int) -> None:
+    if n < t:
+        raise ParameterError(f"need at least {t} vertices, got {n}")
+    cap = resolve_limit(None, ENUMERATION_GUARD)
+    if comb_exceeds(n, t, cap):
+        raise ResourceLimitError(f"C({n},{t}) candidate edges exceed limit {cap}")
 
 
 def complete(n: int, t: int) -> Hypergraph:
-    """All t-subsets of n vertices, in lexicographic order."""
-    if n < t:
-        raise ParameterError(f"need at least {t} vertices, got {n}")
+    """All t-subsets of n vertices, in lexicographic order.
+
+    Refused with ResourceLimitError above ``ENUMERATION_GUARD`` edges.
+    """
+    _check_candidates(n, t)
     return Hypergraph(t, n, list(combinations(range(n), t)))
 
 
@@ -44,12 +55,13 @@ def random_hypergraph(n: int, t: int, p: float, seed: int) -> Hypergraph:
     """Keep each of the C(n,t) possible edges independently with probability p.
 
     Candidate edges are scanned in lexicographic order with one RNG draw
-    each, so the output is a pure function of (n, t, p, seed).
+    each, so the output is a pure function of (n, t, p, seed).  Refused
+    with ResourceLimitError above ``ENUMERATION_GUARD`` candidates, even
+    for p = 0.
     """
     if not 0 <= p <= 1:
         raise ParameterError(f"probability must lie in [0,1], got {p}")
-    if n < t:
-        raise ParameterError(f"need at least {t} vertices, got {n}")
+    _check_candidates(n, t)
     rng = random.Random(seed)
     edges = [e for e in combinations(range(n), t) if rng.random() < p]
     return Hypergraph(t, n, edges)
@@ -125,9 +137,13 @@ def greedy_hard_setsystem(k: int) -> SetSystem:
     those elements.  Decoys come first in the listing so that greedy,
     which breaks coverage ties toward lower set ids, prefers them;
     following them all costs about (k-1) ln k picks against the optimum k.
+    Refused with ResourceLimitError when k*k exceeds ``ENUMERATION_GUARD``.
     """
     if k < 2:
         raise ParameterError(f"block count must be at least 2, got {k}")
+    cap = resolve_limit(None, ENUMERATION_GUARD)
+    if k * k > cap:
+        raise ResourceLimitError(f"{k}*{k} universe exceeds limit {cap}")
     blocks = [list(range(j * k, (j + 1) * k)) for j in range(k)]
     decoys = []
     for _ in range(math.ceil((k - 1) * math.log(k))):
@@ -151,21 +167,16 @@ def simplify_reduction(G: Hypergraph, B: int, P: int, seed: int) -> Hypergraph:
     meets every previously kept edge in at most one vertex, so the later
     member of any conflicting pair is the one dropped.  Exact duplicates
     conflict in t places and are dropped the same way.
+
+    Each candidate is tested against the pairs of the kept edges, as
+    ``is_simple`` tests edges, so it costs at most C(t, 2) lookups.
     """
     if B < 1 or P < 1:
         raise ParameterError("cloud size and per-edge count must be positive")
     rng = random.Random(seed)
-    candidates = []
-    for edge in G.edges:
-        for _ in range(P):
-            candidates.append(tuple(v * B + rng.randrange(B) for v in edge))
-    kept: list[frozenset] = []
-    edges = []
-    for cand in candidates:
-        cset = frozenset(cand)
-        if all(len(cset & old) <= 1 for old in kept):
-            kept.append(cset)
-            edges.append(cand)
+    candidates = [tuple(v * B + rng.randrange(B) for v in edge)
+                  for edge in G.edges for _ in range(P)]
+    edges = [cand for cand, kept in zip(candidates, _kept_flags(candidates)) if kept]
     return Hypergraph(G.t, G.n * B, edges)
 
 

@@ -1,9 +1,9 @@
 """Resource-limit plumbing.
 
-Every brute-force search and exact LP solve takes an optional explicit
-limit.  When none is given, the environment variable
-``TURANCOVER_SIZE_GUARD`` (if set) replaces the per-operation default,
-as a desk-scale escape hatch.
+Every brute-force search, exact LP solve, generator enumeration and
+blow-up is guarded by a limit.  When no explicit limit is given, the
+environment variable ``TURANCOVER_SIZE_GUARD`` (if set) replaces the
+per-operation default, as a desk-scale escape hatch.
 """
 
 import os
@@ -32,3 +32,19 @@ def resolve_limit(explicit, default):
     if limit < 0:
         raise ParameterError(f"{ENV_VAR} must be non-negative, got {env!r}")
     return limit
+
+
+def comb_exceeds(n: int, k: int, cap: int) -> bool:
+    """True when C(n, k) > cap, for 0 <= k <= n.
+
+    Builds C(n - j + i, i) for i = 1..j with j = min(k, n - k), a
+    nondecreasing sequence ending at C(n, k), and stops at the first term
+    above ``cap``, so a huge binomial is never computed in full.
+    """
+    j = min(k, n - k)
+    c = 1
+    for i in range(1, j + 1):
+        c = c * (n - j + i) // i
+        if c > cap:
+            return True
+    return c > cap

@@ -18,8 +18,9 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .errors import ParameterError
-from .setcover import SetSystem
+from .errors import ParameterError, ResourceLimitError
+from .guards import comb_exceeds, resolve_limit
+from .setcover import SetSystem, _kept_flags, dual_system
 
 __all__ = [
     "Hypergraph",
@@ -31,6 +32,8 @@ __all__ = [
     "is_matching",
     "dual",
 ]
+
+BLOWUP_GUARD = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,15 @@ def blow_up(base: Hypergraph, k: int) -> BlowUp:
     k-subsets.  For k = t - 1 the result is simple: two blow-up edges
     meet in at most one vertex because two distinct base edges share at
     most t - 1 base vertices, hence at most one (t-1)-subset.
+
+    Refused with ResourceLimitError when C(t, k) exceeds ``BLOWUP_GUARD``
+    (or the ``TURANCOVER_SIZE_GUARD`` override), edgeless bases included.
     """
     if not 1 <= k < base.t:
         raise ParameterError(f"subset size {k} not in [1, {base.t})")
+    cap = resolve_limit(None, BLOWUP_GUARD)
+    if comb_exceeds(base.t, k, cap):
+        raise ResourceLimitError(f"C({base.t},{k}) vertices per blown-up edge exceed limit {cap}")
     labels = sorted({sub for e in base.edges for sub in combinations(e, k)})
     index = {lab: i for i, lab in enumerate(labels)}
     # a canonical base edge yields its k-subsets in lexicographic order,
@@ -140,12 +149,7 @@ def blow_up(base: Hypergraph, k: int) -> BlowUp:
 
 def is_simple(H: Hypergraph) -> bool:
     """True when every pair of distinct edges shares at most one vertex."""
-    sets = [set(e) for e in H.edges]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if len(sets[i] & sets[j]) > 1:
-                return False
-    return True
+    return all(_kept_flags(H.edges))
 
 
 def _vertex_set(H: Hypergraph, cover) -> set[int]:
@@ -218,8 +222,4 @@ def dual(H: Hypergraph) -> SetSystem:
     H is exactly a set cover of the dual, and when H is simple the dual
     is a simple system.
     """
-    incidence = [[] for _ in range(H.n)]
-    for ei, e in enumerate(H.edges):
-        for v in e:
-            incidence[v].append(ei)
-    return SetSystem(H.m, tuple(tuple(inc) for inc in incidence if inc))
+    return dual_system(SetSystem(H.n, H.edges))

@@ -11,8 +11,10 @@ the two can be cross-checked.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 
 from .errors import ParameterError, ResourceLimitError, VerificationError
 from .guards import resolve_limit
@@ -72,14 +74,42 @@ class GreedyTrace:
     uncovered_after: tuple[int, ...]
 
 
+def _kept_flags(members):
+    """For each of ``members`` (sorted tuples) in order, whether it meets
+    every earlier kept member in at most one element; it is kept if so.
+
+    Two members share two or more elements exactly when they share a
+    pair, so each member is checked by looking up its pairs in one set
+    holding the kept members' pairs.  Only elements lying in two or more
+    members can be in a shared pair, so a member of more than three
+    elements contributes only the pairs of those: a single large member
+    whose elements lie nowhere else stores none, where all its pairs
+    would take memory quadratic in its size.
+    """
+    degree = Counter(chain.from_iterable(members))
+    used: set[tuple[int, int]] = set()
+    for s in members:
+        if len(s) > 3:  # below four elements C(|s|, 2) <= |s|: filtering cannot pay
+            s = [x for x in s if degree[x] > 1]
+        pairs = list(combinations(s, 2))
+        kept = used.isdisjoint(pairs)
+        if kept:
+            used.update(pairs)
+        yield kept
+
+
 def is_simple_system(system: SetSystem) -> bool:
     """True when every pair of member sets intersects in at most one element."""
-    sets = [set(s) for s in system.sets]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if len(sets[i] & sets[j]) > 1:
-                return False
-    return True
+    return all(_kept_flags(system.sets))
+
+
+def _containing(system: SetSystem) -> list[list[int]]:
+    """For each element, the ids of the sets containing it, in increasing order."""
+    containing = [[] for _ in range(system.n)]
+    for sid, s in enumerate(system.sets):
+        for x in s:
+            containing[x].append(sid)
+    return containing
 
 
 def dual_system(system: SetSystem) -> SetSystem:
@@ -91,11 +121,8 @@ def dual_system(system: SetSystem) -> SetSystem:
     this twice returns the original system restricted to its nonempty
     incidences, with elements renumbered by rank.
     """
-    incidence = [[] for _ in range(system.n)]
-    for sid, s in enumerate(system.sets):
-        for x in s:
-            incidence[x].append(sid)
-    return SetSystem(len(system.sets), tuple(tuple(inc) for inc in incidence if inc))
+    return SetSystem(len(system.sets),
+                     tuple(tuple(inc) for inc in _containing(system) if inc))
 
 
 def greedy_set_cover(system: SetSystem) -> GreedyTrace:
@@ -103,25 +130,33 @@ def greedy_set_cover(system: SetSystem) -> GreedyTrace:
 
     Ties break toward the lowest set id.  Raises ParameterError naming an
     uncoverable element when the family does not cover the universe.
+
+    Each set's gain (its count of uncovered elements) is kept up to date:
+    covering an element lowers the gain of every set containing it, so
+    the whole run touches each incidence once plus one scan of the gains
+    per pick.
     """
-    uncovered = set(range(system.n))
-    member_sets = [set(s) for s in system.sets]
+    gains = [len(s) for s in system.sets]
+    containing = _containing(system)
+    covered = [False] * system.n
+    left = system.n
     picked, newly, after = [], [], []
-    while uncovered:
-        best_id = None
-        best_gain = 0
-        for sid, s in enumerate(member_sets):
-            gain = len(s & uncovered)
-            if gain > best_gain:
-                best_gain, best_id = gain, sid
-        if best_id is None:
+    while left:
+        best_gain = max(gains, default=0)
+        if best_gain == 0:
             raise ParameterError(
-                f"universe not coverable: element {min(uncovered)} lies in no set"
+                f"universe not coverable: element {covered.index(False)} lies in no set"
             )
-        uncovered -= member_sets[best_id]
+        best_id = gains.index(best_gain)
+        for x in system.sets[best_id]:
+            if not covered[x]:
+                covered[x] = True
+                for sid in containing[x]:
+                    gains[sid] -= 1
+        left -= best_gain
         picked.append(best_id)
         newly.append(best_gain)
-        after.append(len(uncovered))
+        after.append(left)
     return GreedyTrace(tuple(picked), tuple(newly), tuple(after))
 
 
@@ -159,10 +194,7 @@ def brute_set_cover(system: SetSystem, limit: int | None = None) -> int:
     if system.n == 0:
         return 0
     member_sets = [set(s) for s in system.sets]
-    containing = [[] for _ in range(system.n)]
-    for sid, s in enumerate(system.sets):
-        for x in s:
-            containing[x].append(sid)
+    containing = _containing(system)
     for x in range(system.n):
         if not containing[x]:
             raise ParameterError(f"universe not coverable: element {x} lies in no set")

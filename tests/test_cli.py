@@ -1,9 +1,13 @@
-"""End-to-end command-line tests driven through real subprocesses."""
+"""End-to-end command-line tests, driven through real subprocesses except
+where a test needs to patch the package in-process."""
 
+import io
 import subprocess
 import sys
 
 import pytest
+
+from turancover import cli, generators, hypergraph
 
 PY = [sys.executable, "-m", "turancover"]
 
@@ -181,6 +185,28 @@ def test_resource_guard_exit_code():
     code, _, err = run(["gen", "lines", "--n", "8"])
     assert code == 4
     assert "limit" in err
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["gen", "random", "--n", "60", "--t", "8", "--p", "0"], ""),
+    (["gen", "complete", "--n", "60", "--t", "8"], ""),
+    (["gen", "hard-setcover", "--k", "100000"], ""),
+    (["blowup", "--k", "50000"], "HG 100000 100000 0\n"),
+])
+def test_oversized_enumerations_exit_4_before_starting(monkeypatch, capsys, argv, stdin_text):
+    def refuse(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.delenv("TURANCOVER_SIZE_GUARD", raising=False)
+    monkeypatch.setattr(generators, "combinations", refuse)
+    monkeypatch.setattr(generators, "range", refuse, raising=False)
+    monkeypatch.setattr(hypergraph, "comb", refuse)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource limit: ") and "exceed" in err
+    assert "Traceback" not in err
 
 
 def test_negative_limits_are_parameter_errors():

@@ -1,8 +1,10 @@
 """Instance generators: completeness, determinism, and advertised guarantees."""
 
+import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turancover.errors import ParameterError, ResourceLimitError
 from turancover.generators import (
@@ -14,7 +16,8 @@ from turancover.generators import (
     simplify_reduction,
     three_tent,
 )
-from turancover.hypergraph import Hypergraph, is_simple
+from turancover.guards import comb_exceeds
+from turancover.hypergraph import Hypergraph, blow_up, is_simple
 from turancover.oracles import (
     brute_tau,
     contains_subhypergraph,
@@ -152,3 +155,72 @@ def test_simplify_parameter_checks():
         simplify_reduction(complete(4, 3), B=0, P=2, seed=0)
     with pytest.raises(ParameterError):
         simplify_reduction(complete(4, 3), B=3, P=0, seed=0)
+
+
+def _simplify_reference(G, B, P, seed):
+    """The compare-with-every-kept-edge scan that ``simplify_reduction`` replaced."""
+    rng = random.Random(seed)
+    candidates = []
+    for edge in G.edges:
+        for _ in range(P):
+            candidates.append(tuple(v * B + rng.randrange(B) for v in edge))
+    kept = []
+    edges = []
+    for cand in candidates:
+        cset = frozenset(cand)
+        if all(len(cset & old) <= 1 for old in kept):
+            kept.append(cset)
+            edges.append(cand)
+    return Hypergraph(G.t, G.n * B, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 3), st.floats(0.05, 0.9), st.integers(1, 5),
+       st.integers(1, 4), st.integers(0, 2**64 - 1))
+def test_simplify_reduction_matches_the_quadratic_reference(t, extra, p, B, P, seed):
+    # B = 1 makes every copy of an edge an exact duplicate; t = 2 graphs are
+    # simple from the start, so only duplicates are dropped there
+    G = random_hypergraph(t + 2 + extra, t, p, seed % 1000)
+    H = simplify_reduction(G, B, P, seed)
+    assert H == _simplify_reference(G, B, P, seed)
+    assert is_simple(H)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 80), st.data(), st.integers(0, 10**7))
+def test_comb_exceeds_matches_math_comb(n, data, cap):
+    k = data.draw(st.integers(0, n))
+    assert comb_exceeds(n, k, cap) == (comb(n, k) > cap)
+    assert comb_exceeds(n, k, comb(n, k)) is False
+    assert comb_exceeds(n, k, comb(n, k) - 1) is True
+
+
+def test_enumeration_guards_admit_exactly_the_limit(monkeypatch):
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "10")
+    assert complete(5, 3).m == 10
+    assert random_hypergraph(5, 2, 0.0, seed=0).m == 0
+    assert greedy_hard_setsystem(3).n == 9
+    assert blow_up(complete(6, 5), 2).hyper.t == 10
+    with pytest.raises(ResourceLimitError, match=r"C\(6,3\) candidate edges exceed limit 10"):
+        complete(6, 3)
+    with pytest.raises(ResourceLimitError, match="limit 10"):
+        random_hypergraph(6, 3, 0.0, seed=0)
+    with pytest.raises(ResourceLimitError, match=r"4\*4 universe exceeds limit 10"):
+        greedy_hard_setsystem(4)
+    with pytest.raises(ResourceLimitError, match="per blown-up edge exceed limit 10"):
+        blow_up(complete(7, 6), 2)
+    # parameter errors still come first
+    with pytest.raises(ParameterError):
+        complete(3, 4)
+    with pytest.raises(ParameterError):
+        random_hypergraph(60, 8, 2.0, seed=0)
+
+
+def test_default_guards_admit_the_largest_pipeline_instances(monkeypatch):
+    monkeypatch.delenv("TURANCOVER_SIZE_GUARD", raising=False)
+    assert random_hypergraph(24, 6, 0.03, seed=1).m > 0  # 134,596 candidates
+    assert greedy_hard_setsystem(60).n == 3600
+    with pytest.raises(ResourceLimitError):
+        random_hypergraph(60, 8, 0.0, seed=0)
+    with pytest.raises(ResourceLimitError):
+        greedy_hard_setsystem(1001)

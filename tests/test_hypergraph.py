@@ -105,6 +105,33 @@ def test_is_simple_counterexample():
     assert not is_simple(Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3)]))
 
 
+def _is_simple_reference(H):
+    """The pairwise-intersection check that ``is_simple`` replaced."""
+    sets = [set(e) for e in H.edges]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if len(sets[i] & sets[j]) > 1:
+                return False
+    return True
+
+
+@st.composite
+def _small_hypergraphs(draw):
+    t = draw(st.integers(2, 5))
+    n = draw(st.integers(t, 12))
+    edges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=t, max_size=t),
+                          max_size=12, unique_by=lambda e: tuple(sorted(e))))
+    return Hypergraph(t, n, [tuple(e) for e in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_hypergraphs())
+def test_is_simple_matches_the_quadratic_reference(H):
+    B = blow_up(H, H.t - 1).hyper
+    assert is_simple(H) == _is_simple_reference(H)
+    assert is_simple(B) == _is_simple_reference(B)
+
+
 def test_vertex_cover_check():
     G = complete(4, 3)
     assert is_vertex_cover(G, {0, 1})

@@ -152,19 +152,21 @@ def test_size_guard_blocks_large_exact_solves():
 
 
 def test_size_guard_env_override(monkeypatch):
+    G = complete(4, 3)  # built first: the generator reads the same guard
     monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "10")
     with pytest.raises(ResourceLimitError):
-        solve_vc_lp(complete(4, 3), mode="exact")
+        solve_vc_lp(G, mode="exact")
     # explicit argument wins over the environment
-    assert solve_vc_lp(complete(4, 3), mode="exact", size_guard=1000).objective == Fraction(4, 3)
+    assert solve_vc_lp(G, mode="exact", size_guard=1000).objective == Fraction(4, 3)
 
 
 def test_negative_size_guard_rejected(monkeypatch):
+    G = complete(4, 3)  # built first: the generator reads the same guard
     with pytest.raises(ParameterError, match="non-negative"):
-        solve_vc_lp(complete(4, 3), mode="exact", size_guard=-5)
+        solve_vc_lp(G, mode="exact", size_guard=-5)
     monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "-1")
     with pytest.raises(ParameterError, match="TURANCOVER_SIZE_GUARD"):
-        solve_vc_lp(complete(4, 3), mode="exact")
+        solve_vc_lp(G, mode="exact")
 
 
 def test_blow_up_lp_known_value():

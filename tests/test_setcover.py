@@ -1,14 +1,17 @@
 """Greedy set cover, its trace, duality with hypergraph covers, and brute OPT."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from turancover.errors import ParameterError, ResourceLimitError, VerificationError
 from turancover.generators import greedy_hard_setsystem
 from turancover.hypergraph import Hypergraph, dual
 from turancover.oracles import brute_tau
 from turancover.setcover import (
+    GreedyTrace,
     SetSystem,
     brute_set_cover,
     dual_system,
@@ -114,3 +117,93 @@ def test_hard_system_blows_up_greedy_at_small_k():
     trace = greedy_set_cover(sys_)
     assert len(trace.picked) == 3  # all three sets, twice the 2-block optimum
     assert brute_set_cover(sys_) == 2
+
+
+def _is_simple_system_reference(system):
+    """The pairwise-intersection check that ``is_simple_system`` replaced."""
+    sets = [set(s) for s in system.sets]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if len(sets[i] & sets[j]) > 1:
+                return False
+    return True
+
+
+def _greedy_reference(system):
+    """The rescan-every-set greedy that ``greedy_set_cover`` replaced."""
+    uncovered = set(range(system.n))
+    member_sets = [set(s) for s in system.sets]
+    picked, newly, after = [], [], []
+    while uncovered:
+        best_id = None
+        best_gain = 0
+        for sid, s in enumerate(member_sets):
+            gain = len(s & uncovered)
+            if gain > best_gain:
+                best_gain, best_id = gain, sid
+        if best_id is None:
+            raise ParameterError(
+                f"universe not coverable: element {min(uncovered)} lies in no set"
+            )
+        uncovered -= member_sets[best_id]
+        picked.append(best_id)
+        newly.append(best_gain)
+        after.append(len(uncovered))
+    return GreedyTrace(tuple(picked), tuple(newly), tuple(after))
+
+
+def _outcome(fn, system):
+    try:
+        return fn(system)
+    except ParameterError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _set_systems(draw):
+    """Small systems with empty, singleton and repeated sets, many gain ties,
+    and universes that the family may leave partly uncovered."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return SetSystem(0, tuple(() for _ in range(draw(st.integers(0, 3)))))
+    size = draw(st.integers(0, n))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=size), max_size=14))
+    for _ in range(draw(st.integers(0, 3))):
+        if sets:
+            sets.insert(draw(st.integers(0, len(sets))),
+                        sets[draw(st.integers(0, len(sets) - 1))])
+    return SetSystem(n, tuple(tuple(s) for s in sets))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_set_systems())
+def test_linear_time_set_routines_match_the_quadratic_reference(system):
+    assert is_simple_system(system) == _is_simple_system_reference(system)
+    assert _outcome(greedy_set_cover, system) == _outcome(_greedy_reference, system)
+
+
+@pytest.mark.parametrize("system", [
+    SetSystem(3, ()),                        # no sets at all
+    SetSystem(4, ((), (1,), (), (3,))),      # empty sets, two elements uncoverable
+    SetSystem(4, ((0, 1), (0, 1), (2, 3))),  # a repeated set
+    SetSystem(2, ((0,), (0,), (1,))),        # repeated singletons stay simple
+    greedy_hard_setsystem(7),
+])
+def test_set_routine_corner_cases_match_the_reference(system):
+    assert is_simple_system(system) == _is_simple_system_reference(system)
+    assert _outcome(greedy_set_cover, system) == _outcome(_greedy_reference, system)
+
+
+def test_a_large_set_stores_only_pairs_it_could_share():
+    # all C(600, 2) pairs of the big set would take tens of megabytes
+    big = tuple(range(600))
+    simple = SetSystem(600, (big, (0,), (7,), (599,)))
+    not_simple = SetSystem(600, (big, (3, 5)))
+    tracemalloc.start()
+    try:
+        assert is_simple_system(simple)
+        assert not is_simple_system(not_simple)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
