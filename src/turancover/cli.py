@@ -8,13 +8,17 @@ piped directly after it.  Identical arguments and inputs produce
 byte-identical output.
 
 Exit codes: 0 success, 2 malformed input, 3 bad parameters, 4 resource
-guard tripped, 5 verification failed.  With --strict, every randomized
-command must be given --seed explicitly.
+guard tripped, 5 verification failed.  Input that is not ASCII text is
+malformed (2); an -i file that cannot be read or an -o path that cannot
+be written is a bad parameter (3).  Every failure prints one line to
+stderr, never a traceback.  With --strict, every randomized command
+must be given --seed explicitly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formats
@@ -37,7 +41,9 @@ def _add_seed(parser):
                         help="RNG seed (64-bit; defaults to 0 unless --strict)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     top = argparse.ArgumentParser(
         prog="turancover",
         description="Covers of blown-up hypergraphs: generate, solve, round, verify.")
@@ -116,10 +122,29 @@ def _resolve_seed(args) -> int:
 
 
 def _read_input(args) -> str:
-    if args.input is None:
-        return sys.stdin.read()
-    with open(args.input, "r", encoding="ascii") as handle:
-        return handle.read()
+    try:
+        if args.input is None:
+            return sys.stdin.read()
+        with open(args.input, "r", encoding="ascii") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not ASCII text: byte {exc.object[exc.start]:#04x}"
+                         f" at offset {exc.start}") from None
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot read {args.input or 'stdin'}: {exc.strerror or exc}") from None
+
+
+def _write_output(args, output: str) -> None:
+    if args.output is None:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+        return
+    try:
+        with open(args.output, "w", encoding="ascii", newline="\n") as handle:
+            handle.write(output)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {args.output}: {exc.strerror or exc}") from None
 
 
 def _instance(args):
@@ -252,13 +277,7 @@ def _dispatch(args) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        output = _dispatch(args)
-        if args.output is None:
-            sys.stdout.write(output)
-            sys.stdout.flush()
-        else:
-            with open(args.output, "w", encoding="ascii", newline="\n") as handle:
-                handle.write(output)
+        _write_output(args, _dispatch(args))
         return 0
     except BrokenPipeError:
         return 0

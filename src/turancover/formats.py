@@ -18,10 +18,28 @@ final ``OBJ <value>``, values as num/den rationals in exact mode and
 sorted ids one per line, then BREAKDOWN / LP / SEED summary lines.
 Matchings: ``MATCHING <k>`` plus k edge-id lines.  Greedy traces: one
 ``<set_id> <newly_covered> <uncovered_after>`` line per pick.
+
+Instances are parsed on one of two paths with identical results.  The
+array path reads the edge block and the LABELS block of a document in
+the strict form the serializers write (a ``HG`` header at the very
+start, single spaces, LF line ends, only the bytes ``[0-9 \n]`` in the
+blocks, edges in lexicographic order, labels strictly increasing and
+sorted) with a few numpy passes, validates it completely and builds the
+instance without validating it again.  Any other input, and any input
+the array path would reject, goes through the line-by-line parser, so
+comments, blank lines, extra whitespace, ``--dedup`` and every error
+message and line number are the line parser's.  The array path runs
+only where it pays: when numpy is already loaded (importing it takes
+longer than the line parser spends on any pipeline document, so a
+short-lived process that needs no numpy never loads it for parsing)
+and the input has at least ``_ARRAY_MIN_BYTES`` bytes (below that the
+line parser is faster).
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -50,13 +68,21 @@ __all__ = [
 ]
 
 
-class _Cursor:
-    """Iterator over meaningful input lines that remembers line numbers."""
+_ARRAY_MIN_BYTES = 256
+_HEADER = re.compile(r"HG ([0-9]+) ([0-9]+) ([0-9]+)\n")
+_MAX_DIGITS = 18  # every id of at most 18 digits fits an int64
 
-    def __init__(self, text: str):
+
+class _Cursor:
+    """Iterator over meaningful input lines that remembers line numbers.
+
+    ``first_line`` is the number of the first line of ``text``.
+    """
+
+    def __init__(self, text: str, first_line: int = 1):
         self.rows = [
-            (i + 1, stripped)
-            for i, line in enumerate(text.splitlines())
+            (i, stripped)
+            for i, line in enumerate(text.splitlines(), first_line)
             if (stripped := line.strip()) and not stripped.startswith("#")
         ]
         self.pos = 0
@@ -87,16 +113,26 @@ def _ints(cursor: _Cursor, lineno: int, tokens, what: str) -> list[int]:
 
 # ---------------------------------------------------------------- hypergraphs
 
+class _Names(dict):
+    """Decimal strings of ids, each built on first use."""
+
+    def __missing__(self, key: int) -> str:
+        name = self[key] = str(key)
+        return name
+
+
+def _rows(rows) -> str:
+    """One line per row of ids, each id converted to text once."""
+    name = _Names().__getitem__
+    return "".join(" ".join(map(name, row)) + "\n" for row in rows)
+
+
 def serialize_hypergraph(H: Hypergraph) -> str:
-    lines = [f"HG {H.t} {H.n} {H.m}"]
-    lines.extend(" ".join(map(str, edge)) for edge in H.edges)
-    return "\n".join(lines) + "\n"
+    return f"HG {H.t} {H.n} {H.m}\n" + _rows(H.edges)
 
 
 def serialize_blowup(B: BlowUp) -> str:
-    lines = [serialize_hypergraph(B.hyper).rstrip("\n"), "LABELS"]
-    lines.extend(" ".join(map(str, label)) for label in B.labels)
-    return "\n".join(lines) + "\n"
+    return serialize_hypergraph(B.hyper) + "LABELS\n" + _rows(B.labels)
 
 
 def serialize_instance(instance) -> str:
@@ -146,14 +182,126 @@ def _parse_hypergraph(cursor: _Cursor, dedup: bool):
     return Hypergraph(t, n, edges), header_line
 
 
+def _int_rows(buf, lo: int, hi: int, rows: int):
+    """The ids of ``buf[lo:hi]`` as a ``(rows, cols)`` intp array, or None.
+
+    ``buf`` is a uint8 array and ``buf[lo:hi]`` holds exactly ``rows >= 1``
+    newline-terminated lines.  None unless every line is the same number
+    ``cols`` of tokens of 1 to ``_MAX_DIGITS`` digits joined by single
+    spaces, with no other byte anywhere.
+    """
+    import numpy as np
+
+    block = buf[lo:hi]
+    seps = np.flatnonzero(block - 48 > 9)  # uint8 wraps: every non-digit byte
+    if len(seps) % rows:
+        return None
+    kinds = block[seps].reshape(rows, -1)
+    if not ((kinds[:, -1] == 10).all() and (kinds[:, :-1] == 32).all()):
+        return None
+    lengths = np.diff(seps, prepend=-1) - 1
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(seps), dtype=np.intp)
+    for j in range(longest):
+        # seps - j - 1 stays within -len(block) .. len(block); tokens shorter
+        # than j + 1 digits are masked out
+        digits = block[seps - (j + 1)].astype(np.intp) - 48
+        values += np.where(lengths > j, digits, 0) * 10 ** j
+    return values.reshape(rows, -1)
+
+
+def _rows_increase(rows) -> bool:
+    """True when the rows of a 2-d array are in strictly increasing
+    lexicographic order."""
+    import numpy as np
+
+    if len(rows) < 2:
+        return True
+    a, b = rows[:-1], rows[1:]
+    differ = a != b
+    first = differ.argmax(axis=1)
+    at = np.arange(len(a))
+    return bool(differ[at, first].all() and (a[at, first] < b[at, first]).all())
+
+
+def _array_instance(text: str):
+    """The instance at the head of ``text`` by the array path.
+
+    Returns (instance, offset just past it, lines it took), or None when
+    the head is not in the strict form of the module docstring or fails
+    a check, which leaves the input and its errors to the line parser.
+    """
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    t, n, m = map(int, header.groups())
+    if t < 2 or (m == 0 and 0 < n < t) or max(t, n, m) >= 10 ** _MAX_DIGITS:
+        return None
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    import numpy as np
+
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)  # ends[i] closes line i + 1
+    lines = 1 + m
+    if len(ends) < lines:
+        return None
+    if m:
+        edges = _int_rows(buf, header.end(), int(ends[m]) + 1, m)
+        if edges is None or edges.shape[1] != t:
+            return None
+        edges.sort(axis=1)
+        if (edges[:, -1].max() >= n or (edges[:, 1:] == edges[:, :-1]).any()
+                or not _rows_increase(edges)):
+            return None
+    else:
+        edges = np.empty((0, t), dtype=np.intp)
+    H = Hypergraph._from_canonical(t, n, tuple(map(tuple, edges.tolist())), edges)
+    offset = int(ends[m]) + 1
+    if not text.startswith("LABELS\n", offset):
+        return H, offset, lines
+    if n == 0 or len(ends) <= lines + n:
+        return None
+    labels = _int_rows(buf, offset + len("LABELS\n"), int(ends[lines + n]) + 1, n)
+    if (labels is None or (labels[:, 1:] <= labels[:, :-1]).any()
+            or not _rows_increase(labels)):
+        return None
+    k = labels.shape[1]
+    base_t = _solve_base_uniformity(k, t)
+    if base_t is None:
+        return None
+    B = BlowUp._from_canonical(H, tuple(map(tuple, labels.tolist())), base_t,
+                               int(labels[:, -1].max()) + 1, k)
+    return B, int(ends[lines + n]) + 1, lines + 1 + n
+
+
+def _head(text: str, dedup: bool):
+    """The instance at the head of ``text`` and a cursor over the rest."""
+    array_pays = len(text) >= _ARRAY_MIN_BYTES and "numpy" in sys.modules
+    fast = _array_instance(text) if array_pays else None
+    if fast is not None:
+        instance, offset, lines = fast
+        cursor = _Cursor(text[offset:], lines + 1)
+        # the line parser would read a LABELS block after comments too
+        _, following = cursor.peek()
+        if (isinstance(instance, BlowUp) or following is None
+                or following.split()[0] != "LABELS"):
+            return instance, cursor
+    cursor = _Cursor(text)
+    return _parse_instance(cursor, dedup), cursor
+
+
 def parse_instance(text: str, dedup: bool = False):
     """Parse a hypergraph, upgrading to a BlowUp when LABELS follow.
 
     The whole input must be consumed; use parse_document for inputs that
     carry trailing cover or matching blocks.
     """
-    cursor = _Cursor(text)
-    instance = _parse_instance(cursor, dedup)
+    instance, cursor = _head(text, dedup)
     if not cursor.done():
         lineno, text_line = cursor.peek()
         cursor.fail(lineno, f"unexpected trailing content '{text_line}'")
@@ -397,8 +545,7 @@ def parse_document(text: str, dedup: bool = False):
     Returns (instance, cover_result_or_None, matching_ids_or_None); this
     is the input shape the verification commands consume.
     """
-    cursor = _Cursor(text)
-    instance = _parse_instance(cursor, dedup)
+    instance, cursor = _head(text, dedup)
     cover = None
     matching = None
     while not cursor.done():

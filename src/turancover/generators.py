@@ -40,6 +40,8 @@ def _check_candidates(n: int, t: int) -> None:
     cap = resolve_limit(None, ENUMERATION_GUARD)
     if comb_exceeds(n, t, cap):
         raise ResourceLimitError(f"C({n},{t}) candidate edges exceed limit {cap}")
+    if t < 2:  # the trusted constructor of the callers does not check it
+        raise ParameterError(f"uniformity must be at least 2, got {t}")
 
 
 def complete(n: int, t: int) -> Hypergraph:
@@ -48,7 +50,7 @@ def complete(n: int, t: int) -> Hypergraph:
     Refused with ResourceLimitError above ``ENUMERATION_GUARD`` edges.
     """
     _check_candidates(n, t)
-    return Hypergraph(t, n, list(combinations(range(n), t)))
+    return Hypergraph._from_canonical(t, n, tuple(combinations(range(n), t)))
 
 
 def random_hypergraph(n: int, t: int, p: float, seed: int) -> Hypergraph:
@@ -63,8 +65,8 @@ def random_hypergraph(n: int, t: int, p: float, seed: int) -> Hypergraph:
         raise ParameterError(f"probability must lie in [0,1], got {p}")
     _check_candidates(n, t)
     rng = random.Random(seed)
-    edges = [e for e in combinations(range(n), t) if rng.random() < p]
-    return Hypergraph(t, n, edges)
+    edges = tuple(e for e in combinations(range(n), t) if rng.random() < p)
+    return Hypergraph._from_canonical(t, n, edges)
 
 
 def f_free_random(n: int, t: int, family, p=None, seed: int = 0) -> Hypergraph:
@@ -138,21 +140,38 @@ def greedy_hard_setsystem(k: int) -> SetSystem:
     which breaks coverage ties toward lower set ids, prefers them;
     following them all costs about (k-1) ln k picks against the optimum k.
     Refused with ResourceLimitError when k*k exceeds ``ENUMERATION_GUARD``.
+
+    The ranking is kept as a bucket order by remaining count instead of
+    being re-sorted, so a round costs O(p).  Only two buckets are ever
+    filled: blocks s..k-1 hold c elements and blocks 0..s-1 hold c - 1
+    (none when s = 0), so the ranking is s, ..., k-1, 0, ..., s-1.  A
+    round takes its first p = c blocks, each giving up its largest
+    remaining element, block * k + count - 1.  If s + c <= k, the taken
+    blocks join the lower bucket and s moves past them (back to 0, with c
+    lowered, once every block is at c - 1); otherwise the whole top
+    bucket and the first s + c - k blocks of the lower one were taken,
+    and the untaken rest of the lower bucket is the new top.  Elements of
+    the wrapped-around blocks are the smaller ones, so each decoy comes
+    out sorted.
     """
     if k < 2:
         raise ParameterError(f"block count must be at least 2, got {k}")
     cap = resolve_limit(None, ENUMERATION_GUARD)
     if k * k > cap:
         raise ResourceLimitError(f"{k}*{k} universe exceeds limit {cap}")
-    blocks = [list(range(j * k, (j + 1) * k)) for j in range(k)]
     decoys = []
+    s, c = 0, k
     for _ in range(math.ceil((k - 1) * math.log(k))):
-        order = sorted(range(k), key=lambda j: (-len(blocks[j]), j))
-        p = len(blocks[order[0]])
-        chosen = []
-        for j in order[:p]:
-            chosen.append(blocks[j].pop())
-        decoys.append(tuple(sorted(chosen)))
+        wrap = max(0, s + c - k)
+        top = min(s + c, k)
+        decoys.append(tuple(range(c - 2, wrap * k + c - 2, k))
+                      + tuple(range(s * k + c - 1, top * k + c - 1, k)))
+        if wrap:
+            s, c = wrap, c - 1
+        elif s + c == k:
+            s, c = 0, c - 1
+        else:
+            s += c
     full_blocks = [tuple(range(j * k, (j + 1) * k)) for j in range(k)]
     return SetSystem(k * k, decoys + full_blocks)
 
@@ -170,14 +189,21 @@ def simplify_reduction(G: Hypergraph, B: int, P: int, seed: int) -> Hypergraph:
 
     Each candidate is tested against the pairs of the kept edges, as
     ``is_simple`` tests edges, so it costs at most C(t, 2) lookups.
+    Refused with ResourceLimitError when the m * P candidates exceed
+    ``ENUMERATION_GUARD``.
     """
     if B < 1 or P < 1:
         raise ParameterError("cloud size and per-edge count must be positive")
+    cap = resolve_limit(None, ENUMERATION_GUARD)
+    if G.m * P > cap:
+        raise ResourceLimitError(f"{G.m}*{P} candidate edges exceed limit {cap}")
     rng = random.Random(seed)
+    # copies of a sorted edge's endpoints are sorted, since v*B + r < (v+1)*B
     candidates = [tuple(v * B + rng.randrange(B) for v in edge)
                   for edge in G.edges for _ in range(P)]
     edges = [cand for cand, kept in zip(candidates, _kept_flags(candidates)) if kept]
-    return Hypergraph(G.t, G.n * B, edges)
+    edges.sort()  # kept edges are distinct: duplicates conflict
+    return Hypergraph._from_canonical(G.t, G.n * B, tuple(edges))
 
 
 def three_tent() -> Hypergraph:

@@ -68,6 +68,25 @@ class Hypergraph:
                 raise ParameterError(f"duplicate edge {a}")
         object.__setattr__(self, "edges", tuple(norm))
 
+    @classmethod
+    def _from_canonical(cls, t: int, n: int, edges: tuple, array=None) -> "Hypergraph":
+        """Trusted constructor: skips ``__post_init__``.
+
+        The caller guarantees what ``__post_init__`` would check and
+        establish: a valid shape, and ``edges`` a tuple of strictly
+        increasing t-tuples of ids below n, sorted and distinct.  A given
+        ``array`` must equal ``edge_array``; it is made read-only and
+        cached as such.
+        """
+        H = object.__new__(cls)
+        object.__setattr__(H, "t", t)
+        object.__setattr__(H, "n", n)
+        object.__setattr__(H, "edges", edges)
+        if array is not None:
+            array.flags.writeable = False
+            H.__dict__["edge_array"] = array
+        return H
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -119,6 +138,18 @@ class BlowUp:
             raise ParameterError("labels must be distinct and lexicographically sorted")
         object.__setattr__(self, "labels", tuple(norm))
 
+    @classmethod
+    def _from_canonical(cls, hyper: Hypergraph, labels: tuple, base_t: int,
+                        base_n: int, k: int) -> "BlowUp":
+        """Trusted constructor: skips ``__post_init__``, whose checks and
+        normal form (sorted, distinct, in-range labels) the caller
+        guarantees."""
+        B = object.__new__(cls)
+        for name, value in (("hyper", hyper), ("labels", labels), ("base_t", base_t),
+                            ("base_n", base_n), ("k", k)):
+            object.__setattr__(B, name, value)
+        return B
+
 
 def blow_up(base: Hypergraph, k: int) -> BlowUp:
     """Build the k-subset blow-up of ``base``.
@@ -138,13 +169,16 @@ def blow_up(base: Hypergraph, k: int) -> BlowUp:
     cap = resolve_limit(None, BLOWUP_GUARD)
     if comb_exceeds(base.t, k, cap):
         raise ResourceLimitError(f"C({base.t},{k}) vertices per blown-up edge exceed limit {cap}")
-    labels = sorted({sub for e in base.edges for sub in combinations(e, k)})
+    labels = tuple(sorted({sub for e in base.edges for sub in combinations(e, k)}))
     index = {lab: i for i, lab in enumerate(labels)}
-    # a canonical base edge yields its k-subsets in lexicographic order,
-    # so their label ids already increase
+    # Canonical by construction.  A canonical base edge yields its k-subsets
+    # in lexicographic order, so their label ids increase.  Edges e < f first
+    # differ at some position j, and the first k-subset using position j is
+    # also the first at which their subset sequences differ, smaller for e:
+    # blown-up edges come out sorted and distinct.
     edges = tuple(tuple(map(index.__getitem__, combinations(e, k))) for e in base.edges)
-    hyper = Hypergraph(comb(base.t, k), len(labels), edges)
-    return BlowUp(hyper, tuple(labels), base.t, base.n, k)
+    hyper = Hypergraph._from_canonical(comb(base.t, k), len(labels), edges)
+    return BlowUp._from_canonical(hyper, labels, base.t, base.n, k)
 
 
 def is_simple(H: Hypergraph) -> bool:

@@ -15,8 +15,8 @@ accounting identities; float mode trades that for speed on big
 instances.  All randomness flows from one 64-bit root seed: trial i
 colors vertices with the child seed root XOR mix(i), so trials are
 reproducible and independent of evaluation order.  Both LP finishers
-share one best-of-trials loop, which builds every trial's cover and
-then verifies all of them in one batched pass (``first_non_cover``);
+share one best-of-trials loop, which builds the trials' covers 64 at a
+time and verifies each chunk in one batched pass (``first_non_cover``);
 the lowest failing trial, if any, raises.
 """
 
@@ -26,8 +26,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
-from .errors import ParameterError, VerificationError
+from .errors import ParameterError, ResourceLimitError, VerificationError
+from .guards import resolve_limit
 from .hypergraph import BlowUp, Hypergraph, blow_up, first_non_cover, is_vertex_cover
 from .lp import LPSolution, solve_vc_lp
 
@@ -53,6 +55,8 @@ __all__ = [
 _SEED_MASK = (1 << 64) - 1
 FLOAT_THRESHOLD_SLACK = 1e-9
 GAMMA_DENOMINATOR = 10**6
+TRIALS_GUARD = 100_000
+_TRIAL_CHUNK = 64
 
 
 def _delta(t: int) -> float:
@@ -243,8 +247,12 @@ def recursive_threshold(instance, gamma, mode: str = "exact",
         if not hot:
             break
         taken |= hot
-        surviving = [e for e in current.edges if not hot.intersection(e)]
-        current = Hypergraph(current.t, current.n, surviving)
+        # the solve above built current.edge_array; the survivors of a
+        # canonical edge list are canonical
+        keep = [hot.isdisjoint(e) for e in current.edges]
+        current = Hypergraph._from_canonical(
+            current.t, current.n, tuple(compress(current.edges, keep)),
+            current.edge_array[keep])
         solution = solve_vc_lp(current, mode=mode, size_guard=size_guard)
     if mode == "exact" and len(taken) * cut > root.objective - solution.objective:
         raise VerificationError(
@@ -305,20 +313,34 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
     Trial i two-colors the base vertices with child seed i, ``finish``
     turns that coloring into the trial's classes, and the trial's cover
     is ``forced`` plus their union.  With an empty support every trial
-    gives the same cover, so one is run.  All covers are verified in one
-    batched pass and the lowest failing trial raises.  Returns
-    (trial, cover, classes) for the smallest cover, ties to the lowest
-    trial index.
+    gives the same cover, so one is run.  Trials are built and verified
+    in chunks of 64, one batched ``first_non_cover`` pass per chunk, so
+    memory does not grow with ``trials``; the lowest failing trial
+    raises.  Returns (trial, cover, classes) for the smallest cover,
+    ties to the lowest trial index.
     """
-    runs = []
-    for trial in range(trials if support else 1):
-        classes = finish(two_coloring(B.base_n, child_seed(seed, trial)))
-        runs.append((tuple(sorted(forced.union(*classes))), classes))
-    bad = first_non_cover(B.hyper, [cover for cover, _ in runs])
-    if bad is not None:
-        raise VerificationError(f"{context} trial {bad} produced a non-cover")
-    trial = min(range(len(runs)), key=lambda i: len(runs[i][0]))
-    return (trial, *runs[trial])
+    best = None
+    count = trials if support else 1
+    for start in range(0, count, _TRIAL_CHUNK):
+        runs = []
+        for trial in range(start, min(start + _TRIAL_CHUNK, count)):
+            classes = finish(two_coloring(B.base_n, child_seed(seed, trial)))
+            runs.append((tuple(sorted(forced.union(*classes))), classes))
+        bad = first_non_cover(B.hyper, [cover for cover, _ in runs])
+        if bad is not None:
+            raise VerificationError(f"{context} trial {start + bad} produced a non-cover")
+        i = min(range(len(runs)), key=lambda i: len(runs[i][0]))
+        if best is None or len(runs[i][0]) < len(best[1]):
+            best = (start + i, *runs[i])
+    return best
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
+    cap = resolve_limit(None, TRIALS_GUARD)
+    if trials > cap:
+        raise ResourceLimitError(f"{trials} trials exceed limit {cap}")
 
 
 def _residual_zero(mode):
@@ -387,7 +409,8 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     residual support every trial gives the same cover and one is run.
     The trivial uniformity-threshold cover is always read off the same
     root LP solution as well and wins when strictly smaller; both sizes
-    are recorded on the result.
+    are recorded on the result.  More than ``TRIALS_GUARD`` trials are
+    refused with ResourceLimitError before anything is solved.
     """
     if B.k != B.base_t - 1:
         raise ParameterError(
@@ -395,6 +418,7 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     if B.base_t != params.t:
         raise ParameterError(
             f"blow-up base is {B.base_t}-uniform but parameters say {params.t}")
+    _check_trials(params.trials)
     thr = recursive_threshold(B.hyper, params.gamma_value, mode=mode,
                               size_guard=size_guard)
     support = thr.solution.support
@@ -458,15 +482,15 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
     pairs whose endpoints got the same color.  Any residual edge has
     more than a quarter-t-squared supported pairs while at most that
     many pairs can be bichromatic, so every coloring yields a cover.
-    Best of ``trials`` colorings, ties to the lowest trial index.
+    Best of ``trials`` colorings, ties to the lowest trial index; more
+    than ``TRIALS_GUARD`` are refused as in ``ahtp_cover_blowup``.
     """
     if B.k != 2:
         raise ParameterError(f"expected a pair blow-up (k = 2), got k={B.k}")
     t = B.base_t
     if t < 3:
         raise ParameterError(f"uniformity must be at least 3, got {t}")
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
+    _check_trials(trials)
     cut = Fraction(4, t * t) if mode == "exact" else 4 / (t * t)
     thr = recursive_threshold(B.hyper, cut, mode=mode, size_guard=size_guard)
     support = thr.solution.support

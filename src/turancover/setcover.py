@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 BRUTE_SET_LIMIT = 30
+UNIVERSE_GUARD = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,12 @@ def greedy_set_cover(system: SetSystem) -> GreedyTrace:
     Each set's gain (its count of uncovered elements) is kept up to date:
     covering an element lowers the gain of every set containing it, so
     the whole run touches each incidence once plus one scan of the gains
-    per pick.
+    per pick.  A universe of more than ``UNIVERSE_GUARD`` elements is
+    refused with ResourceLimitError before anything is allocated.
     """
+    cap = resolve_limit(None, UNIVERSE_GUARD)
+    if system.n > cap:
+        raise ResourceLimitError(f"universe of {system.n} elements exceeds limit {cap}")
     gains = [len(s) for s in system.sets]
     containing = _containing(system)
     covered = [False] * system.n

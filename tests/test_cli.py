@@ -1,13 +1,17 @@
 """End-to-end command-line tests, driven through real subprocesses except
 where a test needs to patch the package in-process."""
 
+import contextlib
 import io
 import subprocess
 import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from turancover import cli, generators, hypergraph
+from turancover import cli, formats, generators, hypergraph, rounding, setcover
 
 PY = [sys.executable, "-m", "turancover"]
 
@@ -209,6 +213,65 @@ def test_oversized_enumerations_exit_4_before_starting(monkeypatch, capsys, argv
     assert "Traceback" not in err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocation started")
+
+
+@pytest.mark.parametrize("argv, stdin_text, patches", [
+    (["setcover", "greedy"], "SS 1000000000 0\n", [(setcover, "_containing")]),
+    (["gen", "simplify", "--cloud", "2", "--per-edge", "100000000"], "HG 3 3 1\n0 1 2\n",
+     [(generators, "random"), (generators, "_kept_flags")]),
+    (["round", "t2", "--trials", "100000000"], "pair blow-up",
+     [(rounding, "solve_vc_lp"), (rounding, "two_coloring")]),
+    (["round", "ahtp", "--trials", "100000000"], "full blow-up",
+     [(rounding, "solve_vc_lp"), (rounding, "two_coloring")]),
+])
+def test_unbounded_inputs_exit_4_before_allocating(monkeypatch, capsys, argv, stdin_text,
+                                                   patches):
+    if stdin_text.endswith("blow-up"):
+        k = 2 if stdin_text == "pair blow-up" else 3
+        stdin_text = formats.serialize_blowup(hypergraph.blow_up(generators.complete(5, 4), k))
+    monkeypatch.delenv("TURANCOVER_SIZE_GUARD", raising=False)
+    for module, name in patches:
+        monkeypatch.setattr(module, name,
+                            SimpleNamespace(Random=_refuse) if name == "random" else _refuse)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource limit: ") and "exceed" in err
+    assert "Traceback" not in err
+
+
+def _nonascii_input(tmp_path):
+    path = tmp_path / "latin1.hg"
+    path.write_bytes(b"HG 3 3 1\n0 1 \xe9\n")
+    return ["-i", str(path), "oracle", "tau"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (lambda tmp: ["-i", str(tmp / "missing.hg"), "oracle", "tau"], 3,
+     "parameter error: cannot read {tmp}/missing.hg: No such file or directory\n"),
+    (_nonascii_input, 2,
+     "parse error: input is not ASCII text: byte 0xe9 at offset 13\n"),
+    (lambda tmp: ["-o", str(tmp / "no" / "out.txt"), "gen", "complete", "--n", "4", "--t", "3"],
+     3, "parameter error: cannot write {tmp}/no/out.txt: No such file or directory\n"),
+])
+def test_io_failures_exit_with_one_line(tmp_path, capsys, argv, code, message):
+    assert cli.main(argv(tmp_path)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message.format(tmp=tmp_path)
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert cli.main(["--strict", "gen", "random", "--n", "5", "--t", "3", "--p", "0.5"]) == 3
+    assert cli.main(["gen", "random", "--n", "5", "--t", "3", "--p", "0.5"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    assert capsys.readouterr().out.startswith("HG 3 5 ")
+
+
 def test_negative_limits_are_parameter_errors():
     for args in (["lp", "vc", "--size-guard", "-5"], ["oracle", "tau", "--limit", "-1"]):
         code, _, err = run(args, "HG 3 4 1\n0 1 2\n")
@@ -249,3 +312,93 @@ def test_import_loads_neither_numpy_nor_scipy():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_FUZZ_COMMANDS = [
+    ["gen", "complete", "--n", "5", "--t", "3"],
+    ["gen", "random", "--n", "6", "--t", "3", "--p", "0.4", "--seed", "1"],
+    ["gen", "lines", "--n", "2"],
+    ["gen", "hard-setcover", "--k", "3"],
+    ["gen", "ffree", "--n", "6", "--seed", "2"],
+    ["gen", "simplify", "--cloud", "2", "--per-edge", "2", "--seed", "1"],
+    ["blowup", "--k", "2"],
+    ["lp", "vc"], ["lp", "matching", "--mode", "float"],
+    ["round", "ahtp", "--trials", "3", "--seed", "1"],
+    ["round", "t2", "--mode", "float", "--trials", "2"],
+    ["round", "colorcode"], ["round", "threshold", "--mode", "float"],
+    *[["oracle", q] for q in ("tau", "nu", "taustar", "tents", "rho", "alpha")],
+    ["setcover", "greedy"],
+    ["verify", "cover"], ["verify", "matching"], ["verify", "simple"],
+]
+_FUZZ_ARGS = ["-1", "0", "1", "2", "3", "5", "9", "0.5", "-0.5", "1.5", "x", "",
+              "--seed", "--strict", "--dedup", "--mode", "exact", "float", "--trials",
+              "--limit", "--size-guard", "--gamma", "-i", "/nonexistent/in.txt"]
+_FUZZ_TOKENS = ["", "0", "1", "2", "4", "9", "-1", "x", "+1", "HG", "SS", "LABELS",
+                "COVER", "MATCHING 1", "BREAKDOWN U= SPRIME= PARITY=", "# c", "é"]
+
+
+def _fuzz_documents():
+    from turancover.rounding import color_code_cover
+
+    G = generators.complete(5, 3)
+    B = hypergraph.blow_up(G, 2)
+    return [
+        formats.serialize_hypergraph(G),
+        formats.serialize_hypergraph(generators.random_hypergraph(6, 4, 0.5, 3)),
+        formats.serialize_blowup(B),
+        formats.serialize_blowup(hypergraph.blow_up(generators.complete(5, 4), 2)),
+        formats.serialize_blowup(B) + formats.serialize_cover(color_code_cover(B, seed=1)),
+        formats.serialize_hypergraph(G) + formats.serialize_matching([0]),
+        formats.serialize_setsystem(generators.greedy_hard_setsystem(3)),
+        "",
+    ]
+
+
+@st.composite
+def _fuzz_case(draw):
+    argv = list(draw(st.sampled_from(_FUZZ_COMMANDS)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert" or i == len(argv):
+            argv.insert(i, draw(st.sampled_from(_FUZZ_ARGS)))
+        elif op == "replace":
+            argv[i] = draw(st.sampled_from(_FUZZ_ARGS))
+        else:
+            del argv[i]
+    lines = draw(st.sampled_from(_fuzz_documents())).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["token", "delete", "duplicate", "swap"]))
+        if op == "token":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return argv, "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_case())
+def test_fuzzed_commands_end_in_a_documented_exit_code(case):
+    argv, text = case
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code, usage = exc.code, True
+    assert code in (0, 2, 3, 4, 5), (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code and not usage:
+        assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -1,10 +1,14 @@
 """Serialization round-trips and parse error reporting."""
 
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np  # loaded, so that the array path runs
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from turancover.errors import ParseError
+from turancover import formats
+from turancover.errors import ParameterError, ParseError
 from turancover.formats import (
     parse_cover,
     parse_document,
@@ -22,9 +26,9 @@ from turancover.formats import (
     serialize_setsystem,
 )
 from turancover.generators import complete, random_hypergraph
-from turancover.hypergraph import Hypergraph, blow_up
+from turancover.hypergraph import BlowUp, Hypergraph, blow_up
 from turancover.lp import solve_matching_lp, solve_vc_lp
-from turancover.rounding import RoundingParams, ahtp_cover, color_code_cover
+from turancover.rounding import CoverResult, RoundingParams, ahtp_cover, color_code_cover
 from turancover.setcover import SetSystem, greedy_set_cover
 
 
@@ -196,3 +200,149 @@ def test_document_instance_only():
     G = complete(4, 3)
     instance, cover, matching = parse_document(serialize_hypergraph(G))
     assert instance == G and cover is None and matching is None
+
+
+# ------------------------------------------- array path against line parser
+
+def _serialize_reference(instance) -> str:
+    """The per-id ``str`` serializer that the cached-name one replaced."""
+    H = instance.hyper if isinstance(instance, BlowUp) else instance
+    lines = [f"HG {H.t} {H.n} {H.m}"]
+    lines.extend(" ".join(map(str, edge)) for edge in H.edges)
+    if isinstance(instance, BlowUp):
+        lines.append("LABELS")
+        lines.extend(" ".join(map(str, label)) for label in instance.labels)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text, dedup):
+    try:
+        return "ok", parse(text, dedup=dedup)
+    except (ParseError, ParameterError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _both_paths(parse, text, dedup=False):
+    """(array path allowed at any size, line parser only) outcomes."""
+    with mock.patch.object(formats, "_ARRAY_MIN_BYTES", 0):
+        fast = _outcome(parse, text, dedup)
+    with mock.patch.object(formats, "_array_instance", lambda text: None):
+        slow = _outcome(parse, text, dedup)
+    return fast, slow
+
+
+def _check_edge_array(instance):
+    H = instance.hyper if isinstance(instance, BlowUp) else instance
+    E = H.edge_array
+    assert E.dtype == np.intp and E.shape == (H.m, H.t) and not E.flags.writeable
+    assert E.tolist() == [list(e) for e in H.edges]
+
+
+_TOKENS = ["", "0", "1", "2", "5", "007", "+5", "1_0", "-1", "x", "99", " ", "\t",
+           "LABELS", "COVER 0", "MATCHING 1", "# note", "0 1", "\r"]
+
+
+@st.composite
+def _documents(draw):
+    """A serialized instance, maybe with a trailing block, then maybe mutated."""
+    t = draw(st.integers(2, 5))
+    n = draw(st.integers(t, 9))
+    G = random_hypergraph(n, t, draw(st.floats(0, 1)), draw(st.integers(0, 999)))
+    k = draw(st.integers(0, t - 1))
+    instance = blow_up(G, k) if k else G
+    H = instance.hyper if k else G
+    text = serialize_instance(instance)
+    assert text == _serialize_reference(instance)
+    tail = draw(st.sampled_from(["", "cover", "matching"]))
+    if tail == "cover":
+        ids = tuple(sorted(draw(st.sets(st.integers(0, max(H.n - 1, 0)), max_size=4))))
+        text += serialize_cover(CoverResult(ids, ids[:1], (), ids[1:], Fraction(3, 2),
+                                            0.0, 7, None))
+    elif tail == "matching":
+        text += serialize_matching(range(min(H.m, 2)))
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["shuffle", "tokens", "insert", "delete", "duplicate",
+                                   "replace", "space", "header"]))
+        if op == "shuffle" and H.m > 1:  # reorder the edge lines
+            edges = lines[1:H.m + 1]
+            lines[1:H.m + 1] = draw(st.permutations(edges))
+        elif op == "tokens":
+            lines[i] = " ".join(draw(st.permutations(lines[i].split(" "))))
+        elif op == "insert":
+            lines.insert(i, draw(st.sampled_from(["# comment", "", "   ", "#"])))
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif op == "space":
+            lines[i] = draw(st.sampled_from([" ", "", "  "])) + lines[i].replace(
+                " ", draw(st.sampled_from([" ", "  ", "\t", "\r", "\x0b", "x"])), 1)
+        else:
+            lines[0] = f"HG {t} {draw(st.integers(0, 12))} {draw(st.integers(0, H.m + 2))}"
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents(), st.booleans())
+def test_array_path_matches_the_line_parser(text, dedup):
+    for parse in (parse_instance, parse_document):
+        fast, slow = _both_paths(parse, text, dedup)
+        assert fast == slow
+        if fast[0] == "ok":
+            _check_edge_array(fast[1] if parse is parse_instance else fast[1][0])
+
+
+def test_array_path_takes_serializer_output():
+    G = random_hypergraph(9, 4, 0.5, seed=3)
+    B = blow_up(G, 2)
+    cover = color_code_cover(blow_up(G, 3), seed=1)
+    for instance in (G, B, Hypergraph(3, 0, []), Hypergraph(3, 5, [])):
+        text = serialize_instance(instance)
+        parsed, offset, lines = formats._array_instance(text)
+        assert parsed == instance and offset == len(text)
+        assert lines == text.count("\n")
+        _check_edge_array(parsed)
+    doc = serialize_blowup(B) + serialize_cover(cover)
+    assert len(doc) >= formats._ARRAY_MIN_BYTES
+    with mock.patch.object(formats, "_parse_instance", side_effect=AssertionError):
+        instance, parsed_cover, _ = parse_document(doc)
+    assert instance == B and parsed_cover.cover == cover.cover
+
+
+@pytest.mark.parametrize("text", [
+    "HG 3 4 2\n0 1 2\n0 1 2\n",            # duplicate edge
+    "HG 3 4 2\n0 1 3\n0 1 2\n",            # unsorted edges
+    "HG 3 4 1\n2 1 0\n",                   # unsorted ids (accepted, sorted)
+    "HG 3 4 1\n0 1 4\n",                   # id out of range
+    "HG 3 4 1\n0 1 1\n",                   # repeated id
+    "HG 3 4 1\n0 1\n",                     # short edge
+    "HG 3 4 1\n0  1 2\n",                  # double space
+    "HG 3 4 1\n0 1 2 \n",                  # trailing space
+    "HG 3 4 1\n0 1 +2\n",                  # signed token
+    "HG 3 4 1\n0x1 2\n",                   # glued tokens
+    "HG 3 4 1\n0 1\r2\n",                  # a line break inside an edge line
+    "HG 3 4 1\n0\t1 2\n",                  # a tab
+    "HG 3 4 1\n0 1 2\n# trailing comment\n",
+    "HG 3 4 1\n0 1 2\n\nLABELS\n0\n1\n2\n3\n",
+    "HG 3 3 1\n0 1 2\nLABELS\n0 1\n0 2\n1 2\n",   # k=2 gives no 3-subsets
+    "HG 3 3 1\n0 1 2\nLABELS\n0\n2\n1\n",        # unsorted labels
+    "HG 3 3 1\n0 1 2\nLABELS\n0\n1\n",            # too few labels
+    "HG 3 3 1\n0 1 2\nLABELS extra\n0\n1\n2\n",
+    "HG 3 2 0\n",                                    # n below t
+    "HG 3 4 1\n0 1 2",                               # no final newline
+    "HG 3 4 1\r\n0 1 2\r\n",
+    "HG 3 4 1\n0 1 2\nCOVER 1\n0\nBREAKDOWN U= SPRIME= PARITY=\n",
+])
+def test_array_path_edge_cases_match_the_line_parser(text):
+    for parse in (parse_instance, parse_document):
+        for dedup in (False, True):
+            fast, slow = _both_paths(parse, text, dedup)
+            assert fast == slow

@@ -1,5 +1,6 @@
 """Instance generators: completeness, determinism, and advertised guarantees."""
 
+import math
 import random
 from math import comb
 
@@ -24,7 +25,7 @@ from turancover.oracles import (
     find_tents,
     max_independent_set,
 )
-from turancover.setcover import greedy_set_cover, is_simple_system
+from turancover.setcover import SetSystem, greedy_set_cover, is_simple_system
 
 
 def test_complete_counts():
@@ -131,6 +132,22 @@ def test_hard_setsystem_structure():
     assert len(greedy_set_cover(sys_).picked) > k
 
 
+def _hard_setsystem_reference(k):
+    """The re-sort-every-round construction that the bucket order replaced."""
+    blocks = [list(range(j * k, (j + 1) * k)) for j in range(k)]
+    decoys = []
+    for _ in range(math.ceil((k - 1) * math.log(k))):
+        order = sorted(range(k), key=lambda j: (-len(blocks[j]), j))
+        p = len(blocks[order[0]])
+        decoys.append(tuple(sorted(blocks[j].pop() for j in order[:p])))
+    return SetSystem(k * k, decoys + [tuple(range(j * k, (j + 1) * k)) for j in range(k)])
+
+
+def test_hard_setsystem_matches_the_resorting_reference():
+    for k in range(2, 81):
+        assert greedy_hard_setsystem(k) == _hard_setsystem_reference(k), k
+
+
 def test_simplify_reduction_output_is_simple():
     G = complete(5, 3)
     for seed in range(5):
@@ -200,6 +217,7 @@ def test_enumeration_guards_admit_exactly_the_limit(monkeypatch):
     assert complete(5, 3).m == 10
     assert random_hypergraph(5, 2, 0.0, seed=0).m == 0
     assert greedy_hard_setsystem(3).n == 9
+    assert simplify_reduction(complete(5, 3), 2, 1, seed=0).n == 10  # 10 candidates
     assert blow_up(complete(6, 5), 2).hyper.t == 10
     with pytest.raises(ResourceLimitError, match=r"C\(6,3\) candidate edges exceed limit 10"):
         complete(6, 3)
@@ -209,6 +227,8 @@ def test_enumeration_guards_admit_exactly_the_limit(monkeypatch):
         greedy_hard_setsystem(4)
     with pytest.raises(ResourceLimitError, match="per blown-up edge exceed limit 10"):
         blow_up(complete(7, 6), 2)
+    with pytest.raises(ResourceLimitError, match=r"10\*2 candidate edges exceed limit 10"):
+        simplify_reduction(complete(5, 3), 2, 2, seed=0)
     # parameter errors still come first
     with pytest.raises(ParameterError):
         complete(3, 4)

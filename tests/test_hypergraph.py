@@ -6,7 +6,8 @@ from itertools import combinations
 from math import comb
 
 from turancover.errors import ParameterError
-from turancover.generators import complete, random_hypergraph
+from turancover.formats import _array_instance, serialize_instance
+from turancover.generators import complete, random_hypergraph, simplify_reduction
 from turancover.hypergraph import (
     BlowUp,
     Hypergraph,
@@ -17,6 +18,7 @@ from turancover.hypergraph import (
     is_simple,
     is_vertex_cover,
 )
+from turancover.rounding import recursive_threshold
 
 
 def test_edges_are_canonicalized():
@@ -231,3 +233,40 @@ def test_cover_complement_meets_no_edge(seed):
     assert is_vertex_cover(G, cover)
     outside = set(range(G.n)) - cover
     assert all(not set(e) <= outside for e in G.edges)
+
+
+def _assert_validated_equal(instance):
+    """The validating constructors accept ``instance`` and return it unchanged,
+    so a trusted constructor built it in canonical form; a cached edge array
+    matches the edges."""
+    H = instance.hyper if isinstance(instance, BlowUp) else instance
+    assert Hypergraph(H.t, H.n, H.edges) == H
+    assert type(H.edges) is tuple and all(type(e) is tuple for e in H.edges)
+    if isinstance(instance, BlowUp):
+        B = instance
+        assert BlowUp(B.hyper, B.labels, B.base_t, B.base_n, B.k) == B
+        assert type(B.labels) is tuple and all(type(lab) is tuple for lab in B.labels)
+    if "edge_array" in vars(H):
+        E = H.edge_array
+        assert not E.flags.writeable and E.shape == (H.m, H.t)
+        assert E.tolist() == [list(e) for e in H.edges]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 4), st.floats(0, 1), st.integers(0, 999),
+       st.data())
+def test_trusted_constructor_call_sites_match_the_validating_ones(t, extra, p, seed, data):
+    n = t + extra
+    G = random_hypergraph(n, t, p, seed)
+    _assert_validated_equal(G)
+    _assert_validated_equal(complete(n, t))
+    k = data.draw(st.integers(1, t - 1))
+    B = blow_up(G, k)
+    _assert_validated_equal(B)
+    if B.hyper.n:  # an edgeless blow-up serializes to an empty LABELS block
+        _assert_validated_equal(_array_instance(serialize_instance(B))[0])
+    _assert_validated_equal(simplify_reduction(G, data.draw(st.integers(1, 3)),
+                                               data.draw(st.integers(1, 3)), seed))
+    gamma = data.draw(st.sampled_from([0.2, 0.34, 0.5, 0.6]))
+    for mode in ("float", "exact"):
+        _assert_validated_equal(recursive_threshold(B, gamma, mode=mode).residual)

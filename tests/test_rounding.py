@@ -217,6 +217,77 @@ def test_t2_cover_reports_first_failing_trial(monkeypatch):
         t2_cover_blowup(B, seed=3, trials=70, mode="exact")
 
 
+def _best_trial_reference(B, forced, support, trials, seed, finish, context):
+    """The build-every-trial-then-check-once loop that the chunked one replaced."""
+    from turancover import rounding
+
+    runs = []
+    for trial in range(trials if support else 1):
+        classes = finish(two_coloring(B.base_n, child_seed(seed, trial)))
+        runs.append((tuple(sorted(forced.union(*classes))), classes))
+    bad = rounding.first_non_cover(B.hyper, [cover for cover, _ in runs])
+    if bad is not None:
+        raise VerificationError(f"{context} trial {bad} produced a non-cover")
+    trial = min(range(len(runs)), key=lambda i: len(runs[i][0]))
+    return (trial, *runs[trial])
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 129, 200])
+def test_chunked_trials_match_the_all_at_once_loop(monkeypatch, trials):
+    from turancover import rounding
+
+    checked = []
+    real = rounding.first_non_cover
+
+    def spy(H, covers):
+        checked.append(len(covers))
+        return real(H, covers)
+
+    monkeypatch.setattr(rounding, "first_non_cover", spy)
+    # complete bases keep every pair in the residual support, so all trials run
+    cases = [(blow_up(complete(n, t), 2), s) for s, (n, t) in enumerate([(5, 3), (6, 3), (7, 4)])]
+    new = [t2_cover_blowup(B, seed=s, trials=trials, mode="float") for B, s in cases]
+    assert max(checked) <= 64 and sum(checked) == 3 * trials  # every trial checked
+    monkeypatch.setattr(rounding, "_best_trial", _best_trial_reference)
+    assert new == [t2_cover_blowup(B, seed=s, trials=trials, mode="float") for B, s in cases]
+
+
+def test_lowest_failing_trial_raises_across_chunks(monkeypatch):
+    from turancover import rounding
+
+    failing = {child_seed(3, 70), child_seed(3, 100)}
+    real = rounding.monochromatic_pairs
+    monkeypatch.setattr(rounding, "monochromatic_pairs",
+                        lambda support, labels, coloring: ()
+                        if coloring.seed in failing else real(support, labels, coloring))
+    B = blow_up(complete(5, 3), 2)
+    assert t2_cover_blowup(B, seed=3, trials=70, mode="exact").size > 0
+    with pytest.raises(VerificationError, match=r"^pair trial 70 produced a non-cover$"):
+        t2_cover_blowup(B, seed=3, trials=150, mode="exact")
+
+
+def test_trials_guard_refuses_before_solving(monkeypatch):
+    from turancover import rounding
+    from turancover.errors import ResourceLimitError
+
+    B2 = blow_up(complete(5, 3), 2)
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "10")
+    assert t2_cover_blowup(B2, seed=1, trials=10, mode="float").trial_index < 10
+    assert ahtp_cover_blowup(B2, RoundingParams(t=3, trials=10), mode="float").size > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(rounding, "solve_vc_lp", refuse)
+    with pytest.raises(ResourceLimitError, match="11 trials exceed limit 10"):
+        t2_cover_blowup(B2, seed=1, trials=11, mode="float")
+    with pytest.raises(ResourceLimitError, match="11 trials exceed limit 10"):
+        ahtp_cover_blowup(B2, RoundingParams(t=3, trials=11), mode="float")
+    monkeypatch.delenv("TURANCOVER_SIZE_GUARD")
+    with pytest.raises(ResourceLimitError, match=f"limit {rounding.TRIALS_GUARD}$"):
+        t2_cover_blowup(B2, trials=rounding.TRIALS_GUARD + 1)
+
+
 def test_ahtp_cover_uniformity_mismatch():
     with pytest.raises(ParameterError):
         ahtp_cover(complete(5, 4), RoundingParams(t=3), mode="exact")

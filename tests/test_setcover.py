@@ -207,3 +207,10 @@ def test_a_large_set_stores_only_pairs_it_could_share():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def test_greedy_universe_guard_admits_exactly_the_limit(monkeypatch):
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "10")
+    assert greedy_set_cover(SetSystem(10, (tuple(range(10)),))).picked == (0,)
+    with pytest.raises(ResourceLimitError, match="universe of 11 elements exceeds limit 10"):
+        greedy_set_cover(SetSystem(11, (tuple(range(11)),)))
