@@ -12,12 +12,12 @@ also bounds the primal support: every supported vertex v has
 sum_{e through v} y_e = 1, so |support| = sum_{v in S} sum_{e through v} y_e
 <= t * sum_e y_e = t * objective.
 
-Both modes call HiGHS's dual simplex through the binding bundled with
-scipy (``scipy.optimize._highspy._core``), handing it the constraint
-matrix straight from ``Hypergraph.edge_array``.  Exact mode solves the
-covering program once, reads the primal x and the dual y (the negated
-row duals) off that one solve, and turns them into an exact rational pair
-through a fixed ladder:
+Both modes make one call to HiGHS's dual simplex through the binding
+bundled with scipy (``scipy.optimize._highspy._core``), handing it the
+covering program in one layout, its constraint matrix straight from
+``Hypergraph.edge_array``.  Both sides are read off that one solve: the
+primal x and the dual y (the negated row duals).  Exact mode turns them
+into an exact rational pair through a fixed ladder:
 
 1. rationalize each value with ``Fraction.limit_denominator``;
 2. failing that, re-solve the support systems exactly over the
@@ -43,8 +43,9 @@ The certificate check runs in integers: every value is scaled by the
 least common multiple D of all denominators, and each edge and vertex
 load is compared against D.
 
-Float mode returns HiGHS's values as they are.  Support membership
-then uses a 1e-9 tolerance and no exactness assertions are made.
+Float mode returns HiGHS's values as they are, both sides with the
+solve's objective.  Support membership then uses a 1e-9 tolerance and
+no exactness assertions are made.
 """
 
 from __future__ import annotations
@@ -345,16 +346,73 @@ def _exact_pair(x: dict, y: dict):
             LPSolution("dual", y, sum(y.values(), Fraction(0)), "exact"))
 
 
-def _solve_pair_exact(H: Hypergraph, size_guard=None):
-    """Certified optimal (primal, dual) pair; see the module docstring."""
-    guard = resolve_limit(size_guard, EXACT_SIZE_GUARD)
+def _highs(H: Hypergraph):
+    """One HiGHS dual-simplex solve of the covering program, through the
+    binding bundled with scipy.
+
+    The program goes in as ``minimize sum(x)  subject to  -A x <= -1,
+    x >= 0``, with A the edge-by-vertex incidence given row-wise: row i
+    of ``H.edge_array`` is already the sorted index list of row i.  This
+    is the form ``scipy.optimize.linprog`` passes to HiGHS, and HiGHS's
+    results are not invariant under negating rows.  Returns the optimal
+    value, the primal x and the negated row duals y (H has edges); y is
+    an optimal matching, so this one layout serves both sides in both
+    modes.
+    """
+    import numpy as np
+    from scipy.optimize._highspy import _core
+
+    E = H.edge_array
+    model = _core.HighsLp()
+    A = model.a_matrix_
+    A.format_ = _core.MatrixFormat.kRowwise
+    model.num_col_ = A.num_col_ = H.n
+    model.num_row_ = A.num_row_ = H.m
+    model.col_cost_ = np.ones(H.n)
+    model.col_lower_ = np.zeros(H.n)
+    model.col_upper_ = np.full(H.n, np.inf)
+    model.row_lower_ = np.full(H.m, -np.inf)
+    model.row_upper_ = np.full(H.m, -1.0)
+    A.start_ = np.arange(0, E.size + 1, H.t)
+    A.index_ = E.ravel()
+    A.value_ = np.full(E.size, -1.0)
+
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(model)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:  # pragma: no cover - feasible and bounded
+        raise VerificationError(f"HiGHS solve failed: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    return (highs.getObjectiveValue(), np.array(solution.col_value),
+            -np.array(solution.row_dual))
+
+
+def _float_values(values):
+    import numpy as np
+
+    return {int(i): float(values[i]) for i in np.flatnonzero(values > FLOAT_SUPPORT_TOL)}
+
+
+def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
+    """Optimal (primal, dual) pair from one HiGHS solve; see the module docstring."""
+    if mode == "exact":
+        guard = resolve_limit(size_guard, EXACT_SIZE_GUARD)
+    elif mode != "float":
+        raise ParameterError(f"unknown mode {mode!r}")
     if H.m == 0:
-        return _exact_pair({}, {})
-    if H.n * H.m > guard:
+        zero = _ZERO if mode == "exact" else 0.0
+        return LPSolution("primal", {}, zero, mode), LPSolution("dual", {}, zero, mode)
+    if mode == "exact" and H.n * H.m > guard:
         raise ResourceLimitError(
             f"exact mode needs n*m <= {guard}, got {H.n}*{H.m} = {H.n * H.m}"
         )
-    x, y = _highs_cover(H)
+    obj, x, y = _highs(H)
+    if mode == "float":
+        obj = float(obj)
+        return (LPSolution("primal", _float_values(x), obj, "float"),
+                LPSolution("dual", _float_values(y), obj, "float"))
     for step in (_rationalized_pair, _support_pair):
         primal, dual = _exact_pair(*step(H, x, y))
         try:
@@ -367,64 +425,6 @@ def _solve_pair_exact(H: Hypergraph, size_guard=None):
     return primal, dual
 
 
-def _highs(H: Hypergraph, matching: bool = False):
-    """One HiGHS dual-simplex solve, through the binding bundled with scipy.
-
-    Both programs go in as ``minimize -s * sum(z)  subject to
-    s * M z <= s, z >= 0``: the covering program with s = -1 and M = A,
-    the edge-by-vertex incidence, given row-wise; the matching program
-    with s = 1 and M = A^T, given column-wise.  Row i of ``H.edge_array`` is already the
-    sorted index list of row (or column) i of either layout.  This is the
-    form ``scipy.optimize.linprog`` passed to HiGHS, and HiGHS's results
-    are not invariant under negating rows.  Returns the program's optimal
-    value, its variable values and the negated row duals, which are the
-    other program's values (H has edges).
-    """
-    import numpy as np
-    from scipy.optimize._highspy import _core
-
-    E = H.edge_array
-    model = _core.HighsLp()
-    A = model.a_matrix_
-    if matching:
-        s, ncol, nrow = 1.0, H.m, H.n
-        A.format_ = _core.MatrixFormat.kColwise
-    else:
-        s, ncol, nrow = -1.0, H.n, H.m
-        A.format_ = _core.MatrixFormat.kRowwise
-    model.num_col_ = A.num_col_ = ncol
-    model.num_row_ = A.num_row_ = nrow
-    model.col_cost_ = np.full(ncol, -s)
-    model.col_lower_ = np.zeros(ncol)
-    model.col_upper_ = np.full(ncol, np.inf)
-    model.row_lower_ = np.full(nrow, -np.inf)
-    model.row_upper_ = np.full(nrow, s)
-    A.start_ = np.arange(0, E.size + 1, H.t)
-    A.index_ = E.ravel()
-    A.value_ = np.full(E.size, s)
-
-    highs = _core._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.passModel(model)
-    highs.run()
-    status = highs.getModelStatus()
-    if status != _core.HighsModelStatus.kOptimal:  # pragma: no cover - feasible and bounded
-        raise VerificationError(f"HiGHS solve failed: {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
-    objective = -s * highs.getObjectiveValue()
-    return objective, np.array(solution.col_value), -np.array(solution.row_dual)
-
-
-def _highs_cover(H: Hypergraph):
-    """Primal x and dual y of one HiGHS solve of the covering program."""
-    _, x, y = _highs(H)
-    return x, y
-
-
-def _float_values(values):
-    return {int(i): float(v) for i, v in enumerate(values) if v > FLOAT_SUPPORT_TOL}
-
-
 def solve_vc_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSolution:
     """Optimal fractional vertex cover of H.
 
@@ -433,26 +433,16 @@ def solve_vc_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSoluti
     a Fraction objective.  An edgeless instance yields the empty
     solution with objective 0.
     """
-    if mode == "exact":
-        return _solve_pair_exact(H, size_guard)[0]
-    if mode == "float":
-        if H.m == 0:
-            return LPSolution("primal", {}, 0.0, "float")
-        obj, x, _ = _highs(H)
-        return LPSolution("primal", _float_values(x), float(obj), "float")
-    raise ParameterError(f"unknown mode {mode!r}")
+    return _solve_pair(H, mode, size_guard)[0]
 
 
 def solve_matching_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSolution:
-    """Optimal fractional matching of H; same conventions as solve_vc_lp."""
-    if mode == "exact":
-        return _solve_pair_exact(H, size_guard)[1]
-    if mode == "float":
-        if H.m == 0:
-            return LPSolution("dual", {}, 0.0, "float")
-        obj, y, _ = _highs(H, matching=True)
-        return LPSolution("dual", _float_values(y), float(obj), "float")
-    raise ParameterError(f"unknown mode {mode!r}")
+    """Optimal fractional matching of H; same conventions as solve_vc_lp.
+
+    Both sides come from the same solve, so in float mode this objective
+    equals ``solve_vc_lp``'s bit for bit.
+    """
+    return _solve_pair(H, mode, size_guard)[1]
 
 
 def check_complementary_slackness(

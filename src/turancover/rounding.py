@@ -301,11 +301,6 @@ def monochromatic_pairs(support, labels, coloring: Coloring):
         if colors[labels[v][0]] == colors[labels[v][1]]))
 
 
-def _check_cover(B: BlowUp, cover, context: str):
-    if not is_vertex_cover(B.hyper, cover):
-        raise VerificationError(f"{context} produced a non-cover")
-
-
 def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
                 finish, context: str):
     """Best of the color trials over a residual support.
@@ -343,10 +338,6 @@ def _check_trials(trials: int) -> None:
         raise ResourceLimitError(f"{trials} trials exceed limit {cap}")
 
 
-def _residual_zero(mode):
-    return Fraction(0) if mode == "exact" else 0.0
-
-
 def fallback_threshold_cover(instance, mode: str = "exact",
                              size_guard=None) -> CoverResult:
     """Trivial uniformity-factor cover: one LP solve, keep every vertex
@@ -357,21 +348,19 @@ def fallback_threshold_cover(instance, mode: str = "exact",
     uniformity times the fractional optimum.
     """
     solution = solve_vc_lp(_as_hypergraph(instance), mode=mode, size_guard=size_guard)
-    return _threshold_cover(instance, solution, mode)
+    return _threshold_cover(instance, solution)
 
 
-def _threshold_cover(instance, solution: LPSolution, mode: str) -> CoverResult:
+def _threshold_cover(instance, solution: LPSolution) -> CoverResult:
     """The trivial cover read off an optimal LP solution of the instance."""
     H = _as_hypergraph(instance)
     if H.m == 0:
         taken: tuple[int, ...] = ()
     else:
-        cut = _resolve_gamma(Fraction(1, H.t) if mode == "exact" else 1 / H.t, mode)
+        cut = _resolve_gamma(Fraction(1, H.t), solution.mode)
         taken = tuple(sorted(
             v for v, value in solution.values.items() if value >= cut))
-    if isinstance(instance, BlowUp):
-        _check_cover(instance, taken, "fallback threshold")
-    elif not is_vertex_cover(H, taken):
+    if not is_vertex_cover(H, taken):
         raise VerificationError("fallback threshold produced a non-cover")
     return CoverResult(
         cover=taken,
@@ -379,7 +368,7 @@ def _threshold_cover(instance, solution: LPSolution, mode: str) -> CoverResult:
         high_discrepancy=(),
         parity_class=(),
         lp_opt=solution.objective,
-        lp_opt_residual=_residual_zero(mode),
+        lp_opt_residual=Fraction(0) if solution.mode == "exact" else 0.0,
         seed=None,
         trial_index=None,
     )
@@ -434,7 +423,7 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     forced = set(thr.thresholded)
     trial, cover, (lopsided, parity) = _best_trial(
         B, forced, support, params.trials, params.seed, finish, "rounding")
-    fallback = _threshold_cover(B, thr.root, mode)
+    fallback = _threshold_cover(B, thr.root)
     if fallback.size < len(cover):
         return CoverResult(
             cover=fallback.cover,
@@ -442,7 +431,7 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
             high_discrepancy=(),
             parity_class=(),
             lp_opt=thr.lp_opt,
-            lp_opt_residual=_residual_zero(mode),
+            lp_opt_residual=fallback.lp_opt_residual,
             seed=params.seed,
             trial_index=None,
             rounding_size=len(cover),
@@ -491,8 +480,8 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
     if t < 3:
         raise ParameterError(f"uniformity must be at least 3, got {t}")
     _check_trials(trials)
-    cut = Fraction(4, t * t) if mode == "exact" else 4 / (t * t)
-    thr = recursive_threshold(B.hyper, cut, mode=mode, size_guard=size_guard)
+    thr = recursive_threshold(B.hyper, Fraction(4, t * t), mode=mode,
+                              size_guard=size_guard)
     support = thr.solution.support
     forced = set(thr.thresholded)
     trial, cover, (same,) = _best_trial(
@@ -539,7 +528,8 @@ def color_code_cover(B: BlowUp, seed: int = 0) -> CoverResult:
         residues[sum(colors[u] for u in label) % P].append(v)
     p = min(range(P), key=lambda i: (len(residues[i]), i))
     cover = tuple(sorted(set(missing) | set(residues[p])))
-    _check_cover(B, cover, "color coding")
+    if not is_vertex_cover(B.hyper, cover):
+        raise VerificationError("color coding produced a non-cover")
     return CoverResult(
         cover=cover,
         forced=tuple(missing),

@@ -74,6 +74,15 @@ def test_float_lp_objective_close_to_exact():
     assert abs(obj - 4 / 3) < 1e-6
 
 
+def test_float_lp_sides_print_the_same_objective():
+    for gen in (["gen", "complete", "--n", "4", "--t", "3"],
+                ["gen", "random", "--n", "9", "--t", "3", "--p", "0.4", "--seed", "5"]):
+        vc, matching = (chain(gen, ["lp", side, "--mode", "float"]).splitlines()[-1]
+                        for side in ("vc", "matching"))
+        assert vc.startswith("OBJ ")
+        assert vc == matching
+
+
 def test_taustar_rho_alpha_oracles():
     k4 = ["gen", "complete", "--n", "4", "--t", "3"]
     assert chain(k4, ["oracle", "taustar"]) == "4/3\n"

@@ -67,6 +67,8 @@ def test_float_matching_agrees_too():
         exact = solve_matching_lp(G, mode="exact").objective
         approx = solve_matching_lp(G, mode="float")
         assert abs(float(exact) - approx.objective) < 1e-6
+        # both sides come from one solve and carry its objective
+        assert approx.objective == solve_vc_lp(G, mode="float").objective
         loads = [0.0] * G.n
         for ei, ye in approx.values.items():
             for v in G.edges[ei]:
@@ -75,8 +77,9 @@ def test_float_matching_agrees_too():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ParameterError):
-        solve_vc_lp(complete(4, 3), mode="fast")
+    for solve in (solve_vc_lp, solve_matching_lp):
+        with pytest.raises(ParameterError, match="unknown mode"):
+            solve(complete(4, 3), mode="fast")
 
 
 @settings(max_examples=80, deadline=None)
@@ -198,7 +201,7 @@ def _spy(monkeypatch, name):
 
 
 def _assert_certified(H):
-    primal, dual = solve_vc_lp(H), solve_matching_lp(H)
+    primal, dual = lp._solve_pair(H, "exact")
     report = check_complementary_slackness(primal, dual, H)
     assert report.objective == primal.objective == dual.objective
     return primal
@@ -217,23 +220,23 @@ def test_ladder_step2_solves_the_support_exactly(monkeypatch):
     # a 243x98 LP whose optimum has denominators past the rationalizer's 10**6
     H = blow_up(random_hypergraph(10, 6, 0.45, 40_000), 5).hyper
     assert (H.n, H.m) == (243, 98)
-    x, y = lp._highs_cover(H)
+    _, x, y = lp._highs(H)
     rounded = lp._exact_pair(*lp._rationalized_pair(H, x, y))
     with pytest.raises(VerificationError):
         check_complementary_slackness(*rounded, H)
     calls = _spy(monkeypatch, "_support_pair")
     _forbid(monkeypatch, "_simplex_pair")
     primal = _assert_certified(H)
-    assert len(calls) == 2  # one ladder per solve_*_lp call
+    assert len(calls) == 1
     assert primal.objective.denominator > 10**6
 
 
 def test_ladder_step3_runs_the_simplex_when_both_cheap_steps_fail(monkeypatch):
     G = random_hypergraph(8, 3, 0.4, seed=5)
-    monkeypatch.setattr(lp, "_highs_cover", lambda H: (np.zeros(G.n), np.zeros(G.m)))
+    monkeypatch.setattr(lp, "_highs", lambda H: (0.0, np.zeros(G.n), np.zeros(G.m)))
     calls = _spy(monkeypatch, "_simplex_pair")
     primal = _assert_certified(G)
-    assert len(calls) == 2
+    assert len(calls) == 1
     obj, _, _ = lp._pair_matching_oriented(G)
     assert primal.objective == obj
 
@@ -245,7 +248,7 @@ def test_certified_pair_agrees_with_both_simplex_orientations(seed, t, n, p):
     G = random_hypergraph(n, t, p, seed)
     if G.m == 0:
         return
-    certified = lp._solve_pair_exact(G)
+    certified = lp._solve_pair(G, "exact")
     check_complementary_slackness(*certified, G)
     for oriented in (lp._pair_matching_oriented, lp._pair_covering_oriented):
         obj, x, y = oriented(G)
@@ -253,6 +256,59 @@ def test_certified_pair_agrees_with_both_simplex_orientations(seed, t, n, p):
         pair = lp._exact_pair(x, y)
         check_complementary_slackness(*pair, G)
         assert obj == pair[0].objective == certified[0].objective
+
+
+# --- both sides from one HiGHS solve ----------------------------------------
+
+
+def _corpus_bases():
+    """The 100 non-empty bases of the acceptance corpus (test_acceptance seeds)."""
+    bases = []
+    i = 0
+    while len(bases) < 100:
+        t = 3 + (i % 6)
+        n = min(14, t + 2 + (i % 4))
+        p = min(1.0, (18 + (i % 12)) / math.comb(n, t))
+        G = random_hypergraph(n, t, p, seed=31_000 + i)
+        i += 1
+        if G.m:
+            bases.append(G)
+    return bases
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_each_solve_makes_one_highs_call(monkeypatch, mode):
+    H = blow_up(random_hypergraph(9, 4, 0.3, seed=2), 2).hyper
+    calls = _spy(monkeypatch, "_highs")
+    for expected, solve in enumerate((solve_vc_lp, solve_matching_lp), start=1):
+        solve(H, mode=mode)
+        assert len(calls) == expected
+
+
+def test_float_pair_is_feasible_and_complementary():
+    corpus = blow_up(_corpus_bases()[5], 2).hyper
+    float_pairs_shape = blow_up(random_hypergraph(22, 7, 0.02, seed=1), 2).hyper
+    for H in (corpus, float_pairs_shape):
+        x = solve_vc_lp(H, mode="float").values
+        y = solve_matching_lp(H, mode="float").values
+        vertex_load = [0.0] * H.n
+        for ei, ye in y.items():
+            for v in H.edges[ei]:
+                vertex_load[v] += ye
+        assert max(vertex_load) <= 1 + 1e-9
+        assert all(abs(vertex_load[v] - 1) <= 1e-9 for v in x)
+        assert all(abs(sum(x.get(v, 0.0) for v in H.edges[ei]) - 1) <= 1e-9 for ei in y)
+
+
+def test_exact_and_float_objectives_agree_over_the_acceptance_corpus():
+    # full and pair blow-ups of every corpus base; the simplex is left out,
+    # as it takes about 25 s on a 108x58 blow-up
+    for G in _corpus_bases():
+        for k in sorted({G.t - 1, 2}):
+            H = blow_up(G, k).hyper
+            certified = solve_vc_lp(H).objective
+            for solve in (solve_vc_lp, solve_matching_lp):
+                assert abs(solve(H, mode="float").objective - certified) <= 1e-9
 
 
 # --- the integer certificate against the Fraction checker it replaced -------
@@ -336,7 +392,7 @@ def test_integer_certificate_matches_the_fraction_checker(
     H = blow_up(G, t - 1).hyper if blown else G
     if H.m == 0:
         return
-    primal, dual = lp._solve_pair_exact(H)
+    primal, dual = lp._solve_pair(H, "exact")
     side = primal if on_primal else dual
     values = dict(side.values)
     ids = sorted(values)
@@ -384,7 +440,3 @@ def test_direct_highs_call_matches_linprog_bit_for_bit():
         obj, x, y = lp._highs(H)
         assert obj == ref.fun
         assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
-        ref = linprog(-np.ones(H.m), A_ub=A.T, b_ub=np.ones(H.n), method="highs-ds")
-        obj, y, x = lp._highs(H, matching=True)
-        assert obj == -ref.fun
-        assert np.array_equal(y, ref.x) and np.array_equal(x, -ref.ineqlin.marginals)
