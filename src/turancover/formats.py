@@ -9,7 +9,9 @@ Hypergraphs: header ``HG <t> <n> <m>`` then m lines of t vertex ids.
 A blow-up appends a ``LABELS`` line plus one line per vertex giving its
 base subset; the base shape is reconstructed from the label size and
 the edge uniformity, with the base vertex count taken as one past the
-largest labeled id.
+largest labeled id.  An edgeless blow-up has no vertices, so its
+``LABELS`` block is empty and can carry neither the label size nor the
+base shape: it reads back as the edgeless ``Hypergraph``.
 
 Set systems: ``SS <n> <m>`` then m lines ``<size> e1 ... e_size``.
 LP solutions: one ``<id> <value>`` line per supported variable plus a
@@ -314,8 +316,8 @@ def _parse_instance(cursor: _Cursor, dedup: bool):
     if peek_text is None or peek_text.split()[0] != "LABELS":
         return H
     cursor.take("LABELS")
-    if H.n == 0:
-        cursor.fail(peek_line, "labels block on an instance with no vertices")
+    if H.n == 0:  # an empty block carries neither k nor base_t
+        return H
     labels = []
     k = None
     for _ in range(H.n):

@@ -26,18 +26,17 @@ into an exact rational pair through a fixed ladder:
    ``A[T,S]^T y_T = 1`` over the vertices whose matching constraint is
    tight, where S and T are the float supports; columns that do not
    pivot (degenerate supports) are set to zero;
-3. failing that, run the dense rational tableau simplex below.
+3. failing that, run the rational simplex below.
 
 A pair is returned only once ``check_complementary_slackness`` accepts
 it exactly: both sides feasible, complementary and of equal objective,
 which certifies both optimal.  The simplex uses Bland's anticycling
-rule, so it terminates; its tableau is oriented so the row count is
-min(n, m): with few vertices the matching program is solved from its
-slack basis, with few edges the covering program is solved in two
-phases, and in either orientation the other program's optimum is read
-off the final reduced costs of the slack or surplus columns.  HiGHS is
-deterministic, so the returned optimum is a pure function of the
-instance, though not always the vertex the simplex would pick.
+rule, so it terminates.  It solves the matching program, one row per
+vertex, from its slack basis, which is feasible, so it needs one phase
+and no artificial columns; the covering optimum is read off the final
+reduced costs of the slack columns.  HiGHS is deterministic, so the
+returned optimum is a pure function of the instance, though not always
+the vertex the simplex would pick.
 
 The certificate check runs in integers: every value is scaled by the
 least common multiple D of all denominators, and each edge and vertex
@@ -109,167 +108,61 @@ class SlacknessReport:
     tight_edges: int
 
 
-class _Tableau:
-    """Dense simplex tableau over exact rationals, Bland pivoting."""
-
-    def __init__(self, rows, rhs, basis, ncols):
-        self.rows = rows
-        self.rhs = rhs
-        self.basis = basis
-        self.ncols = ncols
-
-    def reduced_costs(self, costs):
-        red = list(costs)
-        for r, row in enumerate(self.rows):
-            cb = costs[self.basis[r]]
-            if cb:
-                for j in range(self.ncols):
-                    if row[j]:
-                        red[j] -= cb * row[j]
-        return red
-
-    def objective(self, costs):
-        total = _ZERO
-        for r in range(len(self.rows)):
-            cb = costs[self.basis[r]]
-            if cb:
-                total += cb * self.rhs[r]
-        return total
-
-    def pivot(self, r, c, red):
-        row = self.rows[r]
-        piv = row[c]
-        if piv != _ONE:
-            inv = _ONE / piv
-            row = [v * inv for v in row]
-            self.rows[r] = row
-            self.rhs[r] = self.rhs[r] * inv
-        for i, other in enumerate(self.rows):
-            if i != r:
-                f = other[c]
-                if f:
-                    self.rows[i] = [a - f * b for a, b in zip(other, row)]
-                    self.rhs[i] = self.rhs[i] - f * self.rhs[r]
-        f = red[c]
-        if f:
-            for j in range(self.ncols):
-                if row[j]:
-                    red[j] -= f * row[j]
-        self.basis[r] = c
-
-    def minimize(self, red, allowed):
-        """Pivot to optimality: lowest-index entering column with negative
-        reduced cost, min-ratio row with ties broken by lowest basic id."""
-        while True:
-            enter = -1
-            for j in range(self.ncols):
-                if allowed[j] and red[j] < _ZERO:
-                    enter = j
-                    break
-            if enter < 0:
-                return
-            leave = -1
-            best_ratio = None
-            best_var = -1
-            for r, row in enumerate(self.rows):
-                a = row[enter]
-                if a > _ZERO:
-                    ratio = self.rhs[r] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < best_var)
-                    ):
-                        best_ratio, best_var, leave = ratio, self.basis[r], r
-            if leave < 0:
-                raise VerificationError("internal: unbounded tableau in a bounded program")
-            self.pivot(leave, enter, red)
-
-
-def _pair_matching_oriented(H: Hypergraph):
-    """Solve the pair with one row per vertex (good when n <= m).
-
-    Columns are the edge weights then one slack per vertex; the slack
-    basis is immediately feasible.  At optimality the covering weights
-    are the reduced costs of the slack columns.
-    """
-    n, m = H.n, H.m
-    ncols = m + n
-    incident = [[] for _ in range(n)]
-    for ei, e in enumerate(H.edges):
-        for v in e:
-            incident[v].append(ei)
-    rows = []
-    for v in range(n):
-        row = [_ZERO] * ncols
-        for ei in incident[v]:
-            row[ei] = _ONE
-        row[m + v] = _ONE
-        rows.append(row)
-    tab = _Tableau(rows, [_ONE] * n, list(range(m, m + n)), ncols)
-    costs = [-_ONE] * m + [_ZERO] * n
-    red = tab.reduced_costs(costs)
-    tab.minimize(red, [True] * ncols)
-    y = {}
-    for r in range(n):
-        if tab.basis[r] < m and tab.rhs[r] != _ZERO:
-            y[tab.basis[r]] = tab.rhs[r]
-    x = {v: red[m + v] for v in range(n) if red[m + v] != _ZERO}
-    return -tab.objective(costs), x, y
-
-
-def _pair_covering_oriented(H: Hypergraph):
-    """Solve the pair with one row per edge (good when m < n).
-
-    Columns are vertex weights, surplus, then one artificial per row.
-    Phase one drives the artificials to zero, phase two minimizes the
-    true cost; the matching weights are the reduced costs of the surplus
-    columns at optimality.
-    """
-    n, m = H.n, H.m
-    art = n + m
-    ncols = n + 2 * m
-    rows = []
-    for ei, e in enumerate(H.edges):
-        row = [_ZERO] * ncols
-        for v in e:
-            row[v] = _ONE
-        row[n + ei] = -_ONE
-        row[art + ei] = _ONE
-        rows.append(row)
-    tab = _Tableau(rows, [_ONE] * m, list(range(art, art + m)), ncols)
-    allowed = [True] * art + [False] * m  # artificials may never re-enter
-
-    phase1 = [_ZERO] * art + [_ONE] * m
-    red = tab.reduced_costs(phase1)
-    tab.minimize(red, allowed)
-    if tab.objective(phase1) != _ZERO:
-        raise VerificationError("internal: covering program reported infeasible")
-    for r in range(m):
-        if tab.basis[r] >= art:
-            row = tab.rows[r]
-            piv = next((j for j in range(art) if row[j]), -1)
-            if piv >= 0:
-                tab.pivot(r, piv, red)
-            # else the row is redundant; its artificial stays basic at zero
-
-    phase2 = [_ONE] * n + [_ZERO] * (ncols - n)
-    red = tab.reduced_costs(phase2)
-    tab.minimize(red, allowed)
-    x = {}
-    for r in range(m):
-        if tab.basis[r] < n and tab.rhs[r] != _ZERO:
-            x[tab.basis[r]] = tab.rhs[r]
-    y = {ei: red[n + ei] for ei in range(m) if red[n + ei] != _ZERO}
-    return tab.objective(phase2), x, y
-
-
 def _simplex_pair(H: Hypergraph):
-    """Ladder step 3: the rational tableau simplex, in its smaller orientation."""
-    if H.n <= H.m:
-        _, x, y = _pair_matching_oriented(H)
-    else:
-        _, x, y = _pair_covering_oriented(H)
+    """Ladder step 3: Bland's rational simplex on the matching program.
+
+    One row per vertex, ``sum_{e through v} y_e + s_v = 1``, over the m
+    edge columns then the n slack columns.  The slack basis is feasible
+    and costs nothing, so there is one phase and the reduced costs start
+    as the costs, -1 per edge.  The entering column is the lowest-index
+    one with a negative reduced cost; the leaving row has the minimum
+    ratio, ties to the lowest basic id.  At optimality y is read off the
+    basic edge columns and x off the reduced costs of the slack columns.
+    Each row maps a column to its nonzero entry, so a tall instance costs
+    its nonzeros and fill-in, not n * (m + n) entries.
+    """
+    n, m = H.n, H.m
+    rows = [{m + v: _ONE} for v in range(n)]
+    for ei, e in enumerate(H.edges):
+        for v in e:
+            rows[v][ei] = _ONE
+    rhs = [_ONE] * n
+    basis = list(range(m, m + n))
+    red = [-_ONE] * m + [_ZERO] * n
+    while True:
+        enter = next((j for j, c in enumerate(red) if c < _ZERO), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for r, row in enumerate(rows):
+            a = row.get(enter, _ZERO)
+            if a > _ZERO:
+                key = (rhs[r] / a, basis[r])
+                if best is None or key < best:
+                    leave, best = r, key
+        if leave is None:
+            raise VerificationError("internal: unbounded tableau in a bounded program")
+        piv = rows[leave][enter]
+        if piv != _ONE:
+            rows[leave] = {j: a / piv for j, a in rows[leave].items()}
+            rhs[leave] /= piv
+        row = rows[leave]
+        for r, other in enumerate(rows):
+            f = other.get(enter)
+            if f and r != leave:
+                for j, a in row.items():
+                    b = other.get(j, _ZERO) - f * a
+                    if b:
+                        other[j] = b
+                    else:
+                        del other[j]
+                rhs[r] -= f * rhs[leave]
+        f = red[enter]
+        for j, a in row.items():
+            red[j] -= f * a
+        basis[leave] = enter
+    y = {basis[r]: rhs[r] for r in range(n) if basis[r] < m and rhs[r]}
+    x = {v: red[m + v] for v in range(n) if red[m + v]}
     return x, y
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
 
@@ -425,18 +425,8 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
         B, forced, support, params.trials, params.seed, finish, "rounding")
     fallback = _threshold_cover(B, thr.root)
     if fallback.size < len(cover):
-        return CoverResult(
-            cover=fallback.cover,
-            forced=fallback.cover,
-            high_discrepancy=(),
-            parity_class=(),
-            lp_opt=thr.lp_opt,
-            lp_opt_residual=fallback.lp_opt_residual,
-            seed=params.seed,
-            trial_index=None,
-            rounding_size=len(cover),
-            fallback_size=fallback.size,
-        )
+        return replace(fallback, seed=params.seed, rounding_size=len(cover),
+                       fallback_size=fallback.size)
     return CoverResult(
         cover=cover,
         forced=tuple(sorted(forced)),

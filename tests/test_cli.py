@@ -109,6 +109,18 @@ def test_threshold_round_echoes_instance():
     assert "SEED - TRIAL -" in out
 
 
+def test_edgeless_blow_up_crosses_a_pipe():
+    # its LABELS block is empty, so it reads back as the edgeless hypergraph
+    code, blown, _ = run(["blowup", "--k", "2"], "HG 3 4 0\n")
+    assert (code, blown) == (0, "HG 3 0 0\nLABELS\n")
+    assert run(["verify", "simple"], blown)[:2] == (0, "OK\n")
+    assert run(["lp", "vc"], blown)[:2] == (0, "OBJ 0/1\n")
+    code, out, _ = run(["round", "threshold"], blown)
+    assert code == 0 and "COVER 0\n" in out
+    code, _, err = run(["round", "ahtp", "--seed", "1"], blown)
+    assert code == 3 and "needs a blow-up instance" in err
+
+
 def test_t2_round_verifies():
     out = chain(
         ["gen", "complete", "--n", "4", "--t", "3"],

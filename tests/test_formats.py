@@ -55,6 +55,14 @@ def test_pair_blowup_roundtrip():
     assert parse_instance(serialize_blowup(B)) == B
 
 
+def test_edgeless_blowup_reads_back_as_its_hypergraph():
+    B = blow_up(Hypergraph(3, 4, []), 2)
+    text = serialize_blowup(B)
+    assert text == "HG 3 0 0\nLABELS\n"
+    assert parse_instance(text) == B.hyper == Hypergraph(3, 0, [])
+    assert parse_document(text)[0] == B.hyper
+
+
 def test_serialize_instance_dispatches():
     G = complete(4, 3)
     B = blow_up(G, 2)

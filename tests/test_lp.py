@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -231,31 +232,63 @@ def test_ladder_step2_solves_the_support_exactly(monkeypatch):
     assert primal.objective.denominator > 10**6
 
 
-def test_ladder_step3_runs_the_simplex_when_both_cheap_steps_fail(monkeypatch):
-    G = random_hypergraph(8, 3, 0.4, seed=5)
-    monkeypatch.setattr(lp, "_highs", lambda H: (0.0, np.zeros(G.n), np.zeros(G.m)))
+def _force_step3(monkeypatch, H):
+    """Certify H with HiGHS patched to zero vectors, which fail steps 1 and 2."""
+    reference = solve_vc_lp(H).objective
+    monkeypatch.setattr(lp, "_highs", lambda H: (0.0, np.zeros(H.n), np.zeros(H.m)))
     calls = _spy(monkeypatch, "_simplex_pair")
-    primal = _assert_certified(G)
+    assert _assert_certified(H).objective == reference
     assert len(calls) == 1
-    obj, _, _ = lp._pair_matching_oriented(G)
-    assert primal.objective == obj
+
+
+def test_ladder_step3_runs_the_simplex_when_both_cheap_steps_fail(monkeypatch):
+    _force_step3(monkeypatch, random_hypergraph(8, 3, 0.4, seed=5))
+
+
+def test_ladder_step3_on_a_full_blow_up_with_more_vertices_than_edges(monkeypatch):
+    H = blow_up(random_hypergraph(9, 4, 0.12, seed=7), 3).hyper
+    assert (H.n, H.m) == (59, 21)
+    _force_step3(monkeypatch, H)
+
+
+def test_ladder_step3_stores_only_nonzero_entries(monkeypatch):
+    # a dense n x (m + n) tableau of this tall instance would hold 16M entries
+    H = Hypergraph(3, 4000, [(0, 1, 2), (2, 3, 4), (5, 6, 7)])
+    tracemalloc.start()
+    try:
+        _force_step3(monkeypatch, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def _assert_simplex_agrees(G):
+    if G.m == 0:
+        return
+    certified = lp._solve_pair(G, "exact")
+    check_complementary_slackness(*certified, G)
+    x, y = lp._simplex_pair(G)
+    assert all(type(q) is Fraction for q in (*x.values(), *y.values()))
+    pair = lp._exact_pair(x, y)
+    check_complementary_slackness(*pair, G)
+    assert pair[0].objective == certified[0].objective
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(2, 4), st.integers(4, 9),
        st.sampled_from([0.15, 0.3, 0.6]))
-def test_certified_pair_agrees_with_both_simplex_orientations(seed, t, n, p):
-    G = random_hypergraph(n, t, p, seed)
-    if G.m == 0:
-        return
-    certified = lp._solve_pair(G, "exact")
-    check_complementary_slackness(*certified, G)
-    for oriented in (lp._pair_matching_oriented, lp._pair_covering_oriented):
-        obj, x, y = oriented(G)
-        assert all(type(q) is Fraction for q in (obj, *x.values(), *y.values()))
-        pair = lp._exact_pair(x, y)
-        check_complementary_slackness(*pair, G)
-        assert obj == pair[0].objective == certified[0].objective
+def test_certified_pair_agrees_with_the_simplex(seed, t, n, p):
+    _assert_simplex_agrees(random_hypergraph(n, t, p, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(4, 8),
+       st.sampled_from([0.15, 0.3]))
+def test_certified_pair_agrees_with_the_simplex_on_full_blow_ups(seed, t, n, p):
+    # most full blow-ups have more vertices than edges, so more simplex
+    # rows than edge columns; these bases keep each run under about 0.2 s
+    _assert_simplex_agrees(blow_up(random_hypergraph(n, t, p, seed), t - 1).hyper)
 
 
 # --- both sides from one HiGHS solve ----------------------------------------
@@ -302,7 +335,7 @@ def test_float_pair_is_feasible_and_complementary():
 
 def test_exact_and_float_objectives_agree_over_the_acceptance_corpus():
     # full and pair blow-ups of every corpus base; the simplex is left out,
-    # as it takes about 25 s on a 108x58 blow-up
+    # as it takes about 30 s over these 200 blow-ups
     for G in _corpus_bases():
         for k in sorted({G.t - 1, 2}):
             H = blow_up(G, k).hyper

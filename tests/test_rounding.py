@@ -176,6 +176,19 @@ def test_ahtp_cover_records_both_candidate_sizes():
     assert res.size == min(res.rounding_size, res.fallback_size)
 
 
+def test_ahtp_cover_returns_the_fallback_when_it_is_smaller():
+    # acceptance-corpus base 1: the rounding takes 9 vertices, the trivial
+    # threshold cover of the same root LP solution 8
+    B = blow_up(random_hypergraph(7, 4, 19 / 35, seed=31_001), 3)
+    res = ahtp_cover_blowup(B, RoundingParams(t=4, seed=52_002, trials=5), mode="exact")
+    root = recursive_threshold(B.hyper, RoundingParams(t=4).gamma_value, mode="exact").root
+    assert (res.rounding_size, res.fallback_size, res.size) == (9, 8, 8)
+    assert res.trial_index is None and res.seed == 52_002
+    assert res.forced == res.cover and is_vertex_cover(B.hyper, res.cover)
+    assert res.high_discrepancy == res.parity_class == ()
+    assert res.lp_opt == root.objective and res.lp_opt_residual == 0
+
+
 def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
     # the residual of a full blow-up at the default threshold is edgeless
     # (t <= 67), so the trivial cover reuses the root solve and one trial runs
