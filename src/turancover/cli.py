@@ -186,6 +186,10 @@ def _run_round(args) -> str:
                                           size_guard=args.size_guard)
         return formats.serialize_instance(instance) + formats.serialize_cover(result)
     if not isinstance(instance, BlowUp):
+        if instance.m == 0:  # what an edgeless blow-up reads back as
+            raise ParameterError(
+                f"'round {args.scheme}' got an edgeless instance: an edgeless blow-up"
+                " carries no k or base_t")
         raise ParameterError(
             f"'round {args.scheme}' needs a blow-up instance with a LABELS block")
     if args.scheme == "ahtp":

@@ -15,9 +15,12 @@ sum_{e through v} y_e = 1, so |support| = sum_{v in S} sum_{e through v} y_e
 Both modes make one call to HiGHS's dual simplex through the binding
 bundled with scipy (``scipy.optimize._highspy._core``), handing it the
 covering program in one layout, its constraint matrix straight from
-``Hypergraph.edge_array``.  Both sides are read off that one solve: the
-primal x and the dual y (the negated row duals).  Exact mode turns them
-into an exact rational pair through a fixed ladder:
+``Hypergraph.edge_array``.  The binding is loaded from its extension
+file on its own (``_highs_core``): importing it the ordinary way runs
+``scipy/optimize/__init__.py`` first, about 0.45 s and 40 MB per
+process that nothing here uses.  Both sides are read off that one
+solve: the primal x and the dual y (the negated row duals).  Exact mode
+turns them into an exact rational pair through a fixed ladder:
 
 1. rationalize each value with ``Fraction.limit_denominator``;
 2. failing that, re-solve the support systems exactly over the
@@ -44,12 +47,16 @@ load is compared against D.
 
 Float mode returns HiGHS's values as they are, both sides with the
 solve's objective.  Support membership then uses a 1e-9 tolerance and
-no exactness assertions are made.
+no exactness assertions are made.  Its guard bounds n + m*t, the
+columns plus the nonzeros HiGHS holds, by ``FLOAT_SIZE_GUARD``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,10 +71,12 @@ __all__ = [
     "solve_matching_lp",
     "check_complementary_slackness",
     "EXACT_SIZE_GUARD",
+    "FLOAT_SIZE_GUARD",
     "FLOAT_SUPPORT_TOL",
 ]
 
 EXACT_SIZE_GUARD = 50_000
+FLOAT_SIZE_GUARD = 1_000_000
 FLOAT_SUPPORT_TOL = 1e-9
 
 _ZERO = Fraction(0)
@@ -239,9 +248,51 @@ def _exact_pair(x: dict, y: dict):
             LPSolution("dual", y, sum(y.values(), Fraction(0)), "exact"))
 
 
+_BINDING_NAME = "scipy.optimize._highspy._core"
+_binding_lock = threading.Lock()
+
+
+def _highs_core():
+    """HiGHS's binding bundled with scipy, loaded without ``scipy.optimize``.
+
+    An ordinary import of the binding first runs
+    ``scipy/optimize/__init__.py``, which loads ``scipy.linalg``,
+    ``scipy.fft``, ``linprog`` and more that nothing here uses.  So the
+    extension file is found next to scipy and executed on its own,
+    registered under its full name first, so that a later
+    ``import scipy.optimize`` reuses this module (pybind11 refuses to
+    register its types twice).  A binding already imported is used as it
+    is; a scipy without the file at that place gets the ordinary import.
+    The lock keeps two threads from executing the extension at once.
+    """
+    with _binding_lock:
+        core = sys.modules.get(_BINDING_NAME)
+        if core is not None:
+            return core
+        import scipy
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+        from importlib.util import module_from_spec
+
+        finder = FileFinder(os.path.join(scipy.__path__[0], "optimize", "_highspy"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_BINDING_NAME)
+        if spec is None:
+            from scipy.optimize._highspy import _core
+            return _core
+        core = module_from_spec(spec)
+        sys.modules[_BINDING_NAME] = core
+        try:
+            spec.loader.exec_module(core)
+        except BaseException:
+            del sys.modules[_BINDING_NAME]
+            raise
+        return core
+
+
 def _highs(H: Hypergraph):
     """One HiGHS dual-simplex solve of the covering program, through the
-    binding bundled with scipy.
+    binding bundled with scipy, loaded by ``_highs_core`` so that
+    ``scipy.optimize`` itself is never imported.
 
     The program goes in as ``minimize sum(x)  subject to  -A x <= -1,
     x >= 0``, with A the edge-by-vertex incidence given row-wise: row i
@@ -253,7 +304,8 @@ def _highs(H: Hypergraph):
     modes.
     """
     import numpy as np
-    from scipy.optimize._highspy import _core
+
+    _core = _highs_core()
 
     E = H.edge_array
     model = _core.HighsLp()
@@ -292,7 +344,9 @@ def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
     """Optimal (primal, dual) pair from one HiGHS solve; see the module docstring."""
     if mode == "exact":
         guard = resolve_limit(size_guard, EXACT_SIZE_GUARD)
-    elif mode != "float":
+    elif mode == "float":
+        guard = resolve_limit(None, FLOAT_SIZE_GUARD)
+    else:
         raise ParameterError(f"unknown mode {mode!r}")
     if H.m == 0:
         zero = _ZERO if mode == "exact" else 0.0
@@ -301,6 +355,10 @@ def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
         raise ResourceLimitError(
             f"exact mode needs n*m <= {guard}, got {H.n}*{H.m} = {H.n * H.m}"
         )
+    # HiGHS holds 200-330 bytes per unit of n + m*t: a huge n alone costs gigabytes
+    if mode == "float" and H.n + H.m * H.t > guard:
+        raise ResourceLimitError(f"float LP size n+m*t = {H.n}+{H.m}*{H.t}"
+                                 f" = {H.n + H.m * H.t} exceeds limit {guard}")
     obj, x, y = _highs(H)
     if mode == "float":
         obj = float(obj)

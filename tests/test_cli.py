@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turancover import cli, formats, generators, hypergraph, rounding, setcover
+from turancover import cli, formats, generators, hypergraph, lp, rounding, setcover
 
 PY = [sys.executable, "-m", "turancover"]
 
@@ -117,8 +117,11 @@ def test_edgeless_blow_up_crosses_a_pipe():
     assert run(["lp", "vc"], blown)[:2] == (0, "OBJ 0/1\n")
     code, out, _ = run(["round", "threshold"], blown)
     assert code == 0 and "COVER 0\n" in out
-    code, _, err = run(["round", "ahtp", "--seed", "1"], blown)
-    assert code == 3 and "needs a blow-up instance" in err
+    for scheme in ("ahtp", "t2"):
+        code, out, err = run(["round", scheme, "--seed", "1"], blown)
+        assert (code, out) == (3, "")
+        assert err == (f"parameter error: 'round {scheme}' got an edgeless instance:"
+                       " an edgeless blow-up carries no k or base_t\n")
 
 
 def test_t2_round_verifies():
@@ -246,6 +249,10 @@ def _refuse(*args, **kwargs):
      [(rounding, "solve_vc_lp"), (rounding, "two_coloring")]),
     (["round", "ahtp", "--trials", "100000000"], "full blow-up",
      [(rounding, "solve_vc_lp"), (rounding, "two_coloring")]),
+    # one edge over 10**8 vertices: HiGHS would hold gigabytes for the columns
+    (["lp", "vc", "--mode", "float"], "HG 2 100000000 1\n0 1\n", [(lp, "_highs")]),
+    (["round", "threshold", "--mode", "float"], "HG 2 100000000 1\n0 1\n", [(lp, "_highs")]),
+    (["oracle", "taustar", "--mode", "float"], "HG 2 100000000 1\n0 1\n", [(lp, "_highs")]),
 ])
 def test_unbounded_inputs_exit_4_before_allocating(monkeypatch, capsys, argv, stdin_text,
                                                    patches):
@@ -261,7 +268,7 @@ def test_unbounded_inputs_exit_4_before_allocating(monkeypatch, capsys, argv, st
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("resource limit: ") and "exceed" in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def _nonascii_input(tmp_path):
@@ -333,6 +340,19 @@ def test_import_loads_neither_numpy_nor_scipy():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_solves_leave_scipy_optimize_unloaded():
+    # lp executes HiGHS's extension on its own, without scipy.optimize's package init
+    code = ("import sys; from turancover.generators import complete; "
+            "from turancover.lp import solve_vc_lp; H = complete(4, 3); "
+            "solve_vc_lp(H, mode='float'); solve_vc_lp(H, mode='exact'); "
+            "print('scipy.optimize' in sys.modules, "
+            "'scipy.optimize._highspy._core' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\n"
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 
@@ -171,6 +174,19 @@ def test_negative_size_guard_rejected(monkeypatch):
     monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "-1")
     with pytest.raises(ParameterError, match="TURANCOVER_SIZE_GUARD"):
         solve_vc_lp(G, mode="exact")
+
+
+def test_float_size_guard_counts_columns_and_nonzeros(monkeypatch):
+    monkeypatch.delenv("TURANCOVER_SIZE_GUARD", raising=False)
+    big = Hypergraph(2, lp.FLOAT_SIZE_GUARD - 1, [(0, 1)])
+    with pytest.raises(ResourceLimitError, match=f" = {lp.FLOAT_SIZE_GUARD + 1} exceeds"):
+        solve_matching_lp(big, mode="float")
+    H = Hypergraph(2, 10, [(0, 1)])  # n + m*t = 12
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "12")
+    assert solve_vc_lp(H, mode="float").objective == 1
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "11")
+    with pytest.raises(ResourceLimitError, match="exceeds limit 11$"):
+        solve_vc_lp(H, mode="float")
 
 
 def test_blow_up_lp_known_value():
@@ -473,3 +489,115 @@ def test_direct_highs_call_matches_linprog_bit_for_bit():
         obj, x, y = lp._highs(H)
         assert obj == ref.fun
         assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
+
+
+# ------------------------------------------------ the HiGHS binding, loaded on its own
+
+def _fresh(code):
+    """Run ``code`` in a new interpreter, where nothing has loaded HiGHS yet."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_binding_imported_through_scipy_optimize_first_is_reused():
+    assert _fresh("""
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        from turancover import lp
+        from turancover.generators import complete
+        assert lp.solve_vc_lp(complete(4, 3), mode="float").objective == 4 / 3
+        print(lp._highs_core() is _core)
+    """) == "True\n"
+
+
+def test_linprog_after_a_solve_shares_the_binding_bit_for_bit():
+    # linprog then imports scipy.optimize, which finds the binding lp registered
+    assert _fresh("""
+        import sys
+        import numpy as np
+        from scipy import sparse
+        from turancover import lp
+        from turancover.generators import random_hypergraph
+        from turancover.hypergraph import blow_up
+
+        H = blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper
+        obj, x, y = lp._highs(H)
+        core = lp._highs_core()
+        assert "scipy.optimize" not in sys.modules
+        from scipy.optimize import linprog
+        E = H.edge_array
+        A = sparse.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.t)),
+                              shape=(H.m, H.n))
+        ref = linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds")
+        assert obj == ref.fun
+        assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
+        print(sys.modules["scipy.optimize._highspy._core"] is core)
+    """) == "True\n"
+
+
+def test_concurrent_first_solves_load_the_binding_once():
+    assert _fresh("""
+        import sys
+        import threading
+        from turancover import lp
+        from turancover.generators import complete
+
+        H = complete(5, 3)
+        start = threading.Barrier(4, timeout=60)
+        found = []
+
+        def solve():
+            start.wait()
+            found.append((lp.solve_vc_lp(H, mode="float").objective, lp._highs_core()))
+
+        threads = [threading.Thread(target=solve) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        print(len(found), len(set(found)), abs(found[0][0] - 5 / 3) < 1e-9)
+    """) == "4 1 True\n"
+
+
+def test_binding_falls_back_to_the_ordinary_import(tmp_path):
+    # scipy's first path entry has no optimize/_highspy: the import system finds it
+    assert _fresh(f"""
+        import sys
+        import scipy
+        scipy.__path__.insert(0, {str(tmp_path)!r})
+        from turancover import lp
+        from turancover.generators import complete
+        assert lp.solve_vc_lp(complete(4, 3), mode="float").objective == 4 / 3
+        print("scipy.optimize" in sys.modules)
+    """) == "True\n"
+
+
+def test_failed_load_leaves_no_module_behind():
+    assert _fresh("""
+        import sys
+        from importlib.machinery import ExtensionFileLoader
+        from turancover import lp
+        from turancover.generators import complete
+
+        real = ExtensionFileLoader.exec_module
+
+        def fail(self, module):
+            raise ImportError("refused")
+
+        ExtensionFileLoader.exec_module = fail
+        try:
+            lp.solve_vc_lp(complete(4, 3), mode="float")
+        except ImportError:
+            pass
+        print(lp._BINDING_NAME in sys.modules, end=" ")
+        ExtensionFileLoader.exec_module = real
+        print(lp.solve_vc_lp(complete(4, 3), mode="float").objective == 4 / 3)
+    """) == "False True\n"

@@ -284,18 +284,20 @@ def test_trials_guard_refuses_before_solving(monkeypatch):
     from turancover.errors import ResourceLimitError
 
     B2 = blow_up(complete(5, 3), 2)
-    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "10")
-    assert t2_cover_blowup(B2, seed=1, trials=10, mode="float").trial_index < 10
-    assert ahtp_cover_blowup(B2, RoundingParams(t=3, trials=10), mode="float").size > 0
+    # the float LP's size guard reads the same override: 40 admits its n + m*t
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "40")
+    assert B2.hyper.n + B2.hyper.m * B2.hyper.t == 40
+    assert t2_cover_blowup(B2, seed=1, trials=40, mode="float").trial_index < 40
+    assert ahtp_cover_blowup(B2, RoundingParams(t=3, trials=40), mode="float").size > 0
 
     def refuse(*args, **kwargs):
         raise AssertionError("solved")
 
     monkeypatch.setattr(rounding, "solve_vc_lp", refuse)
-    with pytest.raises(ResourceLimitError, match="11 trials exceed limit 10"):
-        t2_cover_blowup(B2, seed=1, trials=11, mode="float")
-    with pytest.raises(ResourceLimitError, match="11 trials exceed limit 10"):
-        ahtp_cover_blowup(B2, RoundingParams(t=3, trials=11), mode="float")
+    with pytest.raises(ResourceLimitError, match="41 trials exceed limit 40"):
+        t2_cover_blowup(B2, seed=1, trials=41, mode="float")
+    with pytest.raises(ResourceLimitError, match="41 trials exceed limit 40"):
+        ahtp_cover_blowup(B2, RoundingParams(t=3, trials=41), mode="float")
     monkeypatch.delenv("TURANCOVER_SIZE_GUARD")
     with pytest.raises(ResourceLimitError, match=f"limit {rounding.TRIALS_GUARD}$"):
         t2_cover_blowup(B2, trials=rounding.TRIALS_GUARD + 1)
