@@ -22,7 +22,8 @@ process that nothing here uses.  Both sides are read off that one
 solve: the primal x and the dual y (the negated row duals).  Exact mode
 turns them into an exact rational pair through a fixed ladder:
 
-1. rationalize each value with ``Fraction.limit_denominator``;
+1. rationalize each value with ``Fraction.limit_denominator``, once
+   per distinct float;
 2. failing that, re-solve the support systems exactly over the
    integers by fraction-free (Bareiss) elimination: ``A[T,S] x_S = 1``
    over the edges whose covering constraint is tight and
@@ -43,12 +44,24 @@ the vertex the simplex would pick.
 
 The certificate check runs in integers: every value is scaled by the
 least common multiple D of all denominators, and each edge and vertex
-load is compared against D.
+load is compared against D.  The objectives are likewise one integer
+sum over the common denominator.  This is the scheme of QSopt_ex
+(Applegate, Cook, Dash and Espinoza, ORL 2007): a float solve, then an
+exact rational check.
+
+Exact solves share one HiGHS object per thread, emptied after each
+solve.  Float solves build a fresh one each time: a reused object keeps
+memory that ``clearModel`` does not hand back, which raised the float
+benchmarks' peak RSS by 6-17 % (``BENCH_10.json``); exact LPs are
+small by ``EXACT_SIZE_GUARD``, so what their object holds on to stays
+small.
 
 Float mode returns HiGHS's values as they are, both sides with the
 solve's objective.  Support membership then uses a 1e-9 tolerance and
 no exactness assertions are made.  Its guard bounds n + m*t, the
-columns plus the nonzeros HiGHS holds, by ``FLOAT_SIZE_GUARD``.
+columns plus the nonzeros HiGHS holds, by ``FLOAT_SIZE_GUARD``.  A
+``size_guard`` argument sets the guard of the mode in use: n*m in exact
+mode, n + m*t in float mode.
 """
 
 from __future__ import annotations
@@ -176,15 +189,25 @@ def _simplex_pair(H: Hypergraph):
 
 
 def _rationalized_pair(H: Hypergraph, x, y):
-    """Ladder step 1: the nearest fractions with denominators up to 10**6."""
+    """Ladder step 1: the nearest fractions with denominators up to 10**6.
+
+    A solve has few distinct values (about 2.5 in 29 nonzeros on the
+    benchmark's corpus), so each distinct float is rationalized once and
+    equal values share one Fraction.
+    """
+    import numpy as np
+
+    memo = {}
 
     def rationalize(values):
         out = {}
-        for i, value in enumerate(values):
-            if value > FLOAT_SUPPORT_TOL:
-                q = Fraction(float(value)).limit_denominator()
-                if q:
-                    out[i] = q
+        support = np.flatnonzero(values > FLOAT_SUPPORT_TOL)
+        for i, value in zip(support.tolist(), values[support].tolist()):
+            q = memo.get(value)
+            if q is None:
+                q = memo[value] = Fraction(value).limit_denominator()
+            if q:
+                out[i] = q
         return out
 
     return rationalize(x), rationalize(y)
@@ -243,9 +266,15 @@ def _support_pair(H: Hypergraph, x, y):
             {ei: q for ei, q in zip(T, ys) if q})
 
 
+def _total(values) -> Fraction:
+    """Exact sum of Fractions, as one integer sum over their common denominator."""
+    D = math.lcm(*{q.denominator for q in values})
+    return Fraction(sum(q.numerator * (D // q.denominator) for q in values), D)
+
+
 def _exact_pair(x: dict, y: dict):
-    return (LPSolution("primal", x, sum(x.values(), Fraction(0)), "exact"),
-            LPSolution("dual", y, sum(y.values(), Fraction(0)), "exact"))
+    return (LPSolution("primal", x, _total(x.values()), "exact"),
+            LPSolution("dual", y, _total(y.values()), "exact"))
 
 
 _BINDING_NAME = "scipy.optimize._highspy._core"
@@ -289,7 +318,10 @@ def _highs_core():
         return core
 
 
-def _highs(H: Hypergraph):
+_thread = threading.local()
+
+
+def _highs(H: Hypergraph, reuse: bool = True):
     """One HiGHS dual-simplex solve of the covering program, through the
     binding bundled with scipy, loaded by ``_highs_core`` so that
     ``scipy.optimize`` itself is never imported.
@@ -298,40 +330,53 @@ def _highs(H: Hypergraph):
     x >= 0``, with A the edge-by-vertex incidence given row-wise: row i
     of ``H.edge_array`` is already the sorted index list of row i.  This
     is the form ``scipy.optimize.linprog`` passes to HiGHS, and HiGHS's
-    results are not invariant under negating rows.  Returns the optimal
-    value, the primal x and the negated row duals y (H has edges); y is
-    an optimal matching, so this one layout serves both sides in both
-    modes.
+    results are not invariant under negating rows.  The model goes in
+    through the binding's array form of ``passModel`` (HiGHS's index type
+    is int32; the zero integrality marks every column continuous), about
+    15 us against 45 us for filling a ``HighsLp``, with the same results
+    bit for bit.  Returns the optimal value, the primal x and the negated
+    row duals y (H has edges); y is an optimal matching, so this one
+    layout serves both sides in both modes.
+
+    With ``reuse`` the solve runs on this thread's HiGHS object, emptied
+    by ``clearModel`` once the solution is read; building one costs
+    about 0.1 ms, a tenth of a certified corpus LP.  The object is taken
+    off the thread while it solves, so a solve that raises leaves none
+    behind and the next one builds a fresh object.  Float mode passes
+    ``reuse=False``: a reused object keeps memory that ``clearModel``
+    does not return, which raised the float benchmarks' peak RSS by
+    6-17 %, while exact LPs are small by ``EXACT_SIZE_GUARD``.
     """
     import numpy as np
 
     _core = _highs_core()
 
+    highs = getattr(_thread, "highs", None) if reuse else None
+    if highs is None:
+        highs = _core._Highs()
+        highs.setOptionValue("output_flag", False)
+    else:
+        _thread.highs = None
     E = H.edge_array
-    model = _core.HighsLp()
-    A = model.a_matrix_
-    A.format_ = _core.MatrixFormat.kRowwise
-    model.num_col_ = A.num_col_ = H.n
-    model.num_row_ = A.num_row_ = H.m
-    model.col_cost_ = np.ones(H.n)
-    model.col_lower_ = np.zeros(H.n)
-    model.col_upper_ = np.full(H.n, np.inf)
-    model.row_lower_ = np.full(H.m, -np.inf)
-    model.row_upper_ = np.full(H.m, -1.0)
-    A.start_ = np.arange(0, E.size + 1, H.t)
-    A.index_ = E.ravel()
-    A.value_ = np.full(E.size, -1.0)
-
-    highs = _core._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.passModel(model)
+    n, m = H.n, H.m
+    status = highs.passModel(
+        n, m, E.size, int(_core.MatrixFormat.kRowwise), int(_core.ObjSense.kMinimize), 0.0,
+        np.ones(n), np.zeros(n), np.full(n, np.inf), np.full(m, -np.inf), np.full(m, -1.0),
+        np.arange(0, E.size, H.t, dtype=np.int32), E.ravel().astype(np.int32),
+        np.full(E.size, -1.0), np.zeros(n, dtype=np.int32))
+    if status == _core.HighsStatus.kError:  # pragma: no cover - a well-formed model
+        raise VerificationError("HiGHS refused the model")
     highs.run()
     status = highs.getModelStatus()
     if status != _core.HighsModelStatus.kOptimal:  # pragma: no cover - feasible and bounded
         raise VerificationError(f"HiGHS solve failed: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
-    return (highs.getObjectiveValue(), np.array(solution.col_value),
-            -np.array(solution.row_dual))
+    result = (highs.getObjectiveValue(), np.array(solution.col_value),
+              -np.array(solution.row_dual))
+    if reuse:
+        highs.clearModel()
+        _thread.highs = highs
+    return result
 
 
 def _float_values(values):
@@ -345,7 +390,7 @@ def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
     if mode == "exact":
         guard = resolve_limit(size_guard, EXACT_SIZE_GUARD)
     elif mode == "float":
-        guard = resolve_limit(None, FLOAT_SIZE_GUARD)
+        guard = resolve_limit(size_guard, FLOAT_SIZE_GUARD)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     if H.m == 0:
@@ -359,11 +404,12 @@ def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
     if mode == "float" and H.n + H.m * H.t > guard:
         raise ResourceLimitError(f"float LP size n+m*t = {H.n}+{H.m}*{H.t}"
                                  f" = {H.n + H.m * H.t} exceeds limit {guard}")
-    obj, x, y = _highs(H)
     if mode == "float":
+        obj, x, y = _highs(H, reuse=False)
         obj = float(obj)
         return (LPSolution("primal", _float_values(x), obj, "float"),
                 LPSolution("dual", _float_values(y), obj, "float"))
+    _, x, y = _highs(H)
     for step in (_rationalized_pair, _support_pair):
         primal, dual = _exact_pair(*step(H, x, y))
         try:
@@ -413,12 +459,12 @@ def check_complementary_slackness(
     for v, xv in primal.values.items():
         if not 0 <= v < H.n:
             raise ParameterError(f"primal id {v} out of range")
-        if xv < 0:
+        if xv.numerator < 0:
             raise VerificationError(f"vertex {v} has negative weight {xv}")
     for e, ye in dual.values.items():
         if not 0 <= e < H.m:
             raise ParameterError(f"dual id {e} out of range")
-        if ye < 0:
+        if ye.numerator < 0:
             raise VerificationError(f"edge {e} has negative weight {ye}")
 
     # every load is compared in integers scaled by the common denominator D

@@ -223,6 +223,20 @@ def _resolve_gamma(gamma, mode):
     return float(gamma) * (1 - FLOAT_THRESHOLD_SLACK)
 
 
+def _reaching(solution: LPSolution, cut):
+    """Ids whose LP value is at least ``cut``.
+
+    Exact values are compared in integers, ``q >= a/b`` as
+    ``q.numerator * b >= a * q.denominator``: a Fraction comparison costs
+    several times more, and a pass compares every supported vertex.
+    """
+    if solution.mode == "exact":
+        a, b = cut.numerator, cut.denominator
+        return [v for v, q in solution.values.items()
+                if q.numerator * b >= a * q.denominator]
+    return [v for v, value in solution.values.items() if value >= cut]
+
+
 def recursive_threshold(instance, gamma, mode: str = "exact",
                         size_guard=None) -> ThresholdResult:
     """Round LP-heavy vertices into the answer until none remain.
@@ -243,7 +257,7 @@ def recursive_threshold(instance, gamma, mode: str = "exact",
     taken: set[int] = set()
     current = H
     while True:
-        hot = {v for v, value in solution.values.items() if value >= cut}
+        hot = set(_reaching(solution, cut))
         if not hot:
             break
         taken |= hot
@@ -358,8 +372,7 @@ def _threshold_cover(instance, solution: LPSolution) -> CoverResult:
         taken: tuple[int, ...] = ()
     else:
         cut = _resolve_gamma(Fraction(1, H.t), solution.mode)
-        taken = tuple(sorted(
-            v for v, value in solution.values.items() if value >= cut))
+        taken = tuple(sorted(_reaching(solution, cut)))
     if not is_vertex_cover(H, taken):
         raise VerificationError("fallback threshold produced a non-cover")
     return CoverResult(

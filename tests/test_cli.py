@@ -253,6 +253,13 @@ def _refuse(*args, **kwargs):
     (["lp", "vc", "--mode", "float"], "HG 2 100000000 1\n0 1\n", [(lp, "_highs")]),
     (["round", "threshold", "--mode", "float"], "HG 2 100000000 1\n0 1\n", [(lp, "_highs")]),
     (["oracle", "taustar", "--mode", "float"], "HG 2 100000000 1\n0 1\n", [(lp, "_highs")]),
+    # the option sets the float guard too: n + m*t = 7 here
+    (["lp", "vc", "--mode", "float", "--size-guard", "1"], "HG 2 3 2\n0 1\n1 2\n",
+     [(lp, "_highs")]),
+    (["round", "threshold", "--mode", "float", "--size-guard", "1"], "HG 2 3 2\n0 1\n1 2\n",
+     [(lp, "_highs")]),
+    (["oracle", "taustar", "--mode", "float", "--limit", "1"], "HG 2 3 2\n0 1\n1 2\n",
+     [(lp, "_highs")]),
 ])
 def test_unbounded_inputs_exit_4_before_allocating(monkeypatch, capsys, argv, stdin_text,
                                                    patches):

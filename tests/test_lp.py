@@ -1,10 +1,12 @@
 """Exact and float LP solves plus the optimal-pair certificate checks."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -174,6 +176,20 @@ def test_negative_size_guard_rejected(monkeypatch):
     monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "-1")
     with pytest.raises(ParameterError, match="TURANCOVER_SIZE_GUARD"):
         solve_vc_lp(G, mode="exact")
+
+
+def test_size_guard_argument_sets_the_float_guard(monkeypatch):
+    monkeypatch.delenv("TURANCOVER_SIZE_GUARD", raising=False)
+    H = Hypergraph(2, 3, [(0, 1), (1, 2)])  # n + m*t = 7
+    for solve in (solve_vc_lp, solve_matching_lp):
+        with pytest.raises(ResourceLimitError, match="= 7 exceeds limit 6$"):
+            solve(H, mode="float", size_guard=6)
+        assert solve(H, mode="float", size_guard=7).objective == 1
+    # the argument wins over the environment, as in exact mode
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "1")
+    assert solve_vc_lp(H, mode="float", size_guard=7).objective == 1
+    with pytest.raises(ParameterError, match="non-negative"):
+        solve_vc_lp(H, mode="float", size_guard=-1)
 
 
 def test_float_size_guard_counts_columns_and_nonzeros(monkeypatch):
@@ -349,15 +365,158 @@ def test_float_pair_is_feasible_and_complementary():
         assert all(abs(sum(x.get(v, 0.0) for v in H.edges[ei]) - 1) <= 1e-9 for ei in y)
 
 
+@functools.cache
+def _corpus_blow_ups():
+    """Full and pair blow-ups of every corpus base, 200 LPs of varied sizes."""
+    return tuple(blow_up(G, k).hyper for G in _corpus_bases() for k in sorted({G.t - 1, 2}))
+
+
 def test_exact_and_float_objectives_agree_over_the_acceptance_corpus():
-    # full and pair blow-ups of every corpus base; the simplex is left out,
-    # as it takes about 30 s over these 200 blow-ups
-    for G in _corpus_bases():
-        for k in sorted({G.t - 1, 2}):
-            H = blow_up(G, k).hyper
-            certified = solve_vc_lp(H).objective
-            for solve in (solve_vc_lp, solve_matching_lp):
-                assert abs(solve(H, mode="float").objective - certified) <= 1e-9
+    # the simplex is left out, as it takes about 30 s over these 200 blow-ups
+    for H in _corpus_blow_ups():
+        certified = solve_vc_lp(H).objective
+        for solve in (solve_vc_lp, solve_matching_lp):
+            assert abs(solve(H, mode="float").objective - certified) <= 1e-9
+
+
+# --- ladder step 1 against the per-value rationalizer it replaced -----------
+
+
+def _reference_rationalized(values):
+    """The per-value ``limit_denominator`` loop, kept verbatim as the test oracle."""
+    out = {}
+    for i, value in enumerate(values):
+        if value > lp.FLOAT_SUPPORT_TOL:
+            q = Fraction(float(value)).limit_denominator()
+            if q:
+                out[i] = q
+    return out
+
+
+def _assert_rationalized_like_the_oracle(x, y):
+    got = lp._rationalized_pair(None, x, y)
+    expected = (_reference_rationalized(x), _reference_rationalized(y))
+    # equal in value and in id order, with plain int ids
+    assert [list(side.items()) for side in got] == [list(side.items()) for side in expected]
+    assert all(type(i) is int for side in got for i in side)
+
+
+def test_ladder_step1_matches_the_per_value_oracle_over_the_acceptance_corpus():
+    for H in _corpus_blow_ups():
+        _, x, y = lp._highs(H)
+        _assert_rationalized_like_the_oracle(x, y)
+
+
+# repeated values, the support tolerance and its neighbours, values that
+# rationalize to 0 (below 5e-7) or to 1/10**6, near neighbours that
+# rationalize apart or together, and NaN, which is never support
+_SPECIAL_FLOATS = [0.0, -0.0, -0.25, math.nan, 1e-9, math.nextafter(1e-9, 1), 2e-9,
+                   4.9999e-7, 5e-7, 5.0001e-7, 1e-6, 1 / 3, 1 / 3 + 1e-7, 0.3331, 0.3334,
+                   2 / 3, 0.1 + 0.2, 0.3, 1 / 7, 0.5, 0.5 + 1e-7, 1.0, 1 - 1e-12]
+_rationalizer_inputs = st.lists(
+    st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+              st.floats(-1, 2, allow_nan=False), st.floats(0, 1e-5)), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationalizer_inputs, _rationalizer_inputs)
+def test_ladder_step1_matches_the_per_value_oracle(xs, ys):
+    _assert_rationalized_like_the_oracle(np.array(xs, dtype=float), np.array(ys, dtype=float))
+
+
+# --- one HiGHS object per thread in exact mode ------------------------------
+
+
+def _count_highs_objects(monkeypatch):
+    """Record the thread of every ``_Highs`` built, starting with no cached object."""
+    core = lp._highs_core()
+    real = core._Highs
+    made = []
+
+    def counting():
+        made.append(threading.get_ident())
+        return real()
+
+    monkeypatch.setattr(core, "_Highs", counting)
+    monkeypatch.setattr(lp._thread, "highs", None, raising=False)
+    return made
+
+
+def test_exact_solves_share_one_highs_object_per_thread(monkeypatch):
+    made = _count_highs_objects(monkeypatch)
+    instances = _corpus_blow_ups()[:20]
+    for H in instances:
+        lp._solve_pair(H, "exact")
+    assert made == [threading.get_ident()]
+    held = lp._thread.highs
+    for expected, H in enumerate(instances[:3], start=2):
+        lp._solve_pair(H, "float")
+        assert len(made) == expected
+    lp._solve_pair(instances[0], "exact")
+    assert len(made) == 4 and lp._thread.highs is held
+
+
+def test_reused_highs_object_returns_what_fresh_objects_return():
+    # every corpus LP, in both orders, so each follows others of other sizes
+    instances = _corpus_blow_ups()
+    fresh = [lp._highs(H, reuse=False) for H in instances]
+    for order in (range(len(instances)), reversed(range(len(instances)))):
+        for i in order:
+            obj, x, y = lp._highs(instances[i])
+            assert obj == fresh[i][0]
+            assert np.array_equal(x, fresh[i][1]) and np.array_equal(y, fresh[i][2])
+
+
+def test_concurrent_exact_solves_use_one_object_per_thread(monkeypatch):
+    # more threads than the two cores of the benchmark host, half of them in
+    # reverse order, so that solves of different LPs interleave
+    instances = _corpus_blow_ups()[:40]
+    serial = [repr(lp._solve_pair(H, "exact")) for H in instances]
+    made = _count_highs_objects(monkeypatch)
+    start = threading.Barrier(4, timeout=60)
+    found = []
+
+    def solve(order):
+        start.wait()
+        pairs = {i: repr(lp._solve_pair(instances[i], "exact")) for i in order}
+        found.append((threading.get_ident(), lp._thread.highs,
+                      [pairs[i] for i in range(len(instances))]))
+
+    threads = [threading.Thread(target=solve, args=(order,))
+               for order in (range(40), range(39, -1, -1)) * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(made) == sorted(ident for ident, _, _ in found) and len(made) == 4
+    assert len({id(obj) for _, obj, _ in found}) == 4 and lp._thread.highs is None
+    assert all(pairs == serial for _, _, pairs in found)
+
+
+def test_a_solve_after_one_that_raised_still_certifies(monkeypatch):
+    H = _corpus_blow_ups()[7]
+    expected = repr(lp._solve_pair(H, "exact"))
+    core = lp._highs_core()
+    real_run = core._Highs.run
+
+    def crash(self):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(core._Highs, "run", crash)
+    with pytest.raises(RuntimeError, match="solver crashed"):
+        lp._solve_pair(H, "exact")
+    assert lp._thread.highs is None  # the failed object is not reused
+    monkeypatch.setattr(core._Highs, "run", real_run)
+    primal, dual = lp._solve_pair(H, "exact")
+    check_complementary_slackness(primal, dual, H)
+    assert repr((primal, dual)) == expected
+    assert lp._thread.highs is not None
 
 
 # --- the integer certificate against the Fraction checker it replaced -------

@@ -6,9 +6,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turancover import rounding
 from turancover.errors import ParameterError, VerificationError
 from turancover.generators import complete, random_hypergraph
 from turancover.hypergraph import Hypergraph, blow_up, is_vertex_cover
+from turancover.lp import LPSolution
 from turancover.rounding import (
     Coloring,
     RoundingParams,
@@ -25,6 +27,16 @@ from turancover.rounding import (
     t2_cover_blowup,
     two_coloring,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(0, 2, max_denominator=50), max_size=20),
+       st.fractions(Fraction(1, 10**6), Fraction(999_999, 10**6), max_denominator=10**6),
+       st.integers(0, 20))
+def test_exact_threshold_test_in_integers_matches_fraction_comparison(values, cut, tie):
+    values.insert(min(tie, len(values)), cut)  # a value exactly at the cut is taken
+    solution = LPSolution("primal", dict(enumerate(values)), sum(values), "exact")
+    assert rounding._reaching(solution, cut) == [v for v, q in enumerate(values) if q >= cut]
 
 
 def test_child_seed_frozen_values():
