@@ -105,6 +105,12 @@ class _Cursor:
     def fail(self, lineno, message):
         raise ParseError(message, line=lineno)
 
+    def finish(self):
+        """Refuse any meaningful line left over."""
+        if not self.done():
+            lineno, text = self.peek()
+            self.fail(lineno, f"unexpected trailing content '{text}'")
+
 
 def _ints(cursor: _Cursor, lineno: int, tokens, what: str) -> list[int]:
     try:
@@ -304,9 +310,7 @@ def parse_instance(text: str, dedup: bool = False):
     carry trailing cover or matching blocks.
     """
     instance, cursor = _head(text, dedup)
-    if not cursor.done():
-        lineno, text_line = cursor.peek()
-        cursor.fail(lineno, f"unexpected trailing content '{text_line}'")
+    cursor.finish()
     return instance
 
 
@@ -368,9 +372,7 @@ def parse_setsystem(text: str) -> SetSystem:
         if any(not 0 <= e < n for e in members):
             cursor.fail(lineno, "element out of range")
         sets.append(tuple(members))
-    if not cursor.done():
-        lineno, line = cursor.peek()
-        cursor.fail(lineno, f"unexpected trailing content '{line}'")
+    cursor.finish()
     return SetSystem(n, sets)
 
 
@@ -419,9 +421,7 @@ def parse_lp_solution(text: str, kind: str = "primal") -> LPSolution:
             if len(tokens) != 2:
                 cursor.fail(lineno, "OBJ line takes exactly one value")
             objective = _parse_value(cursor, lineno, tokens[1])
-            if not cursor.done():
-                nxt_line, nxt = cursor.peek()
-                cursor.fail(nxt_line, f"unexpected trailing content '{nxt}'")
+            cursor.finish()
             break
         if len(tokens) != 2:
             cursor.fail(lineno, "expected '<id> <value>'")
@@ -501,9 +501,7 @@ def _parse_cover_block(cursor: _Cursor) -> CoverResult:
 def parse_cover(text: str) -> CoverResult:
     cursor = _Cursor(text)
     result = _parse_cover_block(cursor)
-    if not cursor.done():
-        lineno, line = cursor.peek()
-        cursor.fail(lineno, f"unexpected trailing content '{line}'")
+    cursor.finish()
     return result
 
 
@@ -526,9 +524,7 @@ def _parse_matching_block(cursor: _Cursor):
 def parse_matching(text: str):
     cursor = _Cursor(text)
     ids = _parse_matching_block(cursor)
-    if not cursor.done():
-        lineno, line = cursor.peek()
-        cursor.fail(lineno, f"unexpected trailing content '{line}'")
+    cursor.finish()
     return ids
 
 

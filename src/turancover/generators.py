@@ -81,6 +81,7 @@ def f_free_random(n: int, t: int, family, p=None, seed: int = 0) -> Hypergraph:
     family = list(family)
     if not family:
         raise ParameterError("need at least one pattern to exclude")
+    _check_candidates(n, t)  # before n ** (-1/rho), which fails for n <= 0
     if p is None:
         density = min(rho(F) for F in family)
         p = float(n) ** (-1 / float(density))

@@ -24,12 +24,11 @@ turns them into an exact rational pair through a fixed ladder:
 
 1. rationalize each value with ``Fraction.limit_denominator``, once
    per distinct float;
-2. failing that, re-solve the support systems exactly over the
-   integers by fraction-free (Bareiss) elimination: ``A[T,S] x_S = 1``
-   over the edges whose covering constraint is tight and
-   ``A[T,S]^T y_T = 1`` over the vertices whose matching constraint is
-   tight, where S and T are the float supports; columns that do not
-   pivot (degenerate supports) are set to zero;
+2. failing that, solve the system of HiGHS's optimal basis exactly
+   over the integers by fraction-free (Bareiss) elimination: with S the
+   basic columns and T the rows whose slack is nonbasic (|S| = |T|),
+   ``A[T,S] x_S = 1`` and ``A[T,S]^T y_T = 1``, square and nonsingular,
+   so no float value or tolerance enters;
 3. failing that, run the rational simplex below.
 
 A pair is returned only once ``check_complementary_slackness`` accepts
@@ -217,9 +216,9 @@ def _solve_ones(matrix, ncols):
     """Exact z with ``matrix @ z = 1`` for a list of integer rows.
 
     Fraction-free (Bareiss) forward elimination with row swaps, so every
-    intermediate entry is an integer minor; a column with no pivot gets
-    z = 0.  Rows left without a pivot are not checked: the caller's
-    certificate rejects an inconsistent system.
+    intermediate entry is an integer minor.  A basis system is square and
+    nonsingular, so every column pivots; a column without a pivot would
+    get z = 0, for the caller's certificate to reject.
     """
     rows = [list(row) + [1] for row in matrix]
     pivots = []
@@ -247,21 +246,20 @@ def _solve_ones(matrix, ncols):
     return z
 
 
-def _support_pair(H: Hypergraph, x, y):
-    """Ladder step 2: re-solve the float supports' tight systems exactly."""
-    tol = FLOAT_SUPPORT_TOL
-    S = [v for v in range(H.n) if x[v] > tol]
-    T = [e for e in range(H.m) if y[e] > tol]
-    members = [set(e) for e in H.edges]
-    tight_edges = [ei for ei, e in enumerate(H.edges)
-                   if abs(sum(x[v] for v in e) - 1) <= tol]
-    vertex_load = [0.0] * H.n
-    for ei in T:
-        for v in H.edges[ei]:
-            vertex_load[v] += y[ei]
-    tight_vertices = [v for v in range(H.n) if abs(vertex_load[v] - 1) <= tol]
-    xs = _solve_ones([[int(v in members[ei]) for v in S] for ei in tight_edges], len(S))
-    ys = _solve_ones([[int(v in members[ei]) for ei in T] for v in tight_vertices], len(T))
+def _basis_pair(H: Hypergraph, basis):
+    """Ladder step 2: solve the square system of HiGHS's optimal basis exactly.
+
+    S is the basic columns and T the rows whose slack is nonbasic, so
+    |S| = |T| and ``A[T,S]`` is the basis matrix with its slack columns
+    and their rows struck out, nonsingular like it: ``A[T,S] x_S = 1``
+    and ``A[T,S]^T y_T = 1`` each have one solution.
+    """
+    basic = _highs_core().HighsBasisStatus.kBasic
+    S = [v for v, status in enumerate(basis.col_status) if status == basic]
+    T = [ei for ei, status in enumerate(basis.row_status) if status != basic]
+    rows = [[int(v in e) for v in S] for e in (set(H.edges[ei]) for ei in T)]
+    xs = _solve_ones(rows, len(S))
+    ys = _solve_ones(list(zip(*rows)), len(T))
     return ({v: q for v, q in zip(S, xs) if q},
             {ei: q for ei, q in zip(T, ys) if q})
 
@@ -334,9 +332,11 @@ def _highs(H: Hypergraph, reuse: bool = True):
     through the binding's array form of ``passModel`` (HiGHS's index type
     is int32; the zero integrality marks every column continuous), about
     15 us against 45 us for filling a ``HighsLp``, with the same results
-    bit for bit.  Returns the optimal value, the primal x and the negated
-    row duals y (H has edges); y is an optimal matching, so this one
-    layout serves both sides in both modes.
+    bit for bit.  Returns the optimal value, the primal x, the negated
+    row duals y (H has edges) and the optimal basis; y is an optimal
+    matching, so this one layout serves both sides in both modes.  The
+    basis is a copy, which ``clearModel`` leaves intact; only ladder
+    step 2 reads it.
 
     With ``reuse`` the solve runs on this thread's HiGHS object, emptied
     by ``clearModel`` once the solution is read; building one costs
@@ -372,7 +372,7 @@ def _highs(H: Hypergraph, reuse: bool = True):
         raise VerificationError(f"HiGHS solve failed: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     result = (highs.getObjectiveValue(), np.array(solution.col_value),
-              -np.array(solution.row_dual))
+              -np.array(solution.row_dual), highs.getBasis())
     if reuse:
         highs.clearModel()
         _thread.highs = highs
@@ -405,13 +405,13 @@ def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
         raise ResourceLimitError(f"float LP size n+m*t = {H.n}+{H.m}*{H.t}"
                                  f" = {H.n + H.m * H.t} exceeds limit {guard}")
     if mode == "float":
-        obj, x, y = _highs(H, reuse=False)
+        obj, x, y, _ = _highs(H, reuse=False)
         obj = float(obj)
         return (LPSolution("primal", _float_values(x), obj, "float"),
                 LPSolution("dual", _float_values(y), obj, "float"))
-    _, x, y = _highs(H)
-    for step in (_rationalized_pair, _support_pair):
-        primal, dual = _exact_pair(*step(H, x, y))
+    _, x, y, basis = _highs(H)
+    for step in (lambda: _rationalized_pair(H, x, y), lambda: _basis_pair(H, basis)):
+        primal, dual = _exact_pair(*step())
         try:
             check_complementary_slackness(primal, dual, H)
         except VerificationError:

@@ -199,6 +199,15 @@ def test_parameter_error_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_ffree_without_enough_vertices_exits_3(capsys, n):
+    # the default edge probability n ** (-1/rho) has no value for these n
+    assert cli.main(["gen", "ffree", "--n", n, "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parameter error: need at least 3 vertices, got {n}\n"
+
+
 def test_strict_mode_requires_seed():
     code, _, err = run(["--strict", "gen", "random", "--n", "6", "--t", "3", "--p", "0.5"])
     assert code == 3

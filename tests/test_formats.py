@@ -97,6 +97,27 @@ def test_parse_rejects_trailing_garbage():
         parse_instance("HG 3 3 1\n0 1 2\nextra stuff\n")
 
 
+_ARRAY_SIZED = serialize_hypergraph(random_hypergraph(12, 4, 0.5, seed=1))
+_COVER = ("COVER 2\n0\n3\nBREAKDOWN U= SPRIME= PARITY=0,3\n"
+          "LP OPT=- RESIDUAL=-\nSEED 5 TRIAL -\n")
+
+
+@pytest.mark.parametrize("parse, text, line, content", [
+    (parse_instance, "HG 3 3 1\n0 1 2\n# c\n\nextra stuff\n", 5, "extra stuff"),
+    # long enough for the array path, which hands over a cursor at its line
+    (parse_instance, _ARRAY_SIZED + "# c\n  7 8\n", _ARRAY_SIZED.count("\n") + 2, "7 8"),
+    (parse_setsystem, "SS 4 1\n2 0 1\nSS\n", 3, "SS"),
+    (parse_lp_solution, "0 1/2\nOBJ 1/2\n\n1 1/2\n", 4, "1 1/2"),
+    (parse_cover, _COVER + "MATCHING 0\n", 7, "MATCHING 0"),
+    (parse_matching, "MATCHING 1\n0\n1\n", 3, "1"),
+], ids=["instance", "instance-array-path", "setsystem", "lp-solution", "cover", "matching"])
+def test_trailing_content_is_reported_with_its_line(parse, text, line, content):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: unexpected trailing content '{content}'"
+
+
 def test_parse_rejects_edge_count_mismatch():
     with pytest.raises(ParseError):
         parse_instance("HG 3 4 2\n0 1 2\n")

@@ -24,6 +24,7 @@ from turancover.lp import (
     solve_matching_lp,
     solve_vc_lp,
 )
+from turancover.rounding import t2_cover_blowup
 
 
 def test_single_edge_optimum_is_one():
@@ -244,30 +245,62 @@ def test_ladder_step1_rationalizes_a_corpus_instance(monkeypatch):
     # acceptance-corpus instance 5: t = 8, n = 11, about 23 base edges
     G = random_hypergraph(11, 8, 23 / math.comb(11, 8), seed=31_005)
     H = blow_up(G, 7).hyper
-    _forbid(monkeypatch, "_support_pair")
+    _forbid(monkeypatch, "_basis_pair")
     _forbid(monkeypatch, "_simplex_pair")
     assert _assert_certified(H).objective > 0
 
 
+# LPs whose rounded pair fails its certificate: (base n, t, p, seed, k), with
+# (n, m) of the blow-up; the first optimum has denominators past 10**6
+_STEP2_INSTANCES = [
+    ((10, 6, 0.45, 40_000, 5), (243, 98)),
+    ((10, 5, 0.2, 50_012, 2), (45, 57)),
+    ((11, 7, 0.2, 50_009, 2), (55, 68)),
+    ((11, 6, 0.2, 50_033, 2), (55, 101)),
+    ((10, 5, 0.5, 50_032, 4), (207, 123)),
+]
+
+
 def test_ladder_step2_solves_the_support_exactly(monkeypatch):
-    # a 243x98 LP whose optimum has denominators past the rationalizer's 10**6
-    H = blow_up(random_hypergraph(10, 6, 0.45, 40_000), 5).hyper
-    assert (H.n, H.m) == (243, 98)
-    _, x, y = lp._highs(H)
-    rounded = lp._exact_pair(*lp._rationalized_pair(H, x, y))
-    with pytest.raises(VerificationError):
-        check_complementary_slackness(*rounded, H)
-    calls = _spy(monkeypatch, "_support_pair")
+    calls = _spy(monkeypatch, "_basis_pair")
     _forbid(monkeypatch, "_simplex_pair")
-    primal = _assert_certified(H)
-    assert len(calls) == 1
-    assert primal.objective.denominator > 10**6
+    basic = lp._highs_core().HighsBasisStatus.kBasic
+    objectives = []
+    for expected, ((n, t, p, seed, k), shape) in enumerate(_STEP2_INSTANCES, start=1):
+        H = blow_up(random_hypergraph(n, t, p, seed), k).hyper
+        assert (H.n, H.m) == shape
+        _, x, y, basis = lp._highs(H)
+        # the basis system is square: one basic column per tight row
+        assert (sum(s == basic for s in basis.col_status)
+                == sum(s != basic for s in basis.row_status))
+        rounded = lp._exact_pair(*lp._rationalized_pair(H, x, y))
+        with pytest.raises(VerificationError):
+            check_complementary_slackness(*rounded, H)
+        objectives.append(_assert_certified(H).objective)
+        assert len(calls) == expected
+        assert abs(solve_vc_lp(H, mode="float").objective - objectives[-1]) <= 1e-9
+    assert objectives[0].denominator > 10**6
+
+
+def test_ladder_step2_certifies_a_float_pairs_blow_up_in_seconds(monkeypatch):
+    # the pair blow-up of a dense 8-uniform float_pairs base: step 1 fails on
+    # its dual, whose denominators run to hundreds of bits
+    B = blow_up(random_hypergraph(20, 8, 0.03, 1), 2)
+    assert (B.hyper.n, B.hyper.m) == (190, 3836)
+    calls = _spy(monkeypatch, "_basis_pair")
+    _forbid(monkeypatch, "_simplex_pair")
+    exact = t2_cover_blowup(B, seed=3, trials=2, mode="exact", size_guard=10**6)
+    assert exact.lp_opt == Fraction(95, 14) and calls
+    fl = t2_cover_blowup(B, seed=3, trials=2, mode="float")
+    assert abs(fl.lp_opt - exact.lp_opt) <= 1e-9
 
 
 def _force_step3(monkeypatch, H):
-    """Certify H with HiGHS patched to zero vectors, which fail steps 1 and 2."""
+    """Certify H with HiGHS patched to zero vectors and an empty basis, which
+    fail steps 1 and 2."""
     reference = solve_vc_lp(H).objective
-    monkeypatch.setattr(lp, "_highs", lambda H: (0.0, np.zeros(H.n), np.zeros(H.m)))
+    empty = lp._highs_core().HighsBasis()
+    monkeypatch.setattr(lp, "_highs", lambda H: (0.0, np.zeros(H.n), np.zeros(H.m), empty))
     calls = _spy(monkeypatch, "_simplex_pair")
     assert _assert_certified(H).objective == reference
     assert len(calls) == 1
@@ -403,7 +436,7 @@ def _assert_rationalized_like_the_oracle(x, y):
 
 def test_ladder_step1_matches_the_per_value_oracle_over_the_acceptance_corpus():
     for H in _corpus_blow_ups():
-        _, x, y = lp._highs(H)
+        _, x, y, _ = lp._highs(H)
         _assert_rationalized_like_the_oracle(x, y)
 
 
@@ -462,9 +495,11 @@ def test_reused_highs_object_returns_what_fresh_objects_return():
     fresh = [lp._highs(H, reuse=False) for H in instances]
     for order in (range(len(instances)), reversed(range(len(instances)))):
         for i in order:
-            obj, x, y = lp._highs(instances[i])
+            obj, x, y, basis = lp._highs(instances[i])
             assert obj == fresh[i][0]
             assert np.array_equal(x, fresh[i][1]) and np.array_equal(y, fresh[i][2])
+            assert basis.col_status == fresh[i][3].col_status
+            assert basis.row_status == fresh[i][3].row_status
 
 
 def test_concurrent_exact_solves_use_one_object_per_thread(monkeypatch):
@@ -645,7 +680,7 @@ def test_direct_highs_call_matches_linprog_bit_for_bit():
         A = sparse.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.t)),
                               shape=(H.m, H.n))
         ref = linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds")
-        obj, x, y = lp._highs(H)
+        obj, x, y, _ = lp._highs(H)
         assert obj == ref.fun
         assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
 
@@ -682,7 +717,7 @@ def test_linprog_after_a_solve_shares_the_binding_bit_for_bit():
         from turancover.hypergraph import blow_up
 
         H = blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper
-        obj, x, y = lp._highs(H)
+        obj, x, y, _ = lp._highs(H)
         core = lp._highs_core()
         assert "scipy.optimize" not in sys.modules
         from scipy.optimize import linprog
