@@ -22,8 +22,9 @@ process that nothing here uses.  Both sides are read off that one
 solve: the primal x and the dual y (the negated row duals).  Exact mode
 turns them into an exact rational pair through a fixed ladder:
 
-1. rationalize each value with ``Fraction.limit_denominator``, once
-   per distinct float;
+1. rationalize each value to the nearest fraction with denominator up
+   to 10**6 (what ``Fraction.limit_denominator`` returns, found by an
+   integer continued fraction), once per distinct float;
 2. failing that, solve the system of HiGHS's optimal basis exactly
    over the integers by fraction-free (Bareiss) elimination: with S the
    basic columns and T the rows whose slack is nonbasic (|S| = |T|),
@@ -54,6 +55,20 @@ memory that ``clearModel`` does not hand back, which raised the float
 benchmarks' peak RSS by 6-17 % (``BENCH_10.json``); exact LPs are
 small by ``EXACT_SIZE_GUARD``, so what their object holds on to stays
 small.
+
+Exact solves also skip HiGHS's presolve, about half of its time on the
+benchmark's corpus LPs, and make the one reduction that matters for
+full blow-ups themselves: a vertex of degree 1 that shares its edge e
+with a vertex k left free gets upper bound 0 (``_dominated``).  This
+is sound.  Moving x_j onto x_k keeps every row covered at the same
+cost, so the optimum is unchanged.  On the dual side, the reduced LP's
+optimum has load(k) <= 1 because x_k is free, and j's only load is
+y_e <= load(k), so its y is a matching of H itself.  And whatever HiGHS
+returns, ``check_complementary_slackness`` checks the pair against the
+unreduced H.  Presolve off alone moves the optimal vertex and makes
+covers larger; with the fixing they come out slightly smaller
+(``BENCH_12.json``).  Float mode keeps presolve: without it, full
+blow-ups of about 3000x900 solve 1.15x slower in the median.
 
 Float mode returns HiGHS's values as they are, both sides with the
 solve's objective.  Support membership then uses a 1e-9 tolerance and
@@ -187,6 +202,38 @@ def _simplex_pair(H: Hypergraph):
     return x, y
 
 
+_MAX_DENOMINATOR = 10**6
+
+
+def _nearest_fraction(value: float) -> Fraction:
+    """``Fraction(value).limit_denominator()``, in integers.
+
+    The continued fraction of N/D = ``value.as_integer_ratio()`` runs
+    until the next convergent's denominator passes 10**6; the answer is
+    the last convergent p1/q1 or the semiconvergent pb/qb below the bound,
+    whichever is nearer to N/D, ties to p1/q1, as ``limit_denominator``
+    decides them.  Its Fraction arithmetic cost more than HiGHS's solve on
+    LPs with many distinct values.
+    """
+    N, D = value.as_integer_ratio()
+    if D <= _MAX_DENOMINATOR:
+        return Fraction(N, D)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = N, D
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > _MAX_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (_MAX_DENOMINATOR - q0) // q1
+    pb, qb = p0 + k * p1, q0 + k * q1
+    if abs(p1 * D - N * q1) * qb <= abs(pb * D - N * qb) * q1:
+        return Fraction(p1, q1)
+    return Fraction(pb, qb)
+
+
 def _rationalized_pair(H: Hypergraph, x, y):
     """Ladder step 1: the nearest fractions with denominators up to 10**6.
 
@@ -204,7 +251,7 @@ def _rationalized_pair(H: Hypergraph, x, y):
         for i, value in zip(support.tolist(), values[support].tolist()):
             q = memo.get(value)
             if q is None:
-                q = memo[value] = Fraction(value).limit_denominator()
+                q = memo[value] = _nearest_fraction(value)
             if q:
                 out[i] = q
         return out
@@ -319,7 +366,26 @@ def _highs_core():
 _thread = threading.local()
 
 
-def _highs(H: Hypergraph, reuse: bool = True):
+def _dominated(H: Hypergraph):
+    """Ids of the vertices exact mode fixes at 0: each has degree 1 and
+    shares its one edge with a free vertex.
+
+    In an edge that also holds a vertex of degree >= 2 every degree-1
+    vertex is fixed; in an edge whose vertices all have degree 1, all but
+    the lowest id (``edge_array`` rows are sorted).  A dominated-column
+    rule in the sense of Andersen and Andersen (Math. Programming 71,
+    1995); the module docstring says why it is sound.
+    """
+    import numpy as np
+
+    E = H.edge_array
+    degree = np.bincount(E.ravel(), minlength=H.n)[E]
+    once = degree == 1
+    once[(degree == 1).all(axis=1), 0] = False
+    return E[once]
+
+
+def _highs(H: Hypergraph, exact: bool = True):
     """One HiGHS dual-simplex solve of the covering program, through the
     binding bundled with scipy, loaded by ``_highs_core`` so that
     ``scipy.optimize`` itself is never imported.
@@ -338,30 +404,40 @@ def _highs(H: Hypergraph, reuse: bool = True):
     basis is a copy, which ``clearModel`` leaves intact; only ladder
     step 2 reads it.
 
-    With ``reuse`` the solve runs on this thread's HiGHS object, emptied
-    by ``clearModel`` once the solution is read; building one costs
-    about 0.1 ms, a tenth of a certified corpus LP.  The object is taken
-    off the thread while it solves, so a solve that raises leaves none
-    behind and the next one builds a fresh object.  Float mode passes
-    ``reuse=False``: a reused object keeps memory that ``clearModel``
-    does not return, which raised the float benchmarks' peak RSS by
-    6-17 %, while exact LPs are small by ``EXACT_SIZE_GUARD``.
+    ``exact`` selects exact mode's configuration.  The solve runs on this
+    thread's HiGHS object, emptied by ``clearModel`` once the solution is
+    read; building one costs about 0.1 ms, a tenth of a certified corpus
+    LP.  The object is taken off the thread while it solves, so a solve
+    that raises leaves none behind and the next one builds a fresh
+    object.  Its presolve is off, which about halves HiGHS's ``run`` on
+    the benchmark's corpus LPs, and the ``_dominated`` vertices get upper
+    bound 0, which keeps covers from growing (module docstring).  Float
+    mode (``exact=False``) builds a fresh object with HiGHS's defaults:
+    a reused object keeps memory that ``clearModel`` does not return,
+    which raised the float benchmarks' peak RSS by 6-17 %, while exact
+    LPs are small by ``EXACT_SIZE_GUARD``; and presolve pays off on
+    large full blow-ups.
     """
     import numpy as np
 
     _core = _highs_core()
 
-    highs = getattr(_thread, "highs", None) if reuse else None
+    highs = getattr(_thread, "highs", None) if exact else None
     if highs is None:
         highs = _core._Highs()
         highs.setOptionValue("output_flag", False)
+        if exact:
+            highs.setOptionValue("presolve", "off")
     else:
         _thread.highs = None
     E = H.edge_array
     n, m = H.n, H.m
+    upper = np.full(n, np.inf)
+    if exact:
+        upper[_dominated(H)] = 0.0
     status = highs.passModel(
         n, m, E.size, int(_core.MatrixFormat.kRowwise), int(_core.ObjSense.kMinimize), 0.0,
-        np.ones(n), np.zeros(n), np.full(n, np.inf), np.full(m, -np.inf), np.full(m, -1.0),
+        np.ones(n), np.zeros(n), upper, np.full(m, -np.inf), np.full(m, -1.0),
         np.arange(0, E.size, H.t, dtype=np.int32), E.ravel().astype(np.int32),
         np.full(E.size, -1.0), np.zeros(n, dtype=np.int32))
     if status == _core.HighsStatus.kError:  # pragma: no cover - a well-formed model
@@ -373,7 +449,7 @@ def _highs(H: Hypergraph, reuse: bool = True):
     solution = highs.getSolution()
     result = (highs.getObjectiveValue(), np.array(solution.col_value),
               -np.array(solution.row_dual), highs.getBasis())
-    if reuse:
+    if exact:
         highs.clearModel()
         _thread.highs = highs
     return result
@@ -405,7 +481,7 @@ def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
         raise ResourceLimitError(f"float LP size n+m*t = {H.n}+{H.m}*{H.t}"
                                  f" = {H.n + H.m * H.t} exceeds limit {guard}")
     if mode == "float":
-        obj, x, y, _ = _highs(H, reuse=False)
+        obj, x, y, _ = _highs(H, exact=False)
         obj = float(obj)
         return (LPSolution("primal", _float_values(x), obj, "float"),
                 LPSolution("dual", _float_values(y), obj, "float"))

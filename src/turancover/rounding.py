@@ -322,17 +322,23 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
     Trial i two-colors the base vertices with child seed i, ``finish``
     turns that coloring into the trial's classes, and the trial's cover
     is ``forced`` plus their union.  With an empty support every trial
-    gives the same cover, so one is run.  Trials are built and verified
-    in chunks of 64, one batched ``first_non_cover`` pass per chunk, so
-    memory does not grow with ``trials``; the lowest failing trial
-    raises.  Returns (trial, cover, classes) for the smallest cover,
-    ties to the lowest trial index.
+    gives ``forced`` and empty classes, so no coloring is drawn: the
+    empty coloring goes to ``finish``, which reads colors only of
+    support vertices, and the result is trial 0.  Trials are built and
+    verified in chunks of 64, one batched ``first_non_cover`` pass per
+    chunk, so memory does not grow with ``trials``; the lowest failing
+    trial raises.  Returns (trial, cover, classes) for the smallest
+    cover, ties to the lowest trial index.
     """
+    if not support:
+        cover = tuple(sorted(forced))
+        if first_non_cover(B.hyper, [cover]) is not None:
+            raise VerificationError(f"{context} trial 0 produced a non-cover")
+        return 0, cover, finish(Coloring((), 2, child_seed(seed, 0)))
     best = None
-    count = trials if support else 1
-    for start in range(0, count, _TRIAL_CHUNK):
+    for start in range(0, trials, _TRIAL_CHUNK):
         runs = []
-        for trial in range(start, min(start + _TRIAL_CHUNK, count)):
+        for trial in range(start, min(start + _TRIAL_CHUNK, trials)):
             classes = finish(two_coloring(B.base_n, child_seed(seed, trial)))
             runs.append((tuple(sorted(forced.union(*classes))), classes))
         bad = first_non_cover(B.hyper, [cover for cover, _ in runs])
@@ -408,7 +414,8 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     by the best of ``params.trials`` independent parity/discrepancy
     trials (ties keep the lowest trial index).  Every trial produces a
     valid cover, so the randomness only affects the size; with an empty
-    residual support every trial gives the same cover and one is run.
+    residual support every trial gives the same cover, so no coloring
+    is drawn and the result is trial 0.
     The trivial uniformity-threshold cover is always read off the same
     root LP solution as well and wins when strictly smaller; both sizes
     are recorded on the result.  More than ``TRIALS_GUARD`` trials are

@@ -86,6 +86,7 @@ def rounding_suite():
             "lp_opt_residual": thr.lp_opt_residual,
             "trials": params.trials,
             "invalid_trials": invalid,
+            "support": len(support),
         })
     return {"records": records, "build_seconds": time.monotonic() - t0}
 
@@ -124,9 +125,14 @@ def test_criterion_03_every_rounding_trial_is_a_cover(rounding_suite):
     assert all(rec["trials"] >= 100 for rec in records)
     assert sum(rec["invalid_trials"] for rec in records) == 0
     assert rounding_suite["build_seconds"] < 300
+    # with t <= 67 at the default threshold every residual is edgeless, so
+    # these trials only ever see an empty support (ROADMAP item 2)
+    assert sum(1 for rec in records if rec["support"]) == 0
 
 
 def test_criterion_04_threshold_accounting_is_exact(rounding_suite):
+    # every residual is empty here, so the final objective is 0 throughout
+    assert sum(1 for rec in rounding_suite["records"] if rec["support"]) == 0
     for rec in rounding_suite["records"]:
         gv = rec["params"].gamma_value
         gamma_rat = Fraction(math.floor(gv * GAMMA_DENOMINATOR), GAMMA_DENOMINATOR)
@@ -177,6 +183,7 @@ def test_criterion_05_discrepancy_set_shrinks_residual_support():
 
 def test_criterion_06_large_instance_mean_output_size():
     start = time.monotonic()
+    supported = 0
     for inst_seed, root in ((424_242, 606), (515_151, 707)):
         rng = random.Random(inst_seed)
         edge_set = set()
@@ -187,6 +194,7 @@ def test_criterion_06_large_instance_mean_output_size():
         params = RoundingParams(t=100, seed=root, trials=1)
         thr = recursive_threshold(B.hyper, params.gamma_value, mode="float")
         support = thr.solution.support
+        supported += bool(support)
         forced = set(thr.thresholded)
         sizes = []
         for i in range(200):
@@ -198,6 +206,8 @@ def test_criterion_06_large_instance_mean_output_size():
         mean = statistics.fmean(sizes)
         se = statistics.stdev(sizes) / math.sqrt(len(sizes))
         assert mean <= params.t_prime * thr.lp_opt + 3 * se
+    # t = 100 > 67, yet both vertex optima leave an empty residual support
+    assert supported == 0
     assert time.monotonic() - start < 600
 
 

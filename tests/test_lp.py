@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -489,10 +490,14 @@ def test_exact_solves_share_one_highs_object_per_thread(monkeypatch):
     assert len(made) == 4 and lp._thread.highs is held
 
 
-def test_reused_highs_object_returns_what_fresh_objects_return():
-    # every corpus LP, in both orders, so each follows others of other sizes
+def test_reused_highs_object_returns_what_fresh_objects_return(monkeypatch):
+    # every corpus LP, in both orders, so each follows others of other sizes;
+    # the reference is a fresh object of the exact configuration per LP
     instances = _corpus_blow_ups()
-    fresh = [lp._highs(H, reuse=False) for H in instances]
+    fresh = []
+    for H in instances:
+        monkeypatch.setattr(lp._thread, "highs", None, raising=False)
+        fresh.append(lp._highs(H))
     for order in (range(len(instances)), reversed(range(len(instances)))):
         for i in order:
             obj, x, y, basis = lp._highs(instances[i])
@@ -552,6 +557,51 @@ def test_a_solve_after_one_that_raised_still_certifies(monkeypatch):
     check_complementary_slackness(primal, dual, H)
     assert repr((primal, dual)) == expected
     assert lp._thread.highs is not None
+
+
+# --- exact mode fixes dominated vertices at 0 -------------------------------
+
+
+def _reference_dominated(H):
+    """The fixing rule as a loop over the edges, kept as the test oracle."""
+    degree = Counter(v for e in H.edges for v in e)
+    fixed = set()
+    for e in H.edges:
+        once = [v for v in e if degree[v] == 1]
+        fixed.update(once[1:] if len(once) == len(e) else once)
+    return fixed
+
+
+def _with_isolated_edge(H):
+    return Hypergraph(H.t, H.n + H.t, [*H.edges, tuple(range(H.n, H.n + H.t))])
+
+
+def test_dominated_vertices_are_fixed_at_zero_over_the_acceptance_corpus():
+    for H in _corpus_blow_ups():
+        fixed = lp._dominated(H)
+        assert sorted(fixed.tolist()) == sorted(_reference_dominated(H))
+        _, x, _, _ = lp._highs(H)
+        assert not x[fixed].any()
+        assert set(solve_vc_lp(H).values).isdisjoint(fixed.tolist())
+
+
+def test_an_edge_of_degree_one_vertices_keeps_its_lowest_id_free():
+    H = Hypergraph(3, 8, [(0, 1, 2), (0, 3, 4), (5, 6, 7)])
+    assert lp._dominated(H).tolist() == [1, 2, 3, 4, 6, 7]
+    assert solve_vc_lp(H).values == {0: 1, 5: 1}
+    B = blow_up(random_hypergraph(9, 4, 0.3, seed=2), 3).hyper
+    H = _with_isolated_edge(B)
+    assert set(lp._dominated(H).tolist()) & set(range(B.n, H.n)) == set(range(B.n + 1, H.n))
+    assert solve_vc_lp(H).objective == solve_vc_lp(B).objective + 1
+
+
+def test_fixed_optimum_equals_the_presolved_float_optimum():
+    B = blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper
+    for H in (B, _with_isolated_edge(B)):
+        assert len(lp._dominated(H)) >= 339
+        primal, dual = lp._solve_pair(H, "exact", 10**6)
+        check_complementary_slackness(primal, dual, H)
+        assert abs(solve_vc_lp(H, mode="float").objective - primal.objective) <= 1e-9
 
 
 # --- the integer certificate against the Fraction checker it replaced -------
@@ -668,21 +718,44 @@ def test_overload_is_reported_in_order_of_first_incidence():
     assert _outcome(check_complementary_slackness, primal, dual, H) == expected
 
 
-def test_direct_highs_call_matches_linprog_bit_for_bit():
-    # scipy's linprog is the reference for the model handed to HiGHS.  HiGHS
-    # is not invariant under negating rows, and the 842x324 blow-up here
-    # returns other last bits if the covering rows go in as 1 <= A x.
+def _linprog_reference(H, exact):
+    """scipy's linprog on the covering program in the configuration of ``_highs``:
+    its defaults for float mode; presolve off and the dominated vertices'
+    upper bounds 0 for exact mode."""
     from scipy import sparse
     from scipy.optimize import linprog
 
+    E = H.edge_array
+    A = sparse.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.t)),
+                          shape=(H.m, H.n))
+    if not exact:
+        return linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds")
+    upper = np.full(H.n, np.inf)
+    upper[lp._dominated(H)] = 0
+    return linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds",
+                   bounds=np.column_stack([np.zeros(H.n), upper]), options={"presolve": False})
+
+
+def _assert_matches_linprog(H, exact):
+    ref = _linprog_reference(H, exact)
+    obj, x, y, _ = lp._highs(H, exact=exact)
+    assert obj == ref.fun
+    assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
+
+
+def test_direct_highs_call_matches_linprog_bit_for_bit():
+    # scipy's linprog with its defaults is the reference for the float
+    # configuration.  HiGHS is not invariant under negating rows, and the
+    # 842x324 blow-up here returns other last bits if the covering rows go in
+    # as 1 <= A x.
     for H in (complete(5, 3), blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper):
-        E = H.edge_array
-        A = sparse.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.t)),
-                              shape=(H.m, H.n))
-        ref = linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds")
-        obj, x, y, _ = lp._highs(H)
-        assert obj == ref.fun
-        assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
+        _assert_matches_linprog(H, exact=False)
+
+
+def test_exact_highs_call_matches_linprog_without_presolve_bit_for_bit():
+    # the 842x324 blow-up has 339 dominated vertices; complete(5, 3) has none
+    for H in (complete(5, 3), blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper):
+        _assert_matches_linprog(H, exact=True)
 
 
 # ------------------------------------------------ the HiGHS binding, loaded on its own
@@ -707,7 +780,8 @@ def test_binding_imported_through_scipy_optimize_first_is_reused():
 
 
 def test_linprog_after_a_solve_shares_the_binding_bit_for_bit():
-    # linprog then imports scipy.optimize, which finds the binding lp registered
+    # linprog then imports scipy.optimize, which finds the binding lp registered;
+    # each configuration is compared as in _linprog_reference
     assert _fresh("""
         import sys
         import numpy as np
@@ -717,16 +791,23 @@ def test_linprog_after_a_solve_shares_the_binding_bit_for_bit():
         from turancover.hypergraph import blow_up
 
         H = blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper
-        obj, x, y, _ = lp._highs(H)
+        solved = {exact: lp._highs(H, exact=exact) for exact in (True, False)}
         core = lp._highs_core()
         assert "scipy.optimize" not in sys.modules
         from scipy.optimize import linprog
         E = H.edge_array
         A = sparse.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.t)),
                               shape=(H.m, H.n))
-        ref = linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds")
-        assert obj == ref.fun
-        assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
+        upper = np.full(H.n, np.inf)
+        upper[lp._dominated(H)] = 0
+        options = {True: dict(bounds=np.column_stack([np.zeros(H.n), upper]),
+                              options={"presolve": False}),
+                   False: {}}
+        for exact, (obj, x, y, _) in solved.items():
+            ref = linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds",
+                          **options[exact])
+            assert obj == ref.fun
+            assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
         print(sys.modules["scipy.optimize._highspy._core"] is core)
     """) == "True\n"
 

@@ -1,5 +1,6 @@
 """Tests for the LP threshold loop, color trials, and the cover producers."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -189,13 +190,13 @@ def test_ahtp_cover_records_both_candidate_sizes():
 
 
 def test_ahtp_cover_returns_the_fallback_when_it_is_smaller():
-    # acceptance-corpus base 1: the rounding takes 9 vertices, the trivial
-    # threshold cover of the same root LP solution 8
-    B = blow_up(random_hypergraph(7, 4, 19 / 35, seed=31_001), 3)
-    res = ahtp_cover_blowup(B, RoundingParams(t=4, seed=52_002, trials=5), mode="exact")
+    # acceptance-corpus base 37: the rounding takes 20 vertices, the trivial
+    # threshold cover of the same root LP solution 12
+    B = blow_up(random_hypergraph(7, 4, 19 / 35, seed=31_037), 3)
+    res = ahtp_cover_blowup(B, RoundingParams(t=4, seed=52_038, trials=5), mode="exact")
     root = recursive_threshold(B.hyper, RoundingParams(t=4).gamma_value, mode="exact").root
-    assert (res.rounding_size, res.fallback_size, res.size) == (9, 8, 8)
-    assert res.trial_index is None and res.seed == 52_002
+    assert (res.rounding_size, res.fallback_size, res.size) == (20, 12, 12)
+    assert res.trial_index is None and res.seed == 52_038
     assert res.forced == res.cover and is_vertex_cover(B.hyper, res.cover)
     assert res.high_discrepancy == res.parity_class == ()
     assert res.lp_opt == root.objective and res.lp_opt_residual == 0
@@ -203,7 +204,8 @@ def test_ahtp_cover_returns_the_fallback_when_it_is_smaller():
 
 def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
     # the residual of a full blow-up at the default threshold is edgeless
-    # (t <= 67), so the trivial cover reuses the root solve and one trial runs
+    # (t <= 67), so the trivial cover reuses the root solve and no coloring
+    # is drawn
     from turancover import rounding
 
     counts = {"solve_vc_lp": 0, "two_coloring": 0}
@@ -218,7 +220,7 @@ def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
     G = random_hypergraph(8, 4, 0.3, seed=2)
     res = ahtp_cover(G, RoundingParams(t=4, seed=9, trials=50), mode="exact")
     assert res.trial_index == 0 and res.parity_class == ()
-    assert counts == {"solve_vc_lp": 2, "two_coloring": 1}
+    assert counts == {"solve_vc_lp": 2, "two_coloring": 0}
 
 
 def test_ahtp_cover_reports_first_failing_trial(monkeypatch):
@@ -275,6 +277,24 @@ def test_chunked_trials_match_the_all_at_once_loop(monkeypatch, trials):
     assert max(checked) <= 64 and sum(checked) == 3 * trials  # every trial checked
     monkeypatch.setattr(rounding, "_best_trial", _best_trial_reference)
     assert new == [t2_cover_blowup(B, seed=s, trials=trials, mode="float") for B, s in cases]
+
+
+def test_an_empty_residual_gives_what_the_loop_gives(monkeypatch):
+    # full blow-ups at the default threshold leave an empty residual support
+    cases = [(blow_up(random_hypergraph(8, 4, 0.3, seed=s), 3), s) for s in range(5)]
+    new = [ahtp_cover_blowup(B, RoundingParams(t=4, seed=s, trials=50)) for B, s in cases]
+    monkeypatch.setattr(rounding, "_best_trial", _best_trial_reference)
+    assert new == [ahtp_cover_blowup(B, RoundingParams(t=4, seed=s, trials=50))
+                   for B, s in cases]
+
+
+def test_an_empty_residual_still_verifies_the_forced_set(monkeypatch):
+    real = rounding.recursive_threshold
+    monkeypatch.setattr(rounding, "recursive_threshold",
+                        lambda *args, **kwargs: replace(real(*args, **kwargs), thresholded=()))
+    B = blow_up(random_hypergraph(8, 4, 0.3, seed=2), 3)
+    with pytest.raises(VerificationError, match=r"^rounding trial 0 produced a non-cover$"):
+        ahtp_cover_blowup(B, RoundingParams(t=4, seed=9, trials=50), mode="exact")
 
 
 def test_lowest_failing_trial_raises_across_chunks(monkeypatch):
