@@ -18,10 +18,10 @@ from .lp import (LPSolution, SlacknessReport, check_complementary_slackness,
 from .oracles import (Embedding, brute_nu, brute_tau, contains_subhypergraph,
                       find_tents, max_independent_set, rho)
 from .rounding import (Coloring, CoverResult, RoundingParams, ThresholdResult,
-                       ahtp_cover, ahtp_cover_blowup, child_seed,
-                       color_code_cover, color_trial, fallback_threshold_cover,
+                       ahtp_cover_blowup, child_seed, color_code_cover,
+                       color_trial, fallback_threshold_cover,
                        monochromatic_pairs, recursive_threshold,
-                       sample_coloring, t2_cover, t2_cover_blowup, two_coloring)
+                       sample_coloring, t2_cover_blowup, two_coloring)
 from .setcover import (GreedyTrace, SetSystem, brute_set_cover, dual_system,
                        greedy_ratio_check, greedy_set_cover, is_simple_system)
 
@@ -37,9 +37,8 @@ __all__ = [
     "contains_subhypergraph", "rho",
     "RoundingParams", "Coloring", "CoverResult", "ThresholdResult",
     "child_seed", "sample_coloring", "two_coloring", "color_trial",
-    "monochromatic_pairs", "recursive_threshold", "ahtp_cover",
-    "ahtp_cover_blowup", "t2_cover", "t2_cover_blowup", "color_code_cover",
-    "fallback_threshold_cover",
+    "monochromatic_pairs", "recursive_threshold", "ahtp_cover_blowup",
+    "t2_cover_blowup", "color_code_cover", "fallback_threshold_cover",
     "SetSystem", "GreedyTrace", "greedy_set_cover", "brute_set_cover",
     "greedy_ratio_check", "is_simple_system", "dual_system",
     "complete", "random_hypergraph", "f_free_random", "combinatorial_lines",

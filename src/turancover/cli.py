@@ -26,7 +26,8 @@ from .errors import ParameterError, ParseError, ResourceLimitError, Verification
 from .generators import (combinatorial_lines, complete, f_free_random,
                          greedy_hard_setsystem, random_hypergraph,
                          simplify_reduction, three_tent)
-from .hypergraph import BlowUp, Hypergraph, blow_up, is_matching, is_simple, is_vertex_cover
+from .hypergraph import (BlowUp, Hypergraph, _as_hypergraph, blow_up, is_matching,
+                         is_simple, is_vertex_cover)
 from .lp import solve_matching_lp, solve_vc_lp
 from .oracles import brute_nu, brute_tau, find_tents, max_independent_set, rho
 from .rounding import (RoundingParams, ahtp_cover_blowup, color_code_cover,
@@ -152,8 +153,7 @@ def _instance(args):
 
 
 def _hyper(args) -> Hypergraph:
-    instance = _instance(args)
-    return instance.hyper if isinstance(instance, BlowUp) else instance
+    return _as_hypergraph(_instance(args))
 
 
 def _run_gen(args) -> str:
@@ -180,6 +180,8 @@ def _run_gen(args) -> str:
 
 
 def _run_round(args) -> str:
+    if args.gamma is not None and args.scheme != "ahtp":
+        raise ParameterError("--gamma applies only to 'round ahtp'")
     instance = _instance(args)
     if args.scheme == "threshold":
         result = fallback_threshold_cover(instance, mode=args.mode,
@@ -237,13 +239,12 @@ def _run_verify(args) -> str:
             if not is_simple_system(system):
                 raise VerificationError("set system is not simple: two sets share two elements")
             return "OK\n"
-        instance = formats.parse_instance(text, dedup=args.dedup)
-        H = instance.hyper if isinstance(instance, BlowUp) else instance
+        H = _as_hypergraph(formats.parse_instance(text, dedup=args.dedup))
         if not is_simple(H):
             raise VerificationError("hypergraph is not simple: two edges share two vertices")
         return "OK\n"
     instance, cover, matching = formats.parse_document(text, dedup=args.dedup)
-    H = instance.hyper if isinstance(instance, BlowUp) else instance
+    H = _as_hypergraph(instance)
     if args.what == "cover":
         if cover is None:
             raise ParseError("no COVER block found in input")

@@ -151,6 +151,11 @@ class BlowUp:
         return B
 
 
+def _as_hypergraph(instance) -> Hypergraph:
+    """The hypergraph of an instance: a blow-up's ``hyper``, else the instance."""
+    return instance.hyper if isinstance(instance, BlowUp) else instance
+
+
 def blow_up(base: Hypergraph, k: int) -> BlowUp:
     """Build the k-subset blow-up of ``base``.
 

@@ -3,12 +3,14 @@
 The pipeline: solve the fractional vertex cover, repeatedly pull every
 vertex whose value reaches a threshold into the answer, then finish the
 residual instance (where all values sit below the threshold) with a
-randomized color-based selection.  Three finishers are provided: the
-parity/discrepancy rounding for (t-1)-blow-ups, the monochromatic-pair
-rule for 2-blow-ups, and a standalone color-coding cover that needs no
-LP at all.  A single-shot threshold at one-over-uniformity serves as the
-trivial fallback and the main routine never returns anything larger
-than it.
+randomized color-based selection.  Each LP rounder has one entry point,
+which takes a built blow-up: ``ahtp_cover_blowup`` finishes a
+(t-1)-blow-up with the parity/discrepancy rounding, ``t2_cover_blowup``
+a 2-blow-up with the monochromatic-pair rule, and both build their
+result in one place.  ``color_code_cover`` is a standalone color-coding
+cover that needs no LP at all.  A single-shot threshold at
+one-over-uniformity serves as the trivial fallback and
+``ahtp_cover_blowup`` never returns anything larger than it.
 
 Exact mode keeps all LP arithmetic rational and asserts the per-run
 accounting identities; float mode trades that for speed on big
@@ -30,7 +32,8 @@ from itertools import compress
 
 from .errors import ParameterError, ResourceLimitError, VerificationError
 from .guards import resolve_limit
-from .hypergraph import BlowUp, Hypergraph, blow_up, first_non_cover, is_vertex_cover
+from .hypergraph import (BlowUp, Hypergraph, _as_hypergraph, first_non_cover,
+                         is_vertex_cover)
 from .lp import LPSolution, solve_vc_lp
 
 __all__ = [
@@ -44,9 +47,7 @@ __all__ = [
     "color_trial",
     "monochromatic_pairs",
     "recursive_threshold",
-    "ahtp_cover",
     "ahtp_cover_blowup",
-    "t2_cover",
     "t2_cover_blowup",
     "color_code_cover",
     "fallback_threshold_cover",
@@ -150,10 +151,6 @@ class CoverResult:
     def size(self) -> int:
         return len(self.cover)
 
-    @property
-    def breakdown(self):
-        return self.forced, self.high_discrepancy, self.parity_class
-
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -196,10 +193,6 @@ def sample_coloring(n: int, num_colors: int, seed: int) -> Coloring:
 
 def two_coloring(n: int, seed: int) -> Coloring:
     return sample_coloring(n, 2, seed)
-
-
-def _as_hypergraph(instance) -> Hypergraph:
-    return instance.hyper if isinstance(instance, BlowUp) else instance
 
 
 def _resolve_gamma(gamma, mode):
@@ -367,13 +360,12 @@ def fallback_threshold_cover(instance, mode: str = "exact",
     vertex clears the bar and the output is a cover of size at most
     uniformity times the fractional optimum.
     """
-    solution = solve_vc_lp(_as_hypergraph(instance), mode=mode, size_guard=size_guard)
-    return _threshold_cover(instance, solution)
-
-
-def _threshold_cover(instance, solution: LPSolution) -> CoverResult:
-    """The trivial cover read off an optimal LP solution of the instance."""
     H = _as_hypergraph(instance)
+    return _threshold_cover(H, solve_vc_lp(H, mode=mode, size_guard=size_guard))
+
+
+def _threshold_cover(H: Hypergraph, solution: LPSolution) -> CoverResult:
+    """The trivial cover read off an optimal LP solution of ``H``."""
     if H.m == 0:
         taken: tuple[int, ...] = ()
     else:
@@ -393,22 +385,32 @@ def _threshold_cover(instance, solution: LPSolution) -> CoverResult:
     )
 
 
-def ahtp_cover(G: Hypergraph, params: RoundingParams, mode: str = "exact",
-               size_guard=None) -> CoverResult:
-    """Approximate minimum cover of the (t-1)-blow-up of G.
+def _lp_cover(B: BlowUp, thr: ThresholdResult, trials: int, seed: int,
+              finish, context: str) -> CoverResult:
+    """The result of an LP rounder: the threshold survivors finished by
+    the best of the color trials over the residual support.
 
-    Convenience wrapper: blows G up and defers to ahtp_cover_blowup.
+    ``finish`` maps a trial's coloring to its (high_discrepancy,
+    parity_class) pair; ``rounding_size`` records the cover's size.
     """
-    if G.t != params.t:
-        raise ParameterError(
-            f"instance is {G.t}-uniform but parameters say {params.t}")
-    return ahtp_cover_blowup(blow_up(G, G.t - 1), params, mode=mode,
-                             size_guard=size_guard)
+    trial, cover, (lopsided, parity) = _best_trial(
+        B, set(thr.thresholded), thr.solution.support, trials, seed, finish, context)
+    return CoverResult(
+        cover=cover,
+        forced=thr.thresholded,
+        high_discrepancy=lopsided,
+        parity_class=parity,
+        lp_opt=thr.lp_opt,
+        lp_opt_residual=thr.lp_opt_residual,
+        seed=seed,
+        trial_index=trial,
+        rounding_size=len(cover),
+    )
 
 
 def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
                       size_guard=None) -> CoverResult:
-    """Approximate minimum cover of an already-built full blow-up.
+    """Approximate minimum cover of a full (k = t-1) blow-up.
 
     Recursive thresholding first; the residual support is then finished
     by the best of ``params.trials`` independent parity/discrepancy
@@ -440,42 +442,17 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
             raise VerificationError("parity class exceeds half the support")
         return lopsided, parity
 
-    forced = set(thr.thresholded)
-    trial, cover, (lopsided, parity) = _best_trial(
-        B, forced, support, params.trials, params.seed, finish, "rounding")
-    fallback = _threshold_cover(B, thr.root)
-    if fallback.size < len(cover):
-        return replace(fallback, seed=params.seed, rounding_size=len(cover),
+    result = _lp_cover(B, thr, params.trials, params.seed, finish, "rounding")
+    fallback = _threshold_cover(B.hyper, thr.root)
+    if fallback.size < result.size:
+        return replace(fallback, seed=params.seed, rounding_size=result.size,
                        fallback_size=fallback.size)
-    return CoverResult(
-        cover=cover,
-        forced=tuple(sorted(forced)),
-        high_discrepancy=lopsided,
-        parity_class=parity,
-        lp_opt=thr.lp_opt,
-        lp_opt_residual=thr.lp_opt_residual,
-        seed=params.seed,
-        trial_index=trial,
-        rounding_size=len(cover),
-        fallback_size=fallback.size,
-    )
-
-
-def t2_cover(G: Hypergraph, seed: int = 0, trials: int = 1,
-             mode: str = "exact", size_guard=None) -> CoverResult:
-    """Approximate minimum cover of the 2-blow-up of G.
-
-    Convenience wrapper: blows G up and defers to t2_cover_blowup.
-    """
-    if G.t < 3:
-        raise ParameterError(f"uniformity must be at least 3, got {G.t}")
-    return t2_cover_blowup(blow_up(G, 2), seed=seed, trials=trials,
-                           mode=mode, size_guard=size_guard)
+    return replace(result, fallback_size=fallback.size)
 
 
 def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
                     mode: str = "exact", size_guard=None) -> CoverResult:
-    """Approximate minimum cover of an already-built pair blow-up.
+    """Approximate minimum cover of a pair (k = 2) blow-up.
 
     Thresholds the LP at 4 over t squared, then keeps the supported
     pairs whose endpoints got the same color.  Any residual edge has
@@ -487,28 +464,14 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
     if B.k != 2:
         raise ParameterError(f"expected a pair blow-up (k = 2), got k={B.k}")
     t = B.base_t
-    if t < 3:
-        raise ParameterError(f"uniformity must be at least 3, got {t}")
     _check_trials(trials)
     thr = recursive_threshold(B.hyper, Fraction(4, t * t), mode=mode,
                               size_guard=size_guard)
     support = thr.solution.support
-    forced = set(thr.thresholded)
-    trial, cover, (same,) = _best_trial(
-        B, forced, support, trials, seed,
-        lambda coloring: (monochromatic_pairs(support, B.labels, coloring),),
+    return _lp_cover(
+        B, thr, trials, seed,
+        lambda coloring: ((), monochromatic_pairs(support, B.labels, coloring)),
         "pair")
-    return CoverResult(
-        cover=cover,
-        forced=tuple(sorted(forced)),
-        high_discrepancy=(),
-        parity_class=same,
-        lp_opt=thr.lp_opt,
-        lp_opt_residual=thr.lp_opt_residual,
-        seed=seed,
-        trial_index=trial,
-        rounding_size=len(cover),
-    )
 
 
 def color_code_cover(B: BlowUp, seed: int = 0) -> CoverResult:

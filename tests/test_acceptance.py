@@ -41,7 +41,7 @@ from turancover.rounding import (
     child_seed,
     color_trial,
     recursive_threshold,
-    t2_cover,
+    t2_cover_blowup,
     two_coloring,
 )
 from turancover.setcover import SetSystem, brute_set_cover, greedy_set_cover
@@ -215,7 +215,7 @@ def test_criterion_07_pair_blowup_transversal():
     start = time.monotonic()
     G = complete(4, 3)
     B = blow_up(G, 2)
-    res = t2_cover(G, seed=2_026, trials=20, mode="exact")
+    res = t2_cover_blowup(B, seed=2_026, trials=20, mode="exact")
     assert is_vertex_cover(B.hyper, res.cover)
     assert res.size <= 4
     assert brute_tau(B.hyper) == 2

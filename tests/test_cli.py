@@ -199,6 +199,18 @@ def test_parameter_error_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize("scheme, k", [("t2", 2), ("colorcode", 3), ("threshold", 3)])
+def test_gamma_is_refused_by_schemes_that_ignore_it(monkeypatch, capsys, scheme, k):
+    doc = formats.serialize_blowup(hypergraph.blow_up(generators.complete(5, 4), k))
+    argv = ["round", scheme, "--trials", "5"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    assert cli.main([*argv, "--gamma", "0.5"]) == 3
+    assert capsys.readouterr() == ("", "parameter error: --gamma applies only to 'round ahtp'\n")
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_ffree_without_enough_vertices_exits_3(capsys, n):
     # the default edge probability n ** (-1/rho) has no value for these n

@@ -28,7 +28,7 @@ from turancover.formats import (
 from turancover.generators import complete, random_hypergraph
 from turancover.hypergraph import BlowUp, Hypergraph, blow_up
 from turancover.lp import solve_matching_lp, solve_vc_lp
-from turancover.rounding import CoverResult, RoundingParams, ahtp_cover, color_code_cover
+from turancover.rounding import CoverResult, RoundingParams, ahtp_cover_blowup, color_code_cover
 from turancover.setcover import SetSystem, greedy_set_cover
 
 
@@ -171,8 +171,8 @@ def test_float_rendering_uses_seventeen_digits():
 
 
 def test_cover_roundtrip_with_lp_fields():
-    G = complete(4, 3)
-    res = ahtp_cover(G, RoundingParams(t=3, seed=7, trials=2), mode="exact")
+    B = blow_up(complete(4, 3), 2)
+    res = ahtp_cover_blowup(B, RoundingParams(t=3, seed=7, trials=2), mode="exact")
     back = parse_cover(serialize_cover(res))
     assert back.cover == res.cover
     assert back.forced == res.forced
@@ -206,9 +206,8 @@ def test_greedy_trace_format():
 
 
 def test_document_with_cover_block():
-    G = complete(4, 3)
-    res = ahtp_cover(G, RoundingParams(t=3, seed=7, trials=2), mode="exact")
-    B = blow_up(G, 2)
+    B = blow_up(complete(4, 3), 2)
+    res = ahtp_cover_blowup(B, RoundingParams(t=3, seed=7, trials=2), mode="exact")
     text = serialize_blowup(B) + serialize_cover(res)
     instance, cover, matching = parse_document(text)
     assert instance == B

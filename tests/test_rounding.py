@@ -15,7 +15,6 @@ from turancover.lp import LPSolution
 from turancover.rounding import (
     Coloring,
     RoundingParams,
-    ahtp_cover,
     ahtp_cover_blowup,
     child_seed,
     color_code_cover,
@@ -24,7 +23,6 @@ from turancover.rounding import (
     monochromatic_pairs,
     recursive_threshold,
     sample_coloring,
-    t2_cover,
     t2_cover_blowup,
     two_coloring,
 )
@@ -173,9 +171,9 @@ def test_fallback_cover_on_pair_blow_up():
 
 
 def test_ahtp_cover_on_complete_triples():
-    G = complete(4, 3)
-    res = ahtp_cover(G, RoundingParams(t=3, seed=7, trials=20), mode="exact")
-    assert is_vertex_cover(blow_up(G, 2).hyper, res.cover)
+    B = blow_up(complete(4, 3), 2)
+    res = ahtp_cover_blowup(B, RoundingParams(t=3, seed=7, trials=20), mode="exact")
+    assert is_vertex_cover(B.hyper, res.cover)
     assert res.size == 2
     assert res.lp_opt == 2
     assert res.rounding_size == 2 and res.fallback_size == 2
@@ -183,8 +181,8 @@ def test_ahtp_cover_on_complete_triples():
 
 
 def test_ahtp_cover_records_both_candidate_sizes():
-    G = random_hypergraph(8, 3, 0.5, seed=3)
-    res = ahtp_cover(G, RoundingParams(t=3, seed=1, trials=5), mode="exact")
+    B = blow_up(random_hypergraph(8, 3, 0.5, seed=3), 2)
+    res = ahtp_cover_blowup(B, RoundingParams(t=3, seed=1, trials=5), mode="exact")
     assert res.rounding_size is not None and res.fallback_size is not None
     assert res.size == min(res.rounding_size, res.fallback_size)
 
@@ -202,6 +200,36 @@ def test_ahtp_cover_returns_the_fallback_when_it_is_smaller():
     assert res.lp_opt == root.objective and res.lp_opt_residual == 0
 
 
+def _assert_built_from_parts(res):
+    assert res.cover == tuple(sorted(
+        set(res.forced) | set(res.high_discrepancy) | set(res.parity_class)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_lp_producers_build_the_cover_from_its_parts(mode):
+    # complete(8, 7) at gamma 99/100: the rounding takes 4 vertices, the
+    # trivial threshold cover 7; complete(4, 3) ties at 2; acceptance-corpus
+    # base 37 is won by the trivial cover
+    base37 = blow_up(random_hypergraph(7, 4, 19 / 35, seed=31_037), 3)
+    won = ahtp_cover_blowup(blow_up(complete(8, 7), 6),
+                            RoundingParams(t=7, seed=1, trials=10, gamma=Fraction(99, 100)),
+                            mode=mode)
+    tied = ahtp_cover_blowup(blow_up(complete(4, 3), 2),
+                             RoundingParams(t=3, seed=7, trials=20), mode=mode)
+    lost = ahtp_cover_blowup(base37, RoundingParams(t=4, seed=52_038, trials=5), mode=mode)
+    assert [(r.rounding_size, r.fallback_size, r.size, r.trial_index)
+            for r in (won, tied, lost)] == [(4, 7, 4, 0), (2, 2, 2, 0), (20, 12, 12, None)]
+    # every pair of complete(5, 3) stays in the residual support
+    pairs = t2_cover_blowup(blow_up(complete(5, 3), 2), seed=3, trials=20, mode=mode)
+    assert pairs.parity_class and pairs.high_discrepancy == ()
+    assert (pairs.rounding_size, pairs.fallback_size) == (pairs.size, None)
+    trivial = fallback_threshold_cover(base37, mode=mode)
+    assert trivial.cover == lost.cover
+    assert (trivial.rounding_size, trivial.fallback_size) == (None, None)
+    for res in (won, tied, lost, pairs, trivial):
+        _assert_built_from_parts(res)
+
+
 def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
     # the residual of a full blow-up at the default threshold is edgeless
     # (t <= 67), so the trivial cover reuses the root solve and no coloring
@@ -217,8 +245,8 @@ def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(rounding, name, spy)
-    G = random_hypergraph(8, 4, 0.3, seed=2)
-    res = ahtp_cover(G, RoundingParams(t=4, seed=9, trials=50), mode="exact")
+    B = blow_up(random_hypergraph(8, 4, 0.3, seed=2), 3)
+    res = ahtp_cover_blowup(B, RoundingParams(t=4, seed=9, trials=50), mode="exact")
     assert res.trial_index == 0 and res.parity_class == ()
     assert counts == {"solve_vc_lp": 2, "two_coloring": 0}
 
@@ -337,7 +365,7 @@ def test_trials_guard_refuses_before_solving(monkeypatch):
 
 def test_ahtp_cover_uniformity_mismatch():
     with pytest.raises(ParameterError):
-        ahtp_cover(complete(5, 4), RoundingParams(t=3), mode="exact")
+        ahtp_cover_blowup(blow_up(complete(5, 4), 3), RoundingParams(t=3), mode="exact")
 
 
 def test_ahtp_blowup_requires_top_subsets():
@@ -347,22 +375,21 @@ def test_ahtp_blowup_requires_top_subsets():
 
 
 def test_ahtp_cover_deterministic():
-    G = random_hypergraph(9, 3, 0.4, seed=11)
-    a = ahtp_cover(G, RoundingParams(t=3, seed=42, trials=8), mode="exact")
-    b = ahtp_cover(G, RoundingParams(t=3, seed=42, trials=8), mode="exact")
+    B = blow_up(random_hypergraph(9, 3, 0.4, seed=11), 2)
+    a = ahtp_cover_blowup(B, RoundingParams(t=3, seed=42, trials=8), mode="exact")
+    b = ahtp_cover_blowup(B, RoundingParams(t=3, seed=42, trials=8), mode="exact")
     assert a == b
 
 
 def test_ahtp_cover_float_mode_valid():
-    G = random_hypergraph(9, 3, 0.4, seed=19)
-    res = ahtp_cover(G, RoundingParams(t=3, seed=5, trials=4), mode="float")
-    assert is_vertex_cover(blow_up(G, 2).hyper, res.cover)
+    B = blow_up(random_hypergraph(9, 3, 0.4, seed=19), 2)
+    res = ahtp_cover_blowup(B, RoundingParams(t=3, seed=5, trials=4), mode="float")
+    assert is_vertex_cover(B.hyper, res.cover)
 
 
 def test_t2_cover_on_triangle_system():
-    G = complete(4, 3)
-    res = t2_cover(G, seed=0, trials=20, mode="exact")
-    B = blow_up(G, 2)
+    B = blow_up(complete(4, 3), 2)
+    res = t2_cover_blowup(B, seed=0, trials=20, mode="exact")
     assert is_vertex_cover(B.hyper, res.cover)
     assert res.size <= 4
 
@@ -372,8 +399,9 @@ def test_t2_cover_valid_on_random_bases():
         G = random_hypergraph(9, 4, 0.3, seed=seed)
         if G.m == 0:
             continue
-        res = t2_cover(G, seed=seed, trials=3, mode="exact")
-        assert is_vertex_cover(blow_up(G, 2).hyper, res.cover)
+        B = blow_up(G, 2)
+        res = t2_cover_blowup(B, seed=seed, trials=3, mode="exact")
+        assert is_vertex_cover(B.hyper, res.cover)
 
 
 def test_color_code_cover_degenerate_single_color():
@@ -397,6 +425,16 @@ def test_color_code_cover_two_colors():
     assert min(sizes) < B.hyper.n
 
 
+def test_color_code_cover_builds_the_cover_from_its_parts():
+    # t = 12 uses three colors, so some labels miss one and are forced
+    B = blow_up(complete(13, 12), 11)
+    results = [color_code_cover(B, seed=seed) for seed in range(10)]
+    assert sum(bool(res.forced) for res in results) == 4
+    for res in results:
+        _assert_built_from_parts(res)
+        assert (res.rounding_size, res.fallback_size) == (None, None)
+
+
 def test_color_code_cover_requires_top_blow_up():
     B = blow_up(complete(5, 4), 2)
     with pytest.raises(ParameterError):
@@ -407,7 +445,7 @@ def test_color_code_cover_requires_top_blow_up():
 @given(st.integers(0, 10**6), st.integers(3, 5))
 def test_ahtp_cover_always_valid(seed, t):
     G = random_hypergraph(t + 4, t, 0.45, seed)
-    res = ahtp_cover(G, RoundingParams(t=t, seed=seed, trials=3), mode="exact")
     B = blow_up(G, t - 1)
+    res = ahtp_cover_blowup(B, RoundingParams(t=t, seed=seed, trials=3), mode="exact")
     assert is_vertex_cover(B.hyper, res.cover)
     assert res.size <= B.hyper.n
