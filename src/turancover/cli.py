@@ -4,8 +4,9 @@ Commands compose over text pipes: generators write instances, `blowup`
 lifts them, `lp`/`round`/`oracle` consume them, and `verify` checks the
 certificates the earlier stages emitted.  `round` echoes its input
 instance before the COVER block precisely so that `verify cover` can be
-piped directly after it.  Identical arguments and inputs produce
-byte-identical output.
+piped directly after it; `verify cover` checks that the COVER ids cover
+the instance and are exactly the union of the BREAKDOWN's U, SPRIME and
+PARITY.  Identical arguments and inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 malformed input, 3 bad parameters, 4 resource
 guard tripped, 5 verification failed.  Input that is not ASCII text is
@@ -32,7 +33,7 @@ from .lp import solve_matching_lp, solve_vc_lp
 from .oracles import brute_nu, brute_tau, find_tents, max_independent_set, rho
 from .rounding import (RoundingParams, ahtp_cover_blowup, color_code_cover,
                        fallback_threshold_cover, t2_cover_blowup)
-from .setcover import SetSystem, greedy_set_cover, is_simple_system
+from .setcover import greedy_set_cover, is_simple_system
 
 __all__ = ["main"]
 
@@ -250,6 +251,8 @@ def _run_verify(args) -> str:
             raise ParseError("no COVER block found in input")
         if not is_vertex_cover(H, cover.cover):
             raise VerificationError("claimed cover misses at least one edge")
+        if set(cover.cover) != {*cover.forced, *cover.high_discrepancy, *cover.parity_class}:
+            raise VerificationError("claimed cover is not U, SPRIME and PARITY combined")
         return "OK\n"
     if matching is None:
         raise ParseError("no MATCHING block found in input")

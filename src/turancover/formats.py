@@ -45,7 +45,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .errors import ParameterError, ParseError
+from .errors import ParseError
 from .hypergraph import BlowUp, Hypergraph
 from .lp import LPSolution
 from .rounding import CoverResult
@@ -154,7 +154,10 @@ def _parse_header(cursor: _Cursor, tag: str, arity: int):
     tokens = text.split()
     if tokens[0] != tag or len(tokens) != arity + 1:
         cursor.fail(lineno, f"expected '{tag}' header with {arity} fields, got '{text}'")
-    return lineno, _ints(cursor, lineno, tokens[1:], f"{tag} header")
+    fields = _ints(cursor, lineno, tokens[1:], f"{tag} header")
+    if min(fields) < 0:
+        cursor.fail(lineno, f"'{tag}' header fields must be nonnegative, got '{text}'")
+    return lineno, fields
 
 
 def _solve_base_uniformity(k: int, uniformity: int):
@@ -165,9 +168,9 @@ def _solve_base_uniformity(k: int, uniformity: int):
     return b if comb(b, k) == uniformity else None
 
 
-def _parse_hypergraph(cursor: _Cursor, dedup: bool):
+def _parse_hypergraph(cursor: _Cursor, dedup: bool) -> Hypergraph:
     header_line, (t, n, m) = _parse_header(cursor, "HG", 3)
-    if t < 2 or n < 0 or m < 0:
+    if t < 2 or (m == 0 and 0 < n < t):
         cursor.fail(header_line, f"implausible hypergraph shape t={t} n={n} m={m}")
     edges = []
     seen = set()
@@ -187,7 +190,8 @@ def _parse_hypergraph(cursor: _Cursor, dedup: bool):
             cursor.fail(lineno, f"duplicate edge {' '.join(map(str, key))}")
         seen.add(key)
         edges.append(key)
-    return Hypergraph(t, n, edges), header_line
+    # checked above as Hypergraph.__post_init__ would (no edge fits n < t)
+    return Hypergraph._from_canonical(t, n, tuple(sorted(edges)))
 
 
 def _int_rows(buf, lo: int, hi: int, rows: int):
@@ -315,7 +319,7 @@ def parse_instance(text: str, dedup: bool = False):
 
 
 def _parse_instance(cursor: _Cursor, dedup: bool):
-    H, header_line = _parse_hypergraph(cursor, dedup)
+    H = _parse_hypergraph(cursor, dedup)
     peek_line, peek_text = cursor.peek()
     if peek_text is None or peek_text.split()[0] != "LABELS":
         return H
@@ -328,9 +332,7 @@ def _parse_instance(cursor: _Cursor, dedup: bool):
         lineno, text = cursor.take("label line")
         ids = _ints(cursor, lineno, text.split(), "label")
         if k is None:
-            k = len(ids)
-            if k < 1:
-                cursor.fail(lineno, "empty label")
+            k = len(ids)  # the cursor skips blank lines, so k >= 1
         elif len(ids) != k:
             cursor.fail(lineno, f"label has {len(ids)} ids, expected {k}")
         if list(ids) != sorted(set(ids)):
@@ -340,12 +342,16 @@ def _parse_instance(cursor: _Cursor, dedup: bool):
     if base_t is None:
         cursor.fail(peek_line,
                     f"no base uniformity gives {H.t}-subsets of size {k}")
-    base_n = max(max(label) for label in labels) + 1
-    try:
-        return BlowUp(hyper=H, labels=tuple(labels), base_t=base_t,
-                      base_n=base_n, k=k)
-    except ParameterError as exc:
-        cursor.fail(peek_line, f"inconsistent labels block: {exc}")
+    # the rest of BlowUp.__post_init__: base ids nonnegative, labels in order
+    negative = next((label for label in labels if label[0] < 0), None)
+    if negative is not None:
+        cursor.fail(peek_line, f"inconsistent labels block: label {negative}"
+                    " has out-of-range base ids")
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        cursor.fail(peek_line, "inconsistent labels block: labels must be distinct"
+                    " and lexicographically sorted")
+    base_n = max(label[-1] for label in labels) + 1
+    return BlowUp._from_canonical(H, tuple(labels), base_t, base_n, k)
 
 
 # ---------------------------------------------------------------- set systems
@@ -466,14 +472,26 @@ def _expect_prefixed(cursor: _Cursor, lineno: int, token: str, prefix: str) -> s
     return token[len(prefix):]
 
 
-def _parse_cover_block(cursor: _Cursor) -> CoverResult:
-    header_line, (size,) = _parse_header(cursor, "COVER", 1)
-    if size < 0:
-        cursor.fail(header_line, "negative cover size")
+def _counted_ids(cursor: _Cursor, tag: str, line_what: str, id_what: str):
+    """A ``<tag> <count>`` header, then one id per line."""
+    _, (count,) = _parse_header(cursor, tag, 1)
     ids = []
-    for _ in range(size):
-        lineno, line = cursor.take("cover vertex line")
-        ids.append(_ints(cursor, lineno, [line], "cover vertex")[0])
+    for _ in range(count):
+        lineno, line = cursor.take(line_what)
+        ids.append(_ints(cursor, lineno, [line], id_what)[0])
+    return tuple(ids)
+
+
+def _whole(parse_block, text: str):
+    """One block that must make up all of ``text``."""
+    cursor = _Cursor(text)
+    result = parse_block(cursor)
+    cursor.finish()
+    return result
+
+
+def _parse_cover_block(cursor: _Cursor) -> CoverResult:
+    ids = _counted_ids(cursor, "COVER", "cover vertex line", "cover vertex")
     lineno, line = cursor.take("BREAKDOWN line")
     tokens = line.split()
     if len(tokens) != 4 or tokens[0] != "BREAKDOWN":
@@ -493,16 +511,13 @@ def _parse_cover_block(cursor: _Cursor) -> CoverResult:
         cursor.fail(lineno, "expected 'SEED <s> TRIAL <i>'")
     seed = None if tokens[1] == "-" else _ints(cursor, lineno, tokens[1:2], "seed")[0]
     trial = None if tokens[3] == "-" else _ints(cursor, lineno, tokens[3:4], "trial")[0]
-    return CoverResult(cover=tuple(ids), forced=forced, high_discrepancy=lopsided,
+    return CoverResult(cover=ids, forced=forced, high_discrepancy=lopsided,
                        parity_class=parity, lp_opt=lp_opt, lp_opt_residual=lp_res,
                        seed=seed, trial_index=trial)
 
 
 def parse_cover(text: str) -> CoverResult:
-    cursor = _Cursor(text)
-    result = _parse_cover_block(cursor)
-    cursor.finish()
-    return result
+    return _whole(_parse_cover_block, text)
 
 
 # ------------------------------------------------------------------ matchings
@@ -513,19 +528,11 @@ def serialize_matching(edge_ids) -> str:
 
 
 def _parse_matching_block(cursor: _Cursor):
-    _, (count,) = _parse_header(cursor, "MATCHING", 1)
-    ids = []
-    for _ in range(count):
-        lineno, line = cursor.take("matching edge line")
-        ids.append(_ints(cursor, lineno, [line], "edge id")[0])
-    return tuple(ids)
+    return _counted_ids(cursor, "MATCHING", "matching edge line", "edge id")
 
 
 def parse_matching(text: str):
-    cursor = _Cursor(text)
-    ids = _parse_matching_block(cursor)
-    cursor.finish()
-    return ids
+    return _whole(_parse_matching_block, text)
 
 
 # -------------------------------------------------------------- greedy traces

@@ -13,6 +13,7 @@ read-only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -191,17 +192,23 @@ def is_simple(H: Hypergraph) -> bool:
     return all(_kept_flags(H.edges))
 
 
-def _vertex_set(H: Hypergraph, cover) -> set[int]:
-    cov = set(cover)
-    for v in cov:
-        if not isinstance(v, int) or not 0 <= v < H.n:
-            raise ParameterError(f"vertex id {v} out of range")
-    return cov
+def _id_set(ids, bound: int, what: str) -> set[int]:
+    """The distinct ``ids`` as ints in 0..bound-1.  Other types pass if
+    ``operator.index`` takes them; all-int ids are checked in C passes."""
+    out = set(ids)
+    if not set(map(type, out)) <= {int}:
+        for v in out:
+            if not hasattr(type(v), "__index__"):
+                raise ParameterError(f"{what} {v!r} is not an integer")
+        out = set(map(operator.index, out))
+    if out and (min(out) < 0 or max(out) >= bound):
+        raise ParameterError(f"{what} {next(v for v in out if not 0 <= v < bound)} out of range")
+    return out
 
 
 def is_vertex_cover(H: Hypergraph, cover) -> bool:
     """True when every edge of H contains a vertex of ``cover``."""
-    cov = _vertex_set(H, cover)
+    cov = _id_set(cover, H.n, "vertex id")
     return all(not cov.isdisjoint(e) for e in H.edges)
 
 
@@ -215,7 +222,7 @@ def first_non_cover(H: Hypergraph, covers) -> int | None:
     64-cover word is gathered at a time, so the pass over the edges
     takes m * t * 8 bytes.
     """
-    sets = [_vertex_set(H, cover) for cover in covers]
+    sets = [_id_set(cover, H.n, "vertex id") for cover in covers]
     if not sets or H.m == 0:
         return None
     import numpy as np
@@ -237,15 +244,14 @@ def first_non_cover(H: Hypergraph, covers) -> int | None:
 def is_matching(H: Hypergraph, edge_ids) -> bool:
     """True when the selected edges are pairwise disjoint.
 
-    ``edge_ids`` must be distinct valid indices into H.edges.
+    ``edge_ids`` must be distinct valid indices into H.edges; every id
+    is checked before any edge is compared.
     """
     ids = list(edge_ids)
     if len(set(ids)) != len(ids):
         raise ParameterError("edge ids must be distinct")
     used: set[int] = set()
-    for ei in ids:
-        if not isinstance(ei, int) or not 0 <= ei < H.m:
-            raise ParameterError(f"edge id {ei} out of range")
+    for ei in _id_set(ids, H.m, "edge id"):
         e = set(H.edges[ei])
         if used & e:
             return False

@@ -15,7 +15,8 @@ from itertools import combinations, permutations
 
 from .errors import ParameterError, ResourceLimitError
 from .guards import resolve_limit
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, dual
+from .setcover import greedy_set_cover
 
 __all__ = [
     "Embedding",
@@ -58,21 +59,6 @@ class _NodeBudget:
             raise ResourceLimitError("search budget exceeded")
 
 
-def _greedy_cover_size(edge_sets) -> int:
-    """Cheap feasible cover: repeatedly take a highest-degree vertex."""
-    remaining = list(edge_sets)
-    size = 0
-    while remaining:
-        degree = {}
-        for e in remaining:
-            for v in e:
-                degree[v] = degree.get(v, 0) + 1
-        best = max(degree.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        remaining = [e for e in remaining if best not in e]
-        size += 1
-    return size
-
-
 def _greedy_matching_size(edge_sets) -> int:
     """Admissible cover lower bound: pairwise disjoint edges each need a
     distinct cover vertex."""
@@ -98,7 +84,8 @@ def brute_tau(H: Hypergraph, limit=None, lp_bound: bool = True) -> int:
     edge_sets = [frozenset(e) for e in H.edges]
     if not edge_sets:
         return 0
-    best = _greedy_cover_size(edge_sets)
+    # a vertex cover of H is a set cover of its dual
+    best = len(greedy_set_cover(dual(H)).picked)
     root_lb = _greedy_matching_size(edge_sets)
     if lp_bound:
         from .lp import solve_vc_lp

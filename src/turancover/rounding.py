@@ -366,11 +366,8 @@ def fallback_threshold_cover(instance, mode: str = "exact",
 
 def _threshold_cover(H: Hypergraph, solution: LPSolution) -> CoverResult:
     """The trivial cover read off an optimal LP solution of ``H``."""
-    if H.m == 0:
-        taken: tuple[int, ...] = ()
-    else:
-        cut = _resolve_gamma(Fraction(1, H.t), solution.mode)
-        taken = tuple(sorted(_reaching(solution, cut)))
+    cut = _resolve_gamma(Fraction(1, H.t), solution.mode)
+    taken = tuple(sorted(_reaching(solution, cut)))
     if not is_vertex_cover(H, taken):
         raise VerificationError("fallback threshold produced a non-cover")
     return CoverResult(

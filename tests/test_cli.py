@@ -183,6 +183,35 @@ def test_verify_cover_failure_exit_code():
     assert "cover" in err
 
 
+def test_verify_cover_checks_the_breakdown():
+    # the ids cover the edge, but the BREAKDOWN accounts for none of them
+    doc = (
+        "HG 3 4 1\n0 1 2\n"
+        "COVER 1\n0\n"
+        "BREAKDOWN U= SPRIME= PARITY=\n"
+        "LP OPT=- RESIDUAL=-\n"
+        "SEED - TRIAL -\n"
+    )
+    code, out, err = run(["verify", "cover"], doc)
+    assert (code, out) == (5, "")
+    assert err == "verification failed: claimed cover is not U, SPRIME and PARITY combined\n"
+    assert run(["verify", "cover"], doc.replace("U=", "U=0"))[:2] == (0, "OK\n")
+
+
+@pytest.mark.parametrize("argv, stdin_text, line", [
+    (["verify", "simple"], "HG 3 2 0\n", 1),
+    (["verify", "simple"], "SS -1 0\n", 1),
+    (["setcover", "greedy"], "# a comment\nSS 3 -2\n", 2),
+    (["verify", "matching"], "HG 3 4 1\n0 1 2\nMATCHING -3\n", 3),
+], ids=["hg-n-below-t", "ss-negative-n", "ss-negative-m", "matching-negative"])
+def test_malformed_headers_are_parse_errors(capsys, monkeypatch, argv, stdin_text, line):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"parse error: line {line}: ") and err.count("\n") == 1
+
+
 def test_parse_error_exit_code():
     code, _, err = run(["oracle", "tau"], "HG 3 4 2\n0 1 2\n0 1 2\n")
     assert code == 2

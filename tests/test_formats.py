@@ -130,6 +130,63 @@ def test_labels_block_must_be_consistent():
         parse_instance(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("HG 3 3 1\n0 1 2\nLABELS\n1\n0\n2\n",
+     "labels must be distinct and lexicographically sorted"),
+    ("HG 3 3 1\n0 1 2\nLABELS\n0\n0\n2\n",
+     "labels must be distinct and lexicographically sorted"),
+    # out of order too, but a negative base id is reported first
+    ("HG 3 3 1\n0 1 2\nLABELS\n2\n0\n-1\n", "label (-1,) has out-of-range base ids"),
+])
+def test_inconsistent_labels_blocks_name_the_rule(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == f"line 3: inconsistent labels block: {message}"
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_instance, "HG -3 4 0\n", 1),
+    (parse_instance, "HG 3 4 -1\n", 1),
+    (parse_setsystem, "SS -1 0\n", 1),
+    (parse_setsystem, "SS 3 -2\n", 1),
+    (parse_cover, "# c\nCOVER -1\n", 2),
+    (parse_matching, "MATCHING -3\n", 1),
+])
+def test_negative_header_fields_are_refused_for_every_tag(parse, text, line):
+    header = text.splitlines()[line - 1]
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == (f"line {line}: '{header.split()[0]}' header fields"
+                               f" must be nonnegative, got '{header}'")
+
+
+@pytest.mark.parametrize("text", ["HG 3 2 0\n", "HG 4 1 0\n", "HG 1 0 0\n"])
+def test_edgeless_header_below_uniformity_is_refused(text):
+    t, n, m = text.split()[1:]
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == f"line 1: implausible hypergraph shape t={t} n={n} m={m}"
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    (parse_lp_solution, "0 1\nOBJ 1 2\n", 2, "OBJ line takes exactly one value"),
+    (parse_lp_solution, "0 1 2\nOBJ 1\n", 1, "expected '<id> <value>'"),
+    (parse_lp_solution, "0 1/2\n", None, "missing OBJ line"),
+    (parse_lp_solution, "0 1/x\nOBJ 1\n", 1, "malformed rational '1/x'"),
+    (parse_lp_solution, "0 1/0\nOBJ 1\n", 1, "malformed rational '1/0'"),
+    (parse_lp_solution, "0 half\nOBJ 1\n", 1, "malformed value 'half'"),
+    (parse_setsystem, "SS 4 1\n2 1 1\n", 2, "repeated element within set"),
+    (parse_setsystem, "SS 4 1\n2 1 4\n", 2, "element out of range"),
+    (parse_instance, "HG 4 4 1\n0 1 2 3\nLABELS\n0 1\n0 2\n0 3\n1 2\n", 3,
+     "no base uniformity gives 4-subsets of size 2"),
+])
+def test_parse_errors_name_their_rule_and_line(parse, text, line, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_setsystem_roundtrip():
     sys_ = SetSystem(6, ((0, 2, 4), (1, 3), (5,)))
     assert parse_setsystem(serialize_setsystem(sys_)) == sys_

@@ -58,6 +58,18 @@ def test_random_hypergraph_rejects_bad_probability():
         random_hypergraph(6, 3, 1.5, seed=0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: complete(3, 1), "uniformity must be at least 2, got 1"),
+    (lambda: f_free_random(8, 3, [], seed=0), "need at least one pattern to exclude"),
+    (lambda: combinatorial_lines(0), "cube dimension must be positive, got 0"),
+    (lambda: greedy_hard_setsystem(1), "block count must be at least 2, got 1"),
+], ids=["complete", "ffree", "lines", "hard-setcover"])
+def test_generator_parameter_errors(make, message):
+    with pytest.raises(ParameterError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_three_tent_shape():
     tent = three_tent()
     assert tent.t == 3 and tent.n == 7 and tent.m == 4

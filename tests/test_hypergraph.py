@@ -1,5 +1,7 @@
 """Structural tests for hypergraphs, blow-ups, and feasibility checks."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import combinations
@@ -201,6 +203,42 @@ def test_first_non_cover_rejects_bad_ids():
             first_non_cover(G, [range(4), [0, bad]])
     with pytest.raises(ParameterError, match="out of range"):
         first_non_cover(Hypergraph(3, 0, []), [[0]])
+
+
+def test_ids_are_accepted_by_operator_index():
+    import numpy as np
+
+    G = complete(4, 3)
+    assert is_vertex_cover(G, np.array([0, 1]))
+    assert not is_vertex_cover(G, [np.int64(0)])
+    assert first_non_cover(G, [np.arange(4), np.array([0, 1], dtype=np.int32)]) is None
+    assert first_non_cover(G, [[True, 2, 3], [0]]) == 1  # True is vertex 1
+    H = Hypergraph(3, 7, [(0, 1, 2), (3, 4, 5), (2, 3, 6)])
+    assert is_matching(H, np.array([0, 2]))
+    assert not is_matching(H, [np.uint8(1), 2])
+    with pytest.raises(ParameterError, match="^vertex id 4 out of range$"):
+        is_vertex_cover(G, np.array([0, 4]))
+    with pytest.raises(ParameterError, match="^edge id 3 out of range$"):
+        is_matching(H, np.array([3]))
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, float("nan"), "1", None])
+def test_ids_that_are_not_integers_are_named_so(bad):
+    G = complete(4, 3)
+    message = f"^{{}} id {re.escape(repr(bad))} is not an integer$"
+    with pytest.raises(ParameterError, match=message.format("vertex")):
+        is_vertex_cover(G, [0, bad])
+    with pytest.raises(ParameterError, match=message.format("vertex")):
+        first_non_cover(G, [range(4), [bad]])
+    with pytest.raises(ParameterError, match=message.format("edge")):
+        is_matching(G, [bad])
+
+
+def test_matching_ids_are_all_checked_before_any_edge_is_compared():
+    H = Hypergraph(3, 7, [(0, 1, 2), (3, 4, 5), (2, 3, 6)])
+    # edges 1 and 2 meet, but id 5 names no edge
+    with pytest.raises(ParameterError, match="^edge id 5 out of range$"):
+        is_matching(H, [1, 2, 5])
 
 
 def test_matching_check():

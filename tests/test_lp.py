@@ -153,6 +153,20 @@ def test_slackness_requires_exact_mode():
         check_complementary_slackness(primal, dual, G)
 
 
+@pytest.mark.parametrize("swap, primal_values, message", [
+    (True, None, r"expected a \(primal, dual\) pair in that order"),
+    (False, {3: Fraction(1)}, "primal id 3 out of range"),
+    (False, {-1: Fraction(1)}, "primal id -1 out of range"),
+])
+def test_slackness_refuses_a_misordered_pair_or_a_foreign_id(swap, primal_values, message):
+    H = Hypergraph(3, 3, [(0, 1, 2)])
+    primal, dual = lp._solve_pair(H, "exact")
+    if primal_values is not None:
+        primal = LPSolution("primal", primal_values, Fraction(1), "exact")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        check_complementary_slackness(*((dual, primal) if swap else (primal, dual)), H)
+
+
 def test_size_guard_blocks_large_exact_solves():
     G = complete(15, 7)  # 15 vertices times 6435 edges is over the default cap
     with pytest.raises(ResourceLimitError):
@@ -178,6 +192,15 @@ def test_negative_size_guard_rejected(monkeypatch):
     monkeypatch.setenv("TURANCOVER_SIZE_GUARD", "-1")
     with pytest.raises(ParameterError, match="TURANCOVER_SIZE_GUARD"):
         solve_vc_lp(G, mode="exact")
+
+
+@pytest.mark.parametrize("value", ["ten", "1.5", "1e6"])
+def test_non_integer_size_guard_rejected(monkeypatch, value):
+    G = complete(4, 3)  # built first: the generator reads the same guard
+    monkeypatch.setenv("TURANCOVER_SIZE_GUARD", value)
+    with pytest.raises(ParameterError) as info:
+        solve_vc_lp(G, mode="exact")
+    assert str(info.value) == f"TURANCOVER_SIZE_GUARD must be an integer, got {value!r}"
 
 
 def test_size_guard_argument_sets_the_float_guard(monkeypatch):
@@ -274,7 +297,7 @@ def test_ladder_step2_solves_the_support_exactly(monkeypatch):
         # the basis system is square: one basic column per tight row
         assert (sum(s == basic for s in basis.col_status)
                 == sum(s != basic for s in basis.row_status))
-        rounded = lp._exact_pair(*lp._rationalized_pair(H, x, y))
+        rounded = lp._exact_pair(*lp._rationalized_pair(x, y))
         with pytest.raises(VerificationError):
             check_complementary_slackness(*rounded, H)
         objectives.append(_assert_certified(H).objective)
@@ -428,7 +451,7 @@ def _reference_rationalized(values):
 
 
 def _assert_rationalized_like_the_oracle(x, y):
-    got = lp._rationalized_pair(None, x, y)
+    got = lp._rationalized_pair(x, y)
     expected = (_reference_rationalized(x), _reference_rationalized(y))
     # equal in value and in id order, with plain int ids
     assert [list(side.items()) for side in got] == [list(side.items()) for side in expected]

@@ -1,5 +1,6 @@
 """Brute-force ground truth oracles: covers, matchings, tents, patterns."""
 
+from collections import Counter
 from fractions import Fraction
 from math import ceil
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from turancover.errors import ParameterError, ResourceLimitError
 from turancover.generators import combinatorial_lines, complete, random_hypergraph, three_tent
-from turancover.hypergraph import Hypergraph, blow_up, is_vertex_cover
+from turancover.hypergraph import Hypergraph, blow_up, dual, is_vertex_cover
 from turancover.lp import solve_vc_lp
 from turancover.oracles import (
     brute_nu,
@@ -18,6 +19,7 @@ from turancover.oracles import (
     max_independent_set,
     rho,
 )
+from turancover.setcover import greedy_set_cover
 
 
 def test_single_edge_cover_and_matching():
@@ -51,6 +53,27 @@ def test_lp_bound_does_not_change_answers():
         G = random_hypergraph(8, 3, 0.4, seed)
         assert brute_tau(G, lp_bound=False) == brute_tau(G, lp_bound=True)
         assert brute_nu(G, lp_bound=False) == brute_nu(G, lp_bound=True)
+
+
+def _highest_degree_greedy(H):
+    """Cover size of repeatedly taking a highest-degree vertex, ties to the
+    lowest id: the initial bound brute_tau once computed itself."""
+    remaining = [set(e) for e in H.edges]
+    size = 0
+    while remaining:
+        degree = Counter(v for e in remaining for v in e)
+        best = max(degree, key=lambda v: (degree[v], -v))
+        remaining = [e for e in remaining if best not in e]
+        size += 1
+    return size
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5), st.integers(0, 7), st.floats(0, 0.6))
+def test_greedy_on_the_dual_is_the_highest_degree_greedy(seed, t, extra, p):
+    # brute_tau starts from this bound, so its search and node budget depend on it
+    G = random_hypergraph(t + extra, t, p, seed)
+    assert len(greedy_set_cover(dual(G)).picked) == _highest_degree_greedy(G)
 
 
 def test_node_budget_trips():

@@ -154,6 +154,19 @@ def test_color_trial_small_t_never_flags():
     assert parity == (0,)
 
 
+def test_color_trial_needs_two_colors():
+    coloring = Coloring((0, 1, 2, 0), 3, seed=0)
+    with pytest.raises(ParameterError, match="^parity trials need exactly two colors$"):
+        color_trial([0, 1], [(0, 1, 2), (1, 2, 3)], 4, coloring)
+
+
+@pytest.mark.parametrize("gamma", [1e-7, 9.99e-7])
+def test_exact_threshold_below_a_millionth_is_refused(gamma):
+    with pytest.raises(ParameterError, match="too small to rationalize"):
+        rounding._resolve_gamma(gamma, "exact")
+    assert rounding._resolve_gamma(gamma, "float") > 0
+
+
 def test_monochromatic_pairs_picks_single_color_labels():
     labels = [(0, 1), (1, 2), (2, 3)]
     coloring = Coloring((0, 0, 1, 1), 2, seed=0)
