@@ -2,7 +2,9 @@
 
 All formats are ASCII with LF newlines; lines starting with '#' and
 blank lines are skipped on input and never emitted on output, so equal
-objects serialize to identical bytes.  Parse failures raise ParseError
+objects serialize to identical bytes.  Ids, counts and header fields
+are ASCII decimal digits after an optional '-' (the range rules then
+refuse what must not be negative).  Parse failures raise ParseError
 carrying the 1-based line number of the offending input line.
 
 Hypergraphs: header ``HG <t> <n> <m>`` then m lines of t vertex ids.
@@ -73,6 +75,7 @@ __all__ = [
 _ARRAY_MIN_BYTES = 256
 _HEADER = re.compile(r"HG ([0-9]+) ([0-9]+) ([0-9]+)\n")
 _MAX_DIGITS = 18  # every id of at most 18 digits fits an int64
+_DECIMALS = re.compile(r"[-0-9]*")
 
 
 class _Cursor:
@@ -113,10 +116,18 @@ class _Cursor:
 
 
 def _ints(cursor: _Cursor, lineno: int, tokens, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        cursor.fail(lineno, f"malformed {what}: non-integer token")
+    """The tokens as ints, each ASCII digits after an optional '-'.
+
+    ``int`` alone also takes '+', '_' and non-ASCII digits, which no
+    serializer writes; one pattern over the joined tokens refuses those,
+    and ``int`` then refuses an empty token or a misplaced '-'.
+    """
+    if _DECIMALS.fullmatch("".join(tokens)):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    cursor.fail(lineno, f"malformed {what}: non-integer token")
 
 
 # ---------------------------------------------------------------- hypergraphs
@@ -372,14 +383,15 @@ def parse_setsystem(text: str) -> SetSystem:
         ids = _ints(cursor, lineno, line.split(), "set")
         if not ids or ids[0] != len(ids) - 1:
             cursor.fail(lineno, "set line must start with its element count")
-        members = ids[1:]
+        members = sorted(ids[1:])
         if len(set(members)) != len(members):
             cursor.fail(lineno, "repeated element within set")
-        if any(not 0 <= e < n for e in members):
+        if members and (members[0] < 0 or members[-1] >= n):
             cursor.fail(lineno, "element out of range")
         sets.append(tuple(members))
     cursor.finish()
-    return SetSystem(n, sets)
+    # checked and sorted above as SetSystem.__post_init__ would
+    return SetSystem._from_canonical(n, tuple(sets))
 
 
 # ----------------------------------------------------------------- LP values

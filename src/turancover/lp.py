@@ -50,25 +50,29 @@ sum over the common denominator.  This is the scheme of QSopt_ex
 exact rational check.
 
 Exact solves share one HiGHS object per thread, emptied after each
-solve.  Float solves build a fresh one each time: a reused object keeps
-memory that ``clearModel`` does not hand back, which raised the float
-benchmarks' peak RSS by 6-17 % (``BENCH_10.json``); exact LPs are
+solve.  Float solves build a fresh one each time and empty it with
+``clearSolver`` and ``clearModel`` before dropping it: a reused object
+keeps memory that ``clearModel`` does not hand back, which raised the
+float benchmarks' peak RSS by 6-17 % (``BENCH_10.json``); exact LPs are
 small by ``EXACT_SIZE_GUARD``, so what their object holds on to stays
 small.
 
-Exact solves also skip HiGHS's presolve, about half of its time on the
-benchmark's corpus LPs, and make the one reduction that matters for
-full blow-ups themselves: a vertex of degree 1 that shares its edge e
-with a vertex k left free gets upper bound 0 (``_dominated``).  This
-is sound.  Moving x_j onto x_k keeps every row covered at the same
-cost, so the optimum is unchanged.  On the dual side, the reduced LP's
-optimum has load(k) <= 1 because x_k is free, and j's only load is
-y_e <= load(k), so its y is a matching of H itself.  And whatever HiGHS
+Both modes skip HiGHS's presolve, which took about half of its time
+on the benchmark's corpus LPs and removes nothing from pair blow-ups.
+Instead they make the one reduction that matters for full blow-ups
+themselves: a vertex of degree 1 that shares its edge e with a vertex
+k left free gets upper bound 0 (``_dominated``).  This is sound.
+Moving x_j onto x_k keeps every row covered at the same cost, so the
+optimum is unchanged.  On the dual side, the reduced LP's optimum has
+load(k) <= 1 because x_k is free, and j's only load is y_e <= load(k),
+so its y is a matching of H itself.  And in exact mode, whatever HiGHS
 returns, ``check_complementary_slackness`` checks the pair against the
 unreduced H.  Presolve off alone moves the optimal vertex and makes
 covers larger; with the fixing they come out slightly smaller
-(``BENCH_12.json``).  Float mode keeps presolve: without it, full
-blow-ups of about 3000x900 solve 1.15x slower in the median.
+(``BENCH_12.json``).  A pair blow-up of a dense base has no vertex of
+degree 1, and there skipping presolve leaves HiGHS's values as they
+were, bit for bit; float solves of full blow-ups reach other optimal
+vertices than presolve did.
 
 Float mode returns HiGHS's values as they are, both sides with the
 solve's objective.  Support membership then uses a 1e-9 tolerance and
@@ -367,7 +371,7 @@ _thread = threading.local()
 
 
 def _dominated(H: Hypergraph):
-    """Ids of the vertices exact mode fixes at 0: each has degree 1 and
+    """Ids of the vertices ``_highs`` fixes at 0: each has degree 1 and
     shares its one edge with a free vertex.
 
     In an edge that also holds a vertex of degree >= 2 every degree-1
@@ -379,9 +383,8 @@ def _dominated(H: Hypergraph):
     import numpy as np
 
     E = H.edge_array
-    degree = np.bincount(E.ravel(), minlength=H.n)[E]
-    once = degree == 1
-    once[(degree == 1).all(axis=1), 0] = False
+    once = (np.bincount(E.ravel(), minlength=H.n) == 1)[E]
+    once[once.all(axis=1), 0] = False
     return E[once]
 
 
@@ -404,19 +407,25 @@ def _highs(H: Hypergraph, exact: bool = True):
     basis is a copy, which ``clearModel`` leaves intact; only ladder
     step 2 reads it.
 
-    ``exact`` selects exact mode's configuration.  The solve runs on this
+    Both modes run one configuration: presolve off, which about halves
+    HiGHS's ``run`` on the benchmark's corpus LPs and saves about an
+    eighth on the pair blow-ups, and the ``_dominated`` vertices at upper
+    bound 0, which keeps covers from growing (module docstring).
+    ``exact`` only chooses the object.  Exact mode solves on this
     thread's HiGHS object, emptied by ``clearModel`` once the solution is
     read; building one costs about 0.1 ms, a tenth of a certified corpus
     LP.  The object is taken off the thread while it solves, so a solve
     that raises leaves none behind and the next one builds a fresh
-    object.  Its presolve is off, which about halves HiGHS's ``run`` on
-    the benchmark's corpus LPs, and the ``_dominated`` vertices get upper
-    bound 0, which keeps covers from growing (module docstring).  Float
-    mode (``exact=False``) builds a fresh object with HiGHS's defaults:
-    a reused object keeps memory that ``clearModel`` does not return,
-    which raised the float benchmarks' peak RSS by 6-17 %, while exact
-    LPs are small by ``EXACT_SIZE_GUARD``; and presolve pays off on
-    large full blow-ups.
+    object.  Float mode
+    (``exact=False``) builds a fresh object and empties it with
+    ``clearSolver`` and then ``clearModel`` before dropping it: a reused
+    object keeps memory that ``clearModel`` does not return, which raised
+    the float benchmarks' peak RSS by 6-17 %, while exact LPs are small
+    by ``EXACT_SIZE_GUARD``.  In 10 s ``float_pairs`` runs of six seeds,
+    peak RSS read 60.3-60.7 MB with these calls in this order, against up
+    to 64.5 MB without them and 68.8 MB with ``clearModel`` first; single
+    30 s runs spread by several MB with or without presolve
+    (``BENCH_15.json``).
     """
     import numpy as np
 
@@ -426,15 +435,13 @@ def _highs(H: Hypergraph, exact: bool = True):
     if highs is None:
         highs = _core._Highs()
         highs.setOptionValue("output_flag", False)
-        if exact:
-            highs.setOptionValue("presolve", "off")
+        highs.setOptionValue("presolve", "off")
     else:
         _thread.highs = None
     E = H.edge_array
     n, m = H.n, H.m
     upper = np.full(n, np.inf)
-    if exact:
-        upper[_dominated(H)] = 0.0
+    upper[_dominated(H)] = 0.0
     status = highs.passModel(
         n, m, E.size, int(_core.MatrixFormat.kRowwise), int(_core.ObjSense.kMinimize), 0.0,
         np.ones(n), np.zeros(n), upper, np.full(m, -np.inf), np.full(m, -1.0),
@@ -452,6 +459,9 @@ def _highs(H: Hypergraph, exact: bool = True):
     if exact:
         highs.clearModel()
         _thread.highs = highs
+    else:
+        highs.clearSolver()
+        highs.clearModel()
     return result
 
 

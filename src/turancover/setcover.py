@@ -57,6 +57,16 @@ class SetSystem:
             norm.append(ts)
         object.__setattr__(self, "sets", tuple(norm))
 
+    @classmethod
+    def _from_canonical(cls, n: int, sets: tuple) -> "SetSystem":
+        """Trusted constructor: skips ``__post_init__``, whose checks and
+        normal form (n >= 0, each set a strictly increasing tuple of ids
+        below n) the caller guarantees."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "n", n)
+        object.__setattr__(S, "sets", sets)
+        return S
+
     @property
     def m(self) -> int:
         return len(self.sets)

@@ -399,6 +399,22 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_cold_blowup_loads_neither_numpy_nor_scipy():
+    # blow_up takes its array path only where numpy is already loaded
+    code = ("import runpy, sys; sys.argv = ['turancover', 'blowup', '--k', '2']\n"
+            "try:\n"
+            "    runpy.run_module('turancover', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules), file=sys.stderr)")
+    base = generators.random_hypergraph(9, 4, 0.3, seed=2)
+    proc = subprocess.run([sys.executable, "-c", code], input=formats.serialize_hypergraph(base),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+    assert proc.stdout == formats.serialize_blowup(hypergraph.blow_up(base, 2))
+
+
 def test_solves_leave_scipy_optimize_unloaded():
     # lp executes HiGHS's extension on its own, without scipy.optimize's package init
     code = ("import sys; from turancover.generators import complete; "

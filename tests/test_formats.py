@@ -1,5 +1,7 @@
 """Serialization round-trips and parse error reporting."""
 
+import io
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +9,7 @@ import numpy as np  # loaded, so that the array path runs
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from turancover import formats
+from turancover import cli, formats
 from turancover.errors import ParameterError, ParseError
 from turancover.formats import (
     parse_cover,
@@ -185,6 +187,43 @@ def test_parse_errors_name_their_rule_and_line(parse, text, line, message):
         parse(text)
     assert info.value.line == line
     assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("argv, text, line, message", [
+    (["oracle", "tau"], "HG 3 4 1\n0 1 +2\n", 2, "malformed edge: non-integer token"),
+    (["oracle", "tau"], "HG 3 4 1\n0 1 \u0662\n", 2, "malformed edge: non-integer token"),
+    (["verify", "matching"], "HG 3 4 1\n0 1 2\nMATCHING 1\n1_0\n", 4,
+     "malformed edge id: non-integer token"),
+], ids=["plus-sign", "arabic-indic-digit", "underscore"])
+def test_ids_are_ascii_decimal_digits(capsys, monkeypatch, argv, text, line, message):
+    # int() takes all three; no serializer writes them
+    parse = parse_document if argv[0] == "verify" else parse_instance
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"line {line}: {message}"
+    if argv[0] == "verify":
+        with pytest.raises(ParseError) as info:
+            parse_matching(text.split("2\n", 1)[1])
+        assert str(info.value) == f"line 2: {message}"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def test_a_leading_minus_still_reaches_the_range_rules():
+    with pytest.raises(ParseError, match="^line 1: 'SS' header fields must be nonnegative"):
+        parse_setsystem("SS -0 -1\n")
+    with pytest.raises(ParseError, match="^line 2: vertex id out of range$"):
+        parse_instance("HG 3 4 1\n0 1 -2\n")
+    for bad in ("0 1 --2", "0 1 -", "0 1 2-"):
+        with pytest.raises(ParseError, match="^line 2: malformed edge: non-integer token$"):
+            parse_instance(f"HG 3 4 1\n{bad}\n")
+
+
+def test_setsystem_sets_are_sorted_while_read():
+    system = parse_setsystem("SS 5 3\n3 4 0 2\n0\n2 3 1\n")
+    assert system == SetSystem(5, ((4, 0, 2), (), (3, 1)))
+    assert system.sets == ((0, 2, 4), (), (1, 3))
 
 
 def test_setsystem_roundtrip():

@@ -2,11 +2,13 @@
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import combinations
 from math import comb
 
+from turancover import hypergraph
 from turancover.errors import ParameterError
 from turancover.formats import _array_instance, serialize_instance
 from turancover.generators import complete, random_hypergraph, simplify_reduction
@@ -95,6 +97,66 @@ def test_blowup_label_validation():
         BlowUp(H, ((0, 1),), 3, 3, 2)
     with pytest.raises(ParameterError, match="sorted"):
         BlowUp(H, ((0, 2), (0, 1), (1, 2)), 3, 3, 2)
+
+
+@st.composite
+def _blow_up_cases(draw):
+    """A base with k = 1, 2 or t - 1: small and dense, or with ids spread
+    up to 2**31, where n**k may pass 2**62."""
+    t = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        n = draw(st.integers(t, 10))
+        edges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=t, max_size=t),
+                              max_size=40, unique_by=frozenset))
+    else:
+        n = draw(st.sampled_from([t, 2**20, 2**31 - 1, 2**31, 2**31 + 1]))
+        spread = (0, 1, 2, 3, 4, 5, 6, n // 2, n - 2, n - 1)
+        ids = st.sampled_from(sorted({v % n for v in spread}))
+        edges = draw(st.lists(st.sets(ids, min_size=t, max_size=t), max_size=8,
+                              unique_by=frozenset))
+    k = draw(st.sampled_from(sorted({1, min(2, t - 1), t - 1})))
+    return Hypergraph(t, n, [tuple(e) for e in edges]), k
+
+
+def _blow_up_fields(B):
+    H = B.hyper
+    return B.labels, H.edges, H.n, H.t, B.base_n, B.base_t, B.k, H.edge_array.tolist()
+
+
+def _assert_same_blow_up(B, reference):
+    assert _blow_up_fields(B) == _blow_up_fields(reference)
+    E = B.hyper.edge_array
+    assert E.dtype == np.intp and not E.flags.writeable
+    assert E.shape == reference.hyper.edge_array.shape == (B.hyper.m, B.hyper.t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blow_up_cases())
+def test_array_blow_up_equals_the_pure_path(case):
+    base, k = case
+    reference = hypergraph._tuple_blow_up(base, k)
+    B = blow_up(base, k)  # numpy is loaded here
+    # only the array path hands over edge_array; it runs where its table of
+    # n**k flags is no longer than the m*C(t,k) codes
+    assert ("edge_array" in B.hyper.__dict__) == (base.n ** k <= base.m * comb(base.t, k))
+    _assert_same_blow_up(B, reference)
+    if base.n ** k <= 2**20:
+        _assert_same_blow_up(hypergraph._array_blow_up(base, k), reference)
+
+
+@pytest.mark.parametrize("n, k, array", [(6, 1, True), (7, 1, False), (2**31, 2, False)])
+def test_blow_up_takes_the_array_path_while_its_table_is_no_longer_than_the_codes(n, k, array):
+    base = Hypergraph(3, n, [(0, 1, n - 1), (2, 3, n - 2)])  # 2 * C(3, k) = 6 codes
+    B = blow_up(base, k)
+    assert ("edge_array" in B.hyper.__dict__) == array
+    _assert_same_blow_up(B, hypergraph._tuple_blow_up(base, k))
+
+
+def test_edgeless_blow_ups_are_equal_on_both_paths():
+    for base in (Hypergraph(4, 0, []), Hypergraph(4, 9, [])):
+        B = blow_up(base, 2)
+        assert _blow_up_fields(B) == ((), (), 0, 6, base.n, 4, 2, [])
+        _assert_same_blow_up(hypergraph._array_blow_up(base, 2), B)
 
 
 @settings(max_examples=60, deadline=None)

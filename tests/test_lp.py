@@ -562,6 +562,23 @@ def test_concurrent_exact_solves_use_one_object_per_thread(monkeypatch):
     assert all(pairs == serial for _, _, pairs in found)
 
 
+def test_float_solves_empty_their_fresh_object_before_dropping_it(monkeypatch):
+    # a float object dropped with its model and factorization still held, or
+    # emptied in the other order, raised the float benchmarks' peak RSS
+    core = lp._highs_core()
+    calls = []
+    for name in ("clearModel", "clearSolver"):
+        real = getattr(core._Highs, name)
+        monkeypatch.setattr(core._Highs, name,
+                            lambda self, name=name, real=real: calls.append(name) or real(self))
+    made = _count_highs_objects(monkeypatch)
+    H = _corpus_blow_ups()[7]
+    expected = repr(lp._solve_pair(H, "float"))
+    assert calls == ["clearSolver", "clearModel"] and len(made) == 1
+    assert repr(lp._solve_pair(H, "float")) == expected and len(made) == 2
+    assert lp._thread.highs is None
+
+
 def test_a_solve_after_one_that_raised_still_certifies(monkeypatch):
     H = _corpus_blow_ups()[7]
     expected = repr(lp._solve_pair(H, "exact"))
@@ -624,7 +641,7 @@ def test_fixed_optimum_equals_the_presolved_float_optimum():
         assert len(lp._dominated(H)) >= 339
         primal, dual = lp._solve_pair(H, "exact", 10**6)
         check_complementary_slackness(primal, dual, H)
-        assert abs(solve_vc_lp(H, mode="float").objective - primal.objective) <= 1e-9
+        assert abs(_linprog_reference(H, presolve=True).fun - primal.objective) <= 1e-9
 
 
 # --- the integer certificate against the Fraction checker it replaced -------
@@ -741,17 +758,17 @@ def test_overload_is_reported_in_order_of_first_incidence():
     assert _outcome(check_complementary_slackness, primal, dual, H) == expected
 
 
-def _linprog_reference(H, exact):
-    """scipy's linprog on the covering program in the configuration of ``_highs``:
-    its defaults for float mode; presolve off and the dominated vertices'
-    upper bounds 0 for exact mode."""
+def _linprog_reference(H, presolve=False):
+    """scipy's linprog on the covering program in the configuration of ``_highs``,
+    one for both modes: presolve off and the dominated vertices' upper bounds 0.
+    ``presolve=True`` gives linprog's defaults instead."""
     from scipy import sparse
     from scipy.optimize import linprog
 
     E = H.edge_array
     A = sparse.csr_matrix((np.ones(E.size), E.ravel(), np.arange(0, E.size + 1, H.t)),
                           shape=(H.m, H.n))
-    if not exact:
+    if presolve:
         return linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds")
     upper = np.full(H.n, np.inf)
     upper[lp._dominated(H)] = 0
@@ -759,18 +776,17 @@ def _linprog_reference(H, exact):
                    bounds=np.column_stack([np.zeros(H.n), upper]), options={"presolve": False})
 
 
-def _assert_matches_linprog(H, exact):
-    ref = _linprog_reference(H, exact)
+def _assert_matches_linprog(H, exact, presolve=False):
+    ref = _linprog_reference(H, presolve)
     obj, x, y, _ = lp._highs(H, exact=exact)
     assert obj == ref.fun
     assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
 
 
 def test_direct_highs_call_matches_linprog_bit_for_bit():
-    # scipy's linprog with its defaults is the reference for the float
-    # configuration.  HiGHS is not invariant under negating rows, and the
-    # 842x324 blow-up here returns other last bits if the covering rows go in
-    # as 1 <= A x.
+    # float mode runs exact mode's configuration.  HiGHS is not invariant
+    # under negating rows, and the 842x324 blow-up here returns other last
+    # bits if the covering rows go in as 1 <= A x.
     for H in (complete(5, 3), blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper):
         _assert_matches_linprog(H, exact=False)
 
@@ -779,6 +795,15 @@ def test_exact_highs_call_matches_linprog_without_presolve_bit_for_bit():
     # the 842x324 blow-up has 339 dominated vertices; complete(5, 3) has none
     for H in (complete(5, 3), blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper):
         _assert_matches_linprog(H, exact=True)
+
+
+def test_float_pair_blow_up_solves_as_with_presolve_bit_for_bit():
+    # a pair blow-up of a dense base (the float_pairs shapes) has no vertex
+    # of degree 1 and nothing for presolve to remove, so skipping presolve
+    # leaves float mode's values, and the t2 covers built on them, as they were
+    H = blow_up(random_hypergraph(22, 7, 0.02, seed=1), 2).hyper
+    assert lp._dominated(H).size == 0
+    _assert_matches_linprog(H, exact=False, presolve=True)
 
 
 # ------------------------------------------------ the HiGHS binding, loaded on its own
@@ -804,7 +829,7 @@ def test_binding_imported_through_scipy_optimize_first_is_reused():
 
 def test_linprog_after_a_solve_shares_the_binding_bit_for_bit():
     # linprog then imports scipy.optimize, which finds the binding lp registered;
-    # each configuration is compared as in _linprog_reference
+    # both modes are compared with the one configuration of _linprog_reference
     assert _fresh("""
         import sys
         import numpy as np
@@ -823,12 +848,10 @@ def test_linprog_after_a_solve_shares_the_binding_bit_for_bit():
                               shape=(H.m, H.n))
         upper = np.full(H.n, np.inf)
         upper[lp._dominated(H)] = 0
-        options = {True: dict(bounds=np.column_stack([np.zeros(H.n), upper]),
-                              options={"presolve": False}),
-                   False: {}}
+        ref = linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds",
+                      bounds=np.column_stack([np.zeros(H.n), upper]),
+                      options={"presolve": False})
         for exact, (obj, x, y, _) in solved.items():
-            ref = linprog(np.ones(H.n), A_ub=-A, b_ub=-np.ones(H.m), method="highs-ds",
-                          **options[exact])
             assert obj == ref.fun
             assert np.array_equal(x, ref.x) and np.array_equal(y, -ref.ineqlin.marginals)
         print(sys.modules["scipy.optimize._highspy._core"] is core)
