@@ -12,11 +12,12 @@ also bounds the primal support: every supported vertex v has
 sum_{e through v} y_e = 1, so |support| = sum_{v in S} sum_{e through v} y_e
 <= t * sum_e y_e = t * objective.
 
-Both modes make one call to HiGHS's dual simplex through the binding
-bundled with scipy (``scipy.optimize._highspy._core``), handing it the
-covering program in one layout, its constraint matrix straight from
-``Hypergraph.edge_array``.  The binding is loaded from its extension
-file on its own (``_highs_core``): importing it the ordinary way runs
+Both modes solve the covering program with HiGHS's dual simplex
+through the binding bundled with scipy
+(``scipy.optimize._highspy._core``), its constraint matrix straight
+from ``Hypergraph.edge_array``; float mode may answer before that (the
+uniform rung below).  The binding is loaded from its extension file on
+its own (``_highs_core``): importing it the ordinary way runs
 ``scipy/optimize/__init__.py`` first, about 0.45 s and 40 MB per
 process that nothing here uses.  Both sides are read off that one
 solve: the primal x and the dual y (the negated row duals).  Exact mode
@@ -74,12 +75,48 @@ degree 1, and there skipping presolve leaves HiGHS's values as they
 were, bit for bit; float solves of full blow-ups reach other optimal
 vertices than presolve did.
 
-Float mode returns HiGHS's values as they are, both sides with the
-solve's objective.  Support membership then uses a 1e-9 tolerance and
+Float mode returns HiGHS's values as they are (or the uniform rung's,
+below), both sides with the solve's objective.  Support membership then uses a 1e-9 tolerance and
 no exactness assertions are made.  Its guard bounds n + m*t, the
 columns plus the nonzeros HiGHS holds, by ``FLOAT_SIZE_GUARD``.  A
 ``size_guard`` argument sets the guard of the mode in use: n*m in exact
 mode, n + m*t in float mode.
+
+The uniform rung.  Before its covering solve, float mode tries to
+certify x = 1/t on each of the n' non-isolated vertices
+(``_uniform_pair``).  That x covers every edge exactly, at cost n'/t.
+It is optimal exactly when a perfect fractional matching exists, a
+y >= 0 with load 1 on every non-isolated vertex, as then sum y = n'/t
+as well.  It is the unique optimum when some such y is a basic solution
+with n' positive edges B: an optimal x' is complementary to y, so
+``A[B] x' = 1``, and ``A[B]`` is square and nonsingular, so x' = x.
+This is the rank criterion of Mangasarian, *Uniqueness of solution in
+linear programming* (Linear Algebra Appl. 25, 1979).  The covering
+solve returns that unique optimum too, up to HiGHS's tolerances, so the
+rung changes no support and no cover, only trailing float digits.  It
+hands HiGHS the feasibility program ``A^T y = 1, y >= 0`` at zero cost,
+n' rows with the incidence column-wise, which took about half the time
+of the covering program on the benchmark's pair blow-ups.  It is tried
+only where three gates hold:
+
+- no vertex has degree 1.  Such a vertex forces y_e = 1 on its edge e,
+  which leaves e the only positive edge at each of its t vertices.  Their
+  t rows of ``A[B]^T`` are then equal, so no basis can certify;
+- m >= n'.  B needs n' distinct edges;
+- H is not regular.  A regular H has the perfect matching y = 1/d
+  already, and on complete blow-ups its optimal face is degenerate: on
+  ``complete(12, 6)`` with k = 5 the rung is rejected after 1.23 s,
+  against 0.52 s for the covering solve (best of 3, shared 2-vCPU
+  host).  This gate is a measurement, not a proof.
+
+The rung accepts only if HiGHS reports an optimum whose basis holds no
+row logical and whose basic y all exceed ``FLOAT_SUPPORT_TOL``; it then
+returns x, the solved y, and n'/t as both objectives.  Otherwise the
+covering solve runs as it would without the rung, so every rejection
+returns what the covering solve returns.  A rejection costs the rung's
+own solve on top: 1.4-1.8x the covering solve alone on sparse pair
+blow-ups of 2-49 ms (``BENCH_16.json``).  Exact mode does not try the
+rung: its ladder needs a rational y, and the rung's y is a float.
 """
 
 from __future__ import annotations
@@ -143,9 +180,6 @@ class SlacknessReport:
 
     objective: Fraction
     support_size: int
-    support_bound: Fraction
-    tight_vertices: int
-    tight_edges: int
 
 
 def _simplex_pair(H: Hypergraph):
@@ -388,44 +422,40 @@ def _dominated(H: Hypergraph):
     return E[once]
 
 
-def _highs(H: Hypergraph, exact: bool = True):
-    """One HiGHS dual-simplex solve of the covering program, through the
-    binding bundled with scipy, loaded by ``_highs_core`` so that
+def _run_highs(exact: bool, rowwise: bool, cost, upper, row_lower, row_upper,
+               index, value, t: int):
+    """One HiGHS dual-simplex solve of ``minimize cost.x  subject to
+    row_lower <= A x <= row_upper,  0 <= x <= upper``, through the binding
+    bundled with scipy, loaded by ``_highs_core`` so that
     ``scipy.optimize`` itself is never imported.
 
-    The program goes in as ``minimize sum(x)  subject to  -A x <= -1,
-    x >= 0``, with A the edge-by-vertex incidence given row-wise: row i
-    of ``H.edge_array`` is already the sorted index list of row i.  This
-    is the form ``scipy.optimize.linprog`` passes to HiGHS, and HiGHS's
-    results are not invariant under negating rows.  The model goes in
-    through the binding's array form of ``passModel`` (HiGHS's index type
-    is int32; the zero integrality marks every column continuous), about
-    15 us against 45 us for filling a ``HighsLp``, with the same results
-    bit for bit.  Returns the optimal value, the primal x, the negated
-    row duals y (H has edges) and the optimal basis; y is an optimal
-    matching, so this one layout serves both sides in both modes.  The
-    basis is a copy, which ``clearModel`` leaves intact; only ladder
-    step 2 reads it.
+    Each major index of A (a row if ``rowwise``, else a column) holds
+    ``t`` nonzeros, of value ``value``, at the next ``t`` entries of
+    ``index`` (int32, HiGHS's index type): ``H.edge_array`` raveled is
+    the edge-by-vertex incidence row-wise and its transpose column-wise.
+    The model goes in through the binding's array form of ``passModel``
+    (the zero integrality marks every column continuous), about 15 us
+    against 45 us for filling a ``HighsLp``, with the same results bit
+    for bit.  Returns None unless HiGHS reports an optimum; otherwise the
+    objective, the column values, the row duals and the optimal basis,
+    a copy that ``clearModel`` leaves intact.
 
-    Both modes run one configuration: presolve off, which about halves
+    Every solve runs one configuration, presolve off, which about halves
     HiGHS's ``run`` on the benchmark's corpus LPs and saves about an
-    eighth on the pair blow-ups, and the ``_dominated`` vertices at upper
-    bound 0, which keeps covers from growing (module docstring).
-    ``exact`` only chooses the object.  Exact mode solves on this
-    thread's HiGHS object, emptied by ``clearModel`` once the solution is
-    read; building one costs about 0.1 ms, a tenth of a certified corpus
-    LP.  The object is taken off the thread while it solves, so a solve
-    that raises leaves none behind and the next one builds a fresh
-    object.  Float mode
-    (``exact=False``) builds a fresh object and empties it with
-    ``clearSolver`` and then ``clearModel`` before dropping it: a reused
-    object keeps memory that ``clearModel`` does not return, which raised
-    the float benchmarks' peak RSS by 6-17 %, while exact LPs are small
-    by ``EXACT_SIZE_GUARD``.  In 10 s ``float_pairs`` runs of six seeds,
-    peak RSS read 60.3-60.7 MB with these calls in this order, against up
-    to 64.5 MB without them and 68.8 MB with ``clearModel`` first; single
-    30 s runs spread by several MB with or without presolve
-    (``BENCH_15.json``).
+    eighth on the pair blow-ups.  ``exact`` only chooses the object.
+    Exact mode solves on this thread's HiGHS object, emptied by
+    ``clearModel`` once the solution is read; building one costs about
+    0.1 ms, a tenth of a certified corpus LP.  The object is taken off
+    the thread while it solves, so a solve that raises leaves none behind
+    and the next one builds a fresh object.  Float mode (``exact=False``)
+    builds a fresh object and empties it with ``clearSolver`` and then
+    ``clearModel`` before dropping it: a reused object keeps memory that
+    ``clearModel`` does not return, which raised the float benchmarks'
+    peak RSS by 6-17 %, while exact LPs are small by ``EXACT_SIZE_GUARD``.
+    In 10 s ``float_pairs`` runs of six seeds, peak RSS read 60.3-60.7 MB
+    with these calls in this order, against up to 64.5 MB without them
+    and 68.8 MB with ``clearModel`` first; single 30 s runs spread by
+    several MB with or without presolve (``BENCH_15.json``).
     """
     import numpy as np
 
@@ -438,24 +468,20 @@ def _highs(H: Hypergraph, exact: bool = True):
         highs.setOptionValue("presolve", "off")
     else:
         _thread.highs = None
-    E = H.edge_array
-    n, m = H.n, H.m
-    upper = np.full(n, np.inf)
-    upper[_dominated(H)] = 0.0
+    matrix_format = _core.MatrixFormat.kRowwise if rowwise else _core.MatrixFormat.kColwise
     status = highs.passModel(
-        n, m, E.size, int(_core.MatrixFormat.kRowwise), int(_core.ObjSense.kMinimize), 0.0,
-        np.ones(n), np.zeros(n), upper, np.full(m, -np.inf), np.full(m, -1.0),
-        np.arange(0, E.size, H.t, dtype=np.int32), E.ravel().astype(np.int32),
-        np.full(E.size, -1.0), np.zeros(n, dtype=np.int32))
+        cost.size, row_lower.size, index.size, int(matrix_format),
+        int(_core.ObjSense.kMinimize), 0.0, cost, np.zeros(cost.size), upper,
+        row_lower, row_upper, np.arange(0, index.size, t, dtype=np.int32), index,
+        np.full(index.size, value), np.zeros(cost.size, dtype=np.int32))
     if status == _core.HighsStatus.kError:  # pragma: no cover - a well-formed model
         raise VerificationError("HiGHS refused the model")
     highs.run()
-    status = highs.getModelStatus()
-    if status != _core.HighsModelStatus.kOptimal:  # pragma: no cover - feasible and bounded
-        raise VerificationError(f"HiGHS solve failed: {highs.modelStatusToString(status)}")
-    solution = highs.getSolution()
-    result = (highs.getObjectiveValue(), np.array(solution.col_value),
-              -np.array(solution.row_dual), highs.getBasis())
+    result = None
+    if highs.getModelStatus() == _core.HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        result = (highs.getObjectiveValue(), np.array(solution.col_value),
+                  np.array(solution.row_dual), highs.getBasis())
     if exact:
         highs.clearModel()
         _thread.highs = highs
@@ -465,6 +491,72 @@ def _highs(H: Hypergraph, exact: bool = True):
     return result
 
 
+def _highs(H: Hypergraph, exact: bool = True):
+    """One HiGHS solve of the covering program (``_run_highs``).
+
+    The program goes in as ``minimize sum(x)  subject to  -A x <= -1,
+    x >= 0``, with A the edge-by-vertex incidence given row-wise: row i
+    of ``H.edge_array`` is already the sorted index list of row i.  This
+    is the form ``scipy.optimize.linprog`` passes to HiGHS, and HiGHS's
+    results are not invariant under negating rows.  The ``_dominated``
+    vertices get upper bound 0, which keeps covers from growing (module
+    docstring).  Returns the optimal value, the primal x, the negated
+    row duals y (H has edges) and the optimal basis; y is an optimal
+    matching, so this one layout serves both sides in both modes.  Only
+    ladder step 2 reads the basis.
+    """
+    import numpy as np
+
+    n, m = H.n, H.m
+    upper = np.full(n, np.inf)
+    upper[_dominated(H)] = 0.0
+    result = _run_highs(exact, True, np.ones(n), upper, np.full(m, -np.inf), np.full(m, -1.0),
+                        H.edge_array.ravel().astype(np.int32), -1.0, H.t)
+    if result is None:  # pragma: no cover - feasible and bounded
+        raise VerificationError("HiGHS found no optimum of a feasible, bounded program")
+    obj, x, row_dual, basis = result
+    return obj, x, -row_dual, basis
+
+
+def _uniform_pair(H: Hypergraph):
+    """Float rung: certify x = 1/t on every non-isolated vertex as the
+    unique covering optimum, or return None (module docstring).
+
+    Solves ``A^T y = 1, y >= 0`` over the n' non-isolated vertices, at
+    zero cost, with the incidence passed column-wise.  Tried only where
+    no vertex has degree 1, m >= n' and H is not regular; accepted only
+    if HiGHS reports an optimum whose basis holds no row logical and
+    whose basic y all exceed ``FLOAT_SUPPORT_TOL``.
+    """
+    import numpy as np
+
+    E = H.edge_array
+    degree = np.bincount(E.ravel(), minlength=H.n)
+    used = np.flatnonzero(degree)
+    degree = degree[used]
+    low, high = degree.min(), degree.max()
+    if low == 1 or H.m < used.size or low == high:
+        return None
+    row = np.zeros(H.n, dtype=np.int32)
+    row[used] = np.arange(used.size, dtype=np.int32)
+    ones = np.ones(used.size)
+    result = _run_highs(False, False, np.zeros(H.m), np.full(H.m, np.inf), ones, ones,
+                        row[E.ravel()], 1.0, H.t)
+    if result is None:
+        return None
+    _, y, _, basis = result
+    basic = _highs_core().HighsBasisStatus.kBasic
+    if basic in basis.row_status:
+        return None
+    columns = [ei for ei, status in enumerate(basis.col_status) if status == basic]
+    if not (y[columns] > FLOAT_SUPPORT_TOL).all():
+        return None
+    obj = used.size / H.t
+    x = dict.fromkeys(used.tolist(), 1 / H.t)
+    return (LPSolution("primal", x, obj, "float"),
+            LPSolution("dual", _float_values(y), obj, "float"))
+
+
 def _float_values(values):
     import numpy as np
 
@@ -472,7 +564,7 @@ def _float_values(values):
 
 
 def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
-    """Optimal (primal, dual) pair from one HiGHS solve; see the module docstring."""
+    """Optimal (primal, dual) pair from HiGHS; see the module docstring."""
     if mode == "exact":
         guard = resolve_limit(size_guard, EXACT_SIZE_GUARD)
     elif mode == "float":
@@ -491,6 +583,9 @@ def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
         raise ResourceLimitError(f"float LP size n+m*t = {H.n}+{H.m}*{H.t}"
                                  f" = {H.n + H.m * H.t} exceeds limit {guard}")
     if mode == "float":
+        pair = _uniform_pair(H)
+        if pair is not None:
+            return pair
         obj, x, y, _ = _highs(H, exact=False)
         obj = float(obj)
         return (LPSolution("primal", _float_values(x), obj, "float"),
@@ -600,4 +695,4 @@ def check_complementary_slackness(
     size = len(primal.support)
     if size > bound:
         raise VerificationError(f"support size {size} exceeds t * objective = {bound}")
-    return SlacknessReport(Fraction(primal.objective), size, bound, size, len(dual.values))
+    return SlacknessReport(Fraction(primal.objective), size)

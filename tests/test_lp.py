@@ -1,8 +1,10 @@
 """Exact and float LP solves plus the optimal-pair certificate checks."""
 
 import functools
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -436,6 +438,137 @@ def test_exact_and_float_objectives_agree_over_the_acceptance_corpus():
             assert abs(solve(H, mode="float").objective - certified) <= 1e-9
 
 
+# --- float mode certifies the uniform cover first ---------------------------
+
+def _sampled_pair_blow_up(n, t, m, seed):
+    """Pair blow-up of m distinct random t-subsets of n base vertices."""
+    edges = random.Random(seed).sample(list(itertools.combinations(range(n), t)), m)
+    return blow_up(Hypergraph(t, n, edges), 2)
+
+
+def _highs_models(monkeypatch):
+    """Record each HiGHS model built: "rung" (column-wise) or "cover" (row-wise)."""
+    models = []
+    real = lp._run_highs
+
+    def spy(exact, rowwise, *args):
+        models.append("cover" if rowwise else "rung")
+        return real(exact, rowwise, *args)
+
+    monkeypatch.setattr(lp, "_run_highs", spy)
+    return models
+
+
+def _covering_only(monkeypatch):
+    monkeypatch.setattr(lp, "_uniform_pair", lambda H: None)
+
+
+@functools.cache
+def _rung_accepted():
+    """Dense, irregular pair blow-ups: 66x300 samples and a float_pairs base."""
+    return (*(_sampled_pair_blow_up(12, 5, 300, seed) for seed in range(3)),
+            blow_up(random_hypergraph(20, 8, 0.03, 1), 2))
+
+
+def test_the_rung_returns_the_covering_solves_optimum(monkeypatch):
+    for B in _rung_accepted():
+        H = B.hyper
+        models = _highs_models(monkeypatch)
+        primal, dual = lp._solve_pair(H, "float")
+        assert models == ["rung"]
+        obj, x, _, _ = lp._highs(H, exact=False)
+        assert primal.support == tuple(np.flatnonzero(x > lp.FLOAT_SUPPORT_TOL).tolist())
+        assert set(primal.values.values()) == {1 / H.t}
+        rung_x = np.zeros(H.n)
+        rung_x[list(primal.values)] = list(primal.values.values())
+        assert np.abs(rung_x - x).max() <= 1e-9
+        assert primal.objective == dual.objective == len(primal.support) / H.t
+        assert abs(primal.objective - obj) <= 1e-12 * obj
+        # the solved y is a perfect fractional matching of the non-isolated vertices
+        load = np.zeros(H.n)
+        for ei, ye in dual.values.items():
+            load[list(H.edges[ei])] += ye
+        assert np.abs(load[list(primal.values)] - 1).max() <= 1e-9
+        assert len(dual.values) == len(primal.values)
+
+
+def test_t2_covers_are_those_of_the_covering_solve(monkeypatch):
+    for seed, B in enumerate(_rung_accepted()):
+        monkeypatch.undo()
+        rung = t2_cover_blowup(B, seed=seed, trials=20, mode="float")
+        _covering_only(monkeypatch)
+        cover = t2_cover_blowup(B, seed=seed, trials=20, mode="float")
+        assert (rung.cover, rung.forced, rung.parity_class, rung.trial_index) == \
+            (cover.cover, cover.forced, cover.parity_class, cover.trial_index)
+        assert abs(rung.lp_opt - cover.lp_opt) <= 1e-12 * cover.lp_opt
+
+
+def _gate_instance(gate):
+    """An instance failing ``gate`` alone."""
+    C = itertools.combinations
+    if gate == "degree_1":
+        # base pair {0, 1} left in one triple: a full (k = 2) blow-up with one
+        # degree-1 vertex, m = 31 >= n = 21
+        base = Hypergraph(3, 7, [e for e in C(range(7), 3) if e[:2] != (0, 1) or e[2] == 2])
+    elif gate == "few_edges":
+        # K_6^(5) less one edge: pair degrees 3 and 4, m = 5 < n = 15
+        base = Hypergraph(5, 6, [e for e in C(range(6), 5) if 0 in e])
+    else:
+        base = complete(8, 4)
+    return blow_up(base, 2).hyper
+
+
+@pytest.mark.parametrize("gate", ["degree_1", "few_edges", "regular"])
+def test_the_rung_is_skipped_where_a_gate_fails(monkeypatch, gate):
+    H = _gate_instance(gate)
+    degree = np.bincount(H.edge_array.ravel(), minlength=H.n)
+    fails = {"degree_1": degree.min() == 1, "few_edges": H.m < H.n,
+             "regular": degree.min() == degree.max()}
+    assert degree.min() >= 1 and [key for key, fail in fails.items() if fail] == [gate]
+    models = _highs_models(monkeypatch)
+    got = repr(lp._solve_pair(H, "float"))
+    assert models == ["cover"]
+    _covering_only(monkeypatch)
+    assert got == repr(lp._solve_pair(H, "float"))
+
+
+@pytest.mark.parametrize("reason, shape", [
+    ("infeasible", (14, 5, 100, 0)),  # 91x100: no perfect fractional matching
+    ("row_logical", (9, 5, 100, 5)),  # 36x100: a row logical basic, every basic y > 0
+    ("zero_basic_y", (8, 4, 40, 4)),  # 28x40: a basic y at 0
+    ("not_unique", (8, 4, 40, 2)),  # 28x40: both, and x = 1/t is not the only optimum
+])
+def test_a_rejected_rung_falls_back_to_the_covering_solve(monkeypatch, reason, shape):
+    H = _sampled_pair_blow_up(*shape).hyper
+    core = lp._highs_core()
+    cleared = []
+    for name in ("clearModel", "clearSolver"):
+        real = getattr(core._Highs, name)
+        monkeypatch.setattr(core._Highs, name,
+                            lambda self, name=name, real=real: cleared.append(name) or real(self))
+    made = _count_highs_objects(monkeypatch)
+    models = _highs_models(monkeypatch)
+    primal, dual = lp._solve_pair(H, "float")
+    assert models == ["rung", "cover"] and len(made) == 2
+    assert cleared == ["clearSolver", "clearModel"] * 2
+    if reason == "not_unique":
+        # accepting would have changed x: HiGHS finds another optimum
+        assert len(set(primal.values.values())) > 1
+        assert primal.objective == pytest.approx(H.n / H.t, rel=1e-12)
+    _covering_only(monkeypatch)
+    assert repr((primal, dual)) == repr(lp._solve_pair(H, "float"))
+
+
+def test_exact_mode_confirms_the_unique_uniform_optimum():
+    # what the rung accepts, the certified ladder finds: x = 1/t on every
+    # non-isolated vertex (the rung's uniqueness argument, checked exactly)
+    for B in _rung_accepted()[:3]:
+        H = B.hyper
+        assert H.n * H.m <= lp.EXACT_SIZE_GUARD and lp._uniform_pair(H) is not None
+        used = np.flatnonzero(np.bincount(H.edge_array.ravel(), minlength=H.n)).tolist()
+        assert solve_vc_lp(H).values == dict.fromkeys(used, Fraction(1, H.t))
+
+
 # --- ladder step 1 against the per-value rationalizer it replaced -----------
 
 
@@ -680,20 +813,16 @@ def _reference_check(primal, dual, H):
         if load > 1:
             raise VerificationError(f"vertex {v} is overloaded: matching weight {load}")
 
-    tight_v = 0
     for v in primal.support:
         if vertex_load.get(v, Fraction(0)) != 1:
             raise VerificationError(
                 f"vertex {v} has positive weight but its matching constraint is slack"
             )
-        tight_v += 1
-    tight_e = 0
     for ei in dual.support:
         if edge_load[ei] != 1:
             raise VerificationError(
                 f"edge {ei} has positive weight but its covering constraint is slack"
             )
-        tight_e += 1
 
     # tightness plus feasibility already forces equal objectives; kept as a net
     if primal.objective != dual.objective:
@@ -705,7 +834,7 @@ def _reference_check(primal, dual, H):
     size = len(primal.support)
     if size > bound:
         raise VerificationError(f"support size {size} exceeds t * objective = {bound}")
-    return lp.SlacknessReport(Fraction(primal.objective), size, bound, tight_v, tight_e)
+    return lp.SlacknessReport(Fraction(primal.objective), size)
 
 
 def _outcome(check, primal, dual, H):
