@@ -76,47 +76,74 @@ were, bit for bit; float solves of full blow-ups reach other optimal
 vertices than presolve did.
 
 Float mode returns HiGHS's values as they are (or the uniform rung's,
-below), both sides with the solve's objective.  Support membership then uses a 1e-9 tolerance and
-no exactness assertions are made.  Its guard bounds n + m*t, the
+below), both sides with the solve's objective.  Support membership
+then uses a 1e-9 tolerance and no exactness assertions are made.  Its guard bounds n + m*t, the
 columns plus the nonzeros HiGHS holds, by ``FLOAT_SIZE_GUARD``.  A
 ``size_guard`` argument sets the guard of the mode in use: n*m in exact
 mode, n + m*t in float mode.
 
 The uniform rung.  Before its covering solve, float mode tries to
 certify x = 1/t on each of the n' non-isolated vertices
-(``_uniform_pair``).  That x covers every edge exactly, at cost n'/t.
-It is optimal exactly when a perfect fractional matching exists, a
-y >= 0 with load 1 on every non-isolated vertex, as then sum y = n'/t
-as well.  It is the unique optimum when some such y is a basic solution
-with n' positive edges B: an optimal x' is complementary to y, so
-``A[B] x' = 1``, and ``A[B]`` is square and nonsingular, so x' = x.
-This is the rank criterion of Mangasarian, *Uniqueness of solution in
-linear programming* (Linear Algebra Appl. 25, 1979).  The covering
-solve returns that unique optimum too, up to HiGHS's tolerances, so the
-rung changes no support and no cover, only trailing float digits.  It
-hands HiGHS the feasibility program ``A^T y = 1, y >= 0`` at zero cost,
-n' rows with the incidence column-wise, which took about half the time
-of the covering program on the benchmark's pair blow-ups.  It is tried
-only where three gates hold:
+(``_uniform_pair``) by dense linear algebra, with no HiGHS model.  That
+x covers every edge exactly, at cost n'/t.  It is optimal exactly when
+a perfect fractional matching exists, a y >= 0 with load 1 on every
+non-isolated vertex, as then sum y = n'/t as well.  It is the unique
+optimum when some such y is positive on an edge set B whose incidence
+``A[B]`` has full column rank n': an optimal x' is complementary to y,
+so ``A[B] x' = 1``, which has one solution, so x' = x.  This is the
+rank criterion of Mangasarian, *Uniqueness of solution in linear
+programming* (Linear Algebra Appl. 25, 1979).  The covering solve
+returns that unique optimum too, up to HiGHS's tolerances, so the rung
+changes no support and no cover, only trailing float digits and the
+matching.
+
+The rung holds A densely, n' float32 columns, and starts from B = all
+edges.  Each round forms the co-degree matrix ``G = A[B]^T A[B]`` with
+one BLAS product.  Entry (u, v) of G counts the edges of B through u
+and v, so every partial sum is an integer of at most m < 2**24, which
+float32 adds exactly in any order: G, and G in float64, is exact.  G is
+positive definite exactly when ``A[B]`` has full column rank, so the
+rung factors it by Cholesky in float64.  A singular G can still factor
+in floats, with a pivot left at rounding level, so every pivot must
+exceed ``_PIVOT_FLOOR`` = 1e-8 times its diagonal entry.  Over 4000
+small pair blow-ups, singular Grams left pivots of at most 7e-15 of
+their diagonal entry and nonsingular ones at least 5e-3
+(``BENCH_17.json``).  G must stay the exact integer matrix: the floor
+tells singular from nonsingular only because G carries no rounding of
+its own, and without the floor the rung accepts instances whose
+x = 1/t is optimal but not unique (``tests/test_lp.py``).  The rung then solves
+``G z = 1`` with one float64 refinement step and sets ``y = A[B] z``,
+the least-norm solution of ``A[B]^T y = 1``.  It accepts if y exceeds
+``FLOAT_SUPPORT_TOL`` on all of B and every vertex load is within 1e-9
+of 1, and returns x, that y and n'/t as both objectives; y can be
+positive on all m edges.  If y is not positive somewhere, those edges
+leave B and the rung goes again while |B| >= n'.  Their rows of A are
+zeroed in place, which leaves G the same: a copy of ``A[B]`` would hold
+a second incidence, and raised the benchmark's peak RSS by 5 MB where
+a second round ran.  Each round shrinks B, so the loop ends.  A failed
+factorization or a low pivot ends the rung at once, as no subset of B
+has full rank either.
+
+The rung is tried only where these gates hold:
 
 - no vertex has degree 1.  Such a vertex forces y_e = 1 on its edge e,
   which leaves e the only positive edge at each of its t vertices.  Their
-  t rows of ``A[B]^T`` are then equal, so no basis can certify;
-- m >= n'.  B needs n' distinct edges;
-- H is not regular.  A regular H has the perfect matching y = 1/d
-  already, and on complete blow-ups its optimal face is degenerate: on
-  ``complete(12, 6)`` with k = 5 the rung is rejected after 1.23 s,
-  against 0.52 s for the covering solve (best of 3, shared 2-vCPU
-  host).  This gate is a measurement, not a proof.
+  t columns of ``A[B]`` are then equal, so no B can certify;
+- n' <= m < 2**24.  Full column rank needs n' edges, and exact float32
+  sums need m below 2**24;
+- the dense arrays, 4*m*n' bytes of incidence and 8*n'**2 of G, take
+  no more than HiGHS would hold for the covering model, about 200 bytes
+  per unit of n + m*t (the guard in ``_solve_pair``).  On the
+  benchmark's pair blow-ups that is 6.8 MB against 13.9 MB.
 
-The rung accepts only if HiGHS reports an optimum whose basis holds no
-row logical and whose basic y all exceed ``FLOAT_SUPPORT_TOL``; it then
-returns x, the solved y, and n'/t as both objectives.  Otherwise the
-covering solve runs as it would without the rung, so every rejection
-returns what the covering solve returns.  A rejection costs the rung's
-own solve on top: 1.4-1.8x the covering solve alone on sparse pair
-blow-ups of 2-49 ms (``BENCH_16.json``).  Exact mode does not try the
-rung: its ladder needs a rational y, and the rung's y is a float.
+Every rejection runs the covering solve as it would without the rung.
+A rejection costs the rung's own rounds on top: 0.04-0.5 ms on sparse
+pair blow-ups of 28x30 to 91x100, and up to 16 ms on 190x388, where
+many rounds run, against a covering solve of 3-57 ms.  An acceptance
+takes 5-12 ms on the benchmark's pair blow-ups, where the HiGHS solve
+it replaced took 72-154 ms (``BENCH_17.json``).  Exact mode does not
+try the rung: its ladder needs a rational y, and the rung's y is a
+float.
 """
 
 from __future__ import annotations
@@ -422,23 +449,27 @@ def _dominated(H: Hypergraph):
     return E[once]
 
 
-def _run_highs(exact: bool, rowwise: bool, cost, upper, row_lower, row_upper,
-               index, value, t: int):
-    """One HiGHS dual-simplex solve of ``minimize cost.x  subject to
-    row_lower <= A x <= row_upper,  0 <= x <= upper``, through the binding
-    bundled with scipy, loaded by ``_highs_core`` so that
+def _highs(H: Hypergraph, exact: bool = True):
+    """One HiGHS dual-simplex solve of the covering program, through the
+    binding bundled with scipy, loaded by ``_highs_core`` so that
     ``scipy.optimize`` itself is never imported.
 
-    Each major index of A (a row if ``rowwise``, else a column) holds
-    ``t`` nonzeros, of value ``value``, at the next ``t`` entries of
-    ``index`` (int32, HiGHS's index type): ``H.edge_array`` raveled is
-    the edge-by-vertex incidence row-wise and its transpose column-wise.
-    The model goes in through the binding's array form of ``passModel``
-    (the zero integrality marks every column continuous), about 15 us
-    against 45 us for filling a ``HighsLp``, with the same results bit
-    for bit.  Returns None unless HiGHS reports an optimum; otherwise the
-    objective, the column values, the row duals and the optimal basis,
-    a copy that ``clearModel`` leaves intact.
+    The program goes in as ``minimize sum(x)  subject to  -A x <= -1,
+    x >= 0``, with A the edge-by-vertex incidence given row-wise: row i
+    of ``H.edge_array`` is already the sorted index list of row i.  This
+    is the form ``scipy.optimize.linprog`` passes to HiGHS, and HiGHS's
+    results are not invariant under negating rows.  The model goes in
+    through the binding's array form of ``passModel`` (the zero
+    integrality marks every column continuous), about 15 us against
+    45 us for filling a ``HighsLp``, with the same results bit for bit.
+    The ``_dominated`` vertices get upper bound 0, which keeps covers
+    from growing (module docstring).  Returns the optimal value, the
+    primal x, the negated row duals y (H has edges) and the optimal
+    basis, a copy that ``clearModel`` leaves intact; y is an optimal
+    matching, so this one layout serves both sides in both modes.  Only
+    ladder step 2 reads the basis.  This is the only HiGHS model left:
+    the uniform rung no longer builds one, so the column-wise layout and
+    the generic cost, bound and row arguments it needed are gone.
 
     Every solve runs one configuration, presolve off, which about halves
     HiGHS's ``run`` on the benchmark's corpus LPs and saves about an
@@ -468,12 +499,15 @@ def _run_highs(exact: bool, rowwise: bool, cost, upper, row_lower, row_upper,
         highs.setOptionValue("presolve", "off")
     else:
         _thread.highs = None
-    matrix_format = _core.MatrixFormat.kRowwise if rowwise else _core.MatrixFormat.kColwise
+    n, m, t = H.n, H.m, H.t
+    index = H.edge_array.ravel().astype(np.int32)
+    upper = np.full(n, np.inf)
+    upper[_dominated(H)] = 0.0
     status = highs.passModel(
-        cost.size, row_lower.size, index.size, int(matrix_format),
-        int(_core.ObjSense.kMinimize), 0.0, cost, np.zeros(cost.size), upper,
-        row_lower, row_upper, np.arange(0, index.size, t, dtype=np.int32), index,
-        np.full(index.size, value), np.zeros(cost.size, dtype=np.int32))
+        n, m, index.size, int(_core.MatrixFormat.kRowwise), int(_core.ObjSense.kMinimize),
+        0.0, np.ones(n), np.zeros(n), upper, np.full(m, -np.inf), np.full(m, -1.0),
+        np.arange(0, index.size, t, dtype=np.int32), index, np.full(index.size, -1.0),
+        np.zeros(n, dtype=np.int32))
     if status == _core.HighsStatus.kError:  # pragma: no cover - a well-formed model
         raise VerificationError("HiGHS refused the model")
     highs.run()
@@ -481,80 +515,82 @@ def _run_highs(exact: bool, rowwise: bool, cost, upper, row_lower, row_upper,
     if highs.getModelStatus() == _core.HighsModelStatus.kOptimal:
         solution = highs.getSolution()
         result = (highs.getObjectiveValue(), np.array(solution.col_value),
-                  np.array(solution.row_dual), highs.getBasis())
+                  -np.array(solution.row_dual), highs.getBasis())
     if exact:
         highs.clearModel()
         _thread.highs = highs
     else:
         highs.clearSolver()
         highs.clearModel()
+    if result is None:  # pragma: no cover - feasible and bounded
+        raise VerificationError("HiGHS found no optimum of a feasible, bounded program")
     return result
 
 
-def _highs(H: Hypergraph, exact: bool = True):
-    """One HiGHS solve of the covering program (``_run_highs``).
-
-    The program goes in as ``minimize sum(x)  subject to  -A x <= -1,
-    x >= 0``, with A the edge-by-vertex incidence given row-wise: row i
-    of ``H.edge_array`` is already the sorted index list of row i.  This
-    is the form ``scipy.optimize.linprog`` passes to HiGHS, and HiGHS's
-    results are not invariant under negating rows.  The ``_dominated``
-    vertices get upper bound 0, which keeps covers from growing (module
-    docstring).  Returns the optimal value, the primal x, the negated
-    row duals y (H has edges) and the optimal basis; y is an optimal
-    matching, so this one layout serves both sides in both modes.  Only
-    ladder step 2 reads the basis.
-    """
-    import numpy as np
-
-    n, m = H.n, H.m
-    upper = np.full(n, np.inf)
-    upper[_dominated(H)] = 0.0
-    result = _run_highs(exact, True, np.ones(n), upper, np.full(m, -np.inf), np.full(m, -1.0),
-                        H.edge_array.ravel().astype(np.int32), -1.0, H.t)
-    if result is None:  # pragma: no cover - feasible and bounded
-        raise VerificationError("HiGHS found no optimum of a feasible, bounded program")
-    obj, x, row_dual, basis = result
-    return obj, x, -row_dual, basis
+# HiGHS holds about 200 bytes per unit of n + m*t of the covering model
+# (the guard in ``_solve_pair``); the rung's dense arrays may take as much
+_HIGHS_BYTES_PER_UNIT = 200
+# a Cholesky pivot below this fraction of its diagonal entry is taken for 0
+_PIVOT_FLOOR = 1e-8
+# the largest violation of A^T y = 1 an accepted rung may leave
+_MATCHING_TOL = 1e-9
 
 
 def _uniform_pair(H: Hypergraph):
     """Float rung: certify x = 1/t on every non-isolated vertex as the
     unique covering optimum, or return None (module docstring).
 
-    Solves ``A^T y = 1, y >= 0`` over the n' non-isolated vertices, at
-    zero cost, with the incidence passed column-wise.  Tried only where
-    no vertex has degree 1, m >= n' and H is not regular; accepted only
-    if HiGHS reports an optimum whose basis holds no row logical and
-    whose basic y all exceed ``FLOAT_SUPPORT_TOL``.
+    Each round factors the exact co-degree matrix G of the edges B left
+    (all of them at first) and sets y to the least-norm solution of
+    ``A[B]^T y = 1``; it accepts a y that is positive on B, drops the
+    edges where it is not and goes again, and gives up once G is
+    singular or fewer than n' edges are left.
     """
     import numpy as np
 
     E = H.edge_array
     degree = np.bincount(E.ravel(), minlength=H.n)
     used = np.flatnonzero(degree)
-    degree = degree[used]
-    low, high = degree.min(), degree.max()
-    if low == 1 or H.m < used.size or low == high:
+    size = used.size
+    if degree[used].min() == 1 or not size <= H.m < 2**24:
         return None
-    row = np.zeros(H.n, dtype=np.int32)
-    row[used] = np.arange(used.size, dtype=np.int32)
-    ones = np.ones(used.size)
-    result = _run_highs(False, False, np.zeros(H.m), np.full(H.m, np.inf), ones, ones,
-                        row[E.ravel()], 1.0, H.t)
-    if result is None:
+    if 4 * H.m * size + 8 * size * size > _HIGHS_BYTES_PER_UNIT * (H.n + H.m * H.t):
         return None
-    _, y, _, basis = result
-    basic = _highs_core().HighsBasisStatus.kBasic
-    if basic in basis.row_status:
-        return None
-    columns = [ei for ei, status in enumerate(basis.col_status) if status == basic]
-    if not (y[columns] > FLOAT_SUPPORT_TOL).all():
-        return None
-    obj = used.size / H.t
-    x = dict.fromkeys(used.tolist(), 1 / H.t)
-    return (LPSolution("primal", x, obj, "float"),
-            LPSolution("dual", _float_values(y), obj, "float"))
+    column = np.zeros(H.n, dtype=np.intp)
+    column[used] = np.arange(size)
+    E = column[E]
+    A = np.zeros((H.m, size), dtype=np.float32)
+    A[np.arange(H.m)[:, None], E] = 1
+    kept = np.arange(H.m)
+    ones = np.ones(size)
+
+    def loads(y):
+        return np.bincount(E.ravel(), weights=np.repeat(y, H.t), minlength=size)
+
+    while kept.size >= size:
+        # integer sums below m < 2**24: exact in float32, whatever the order
+        G = (A.T @ A).astype(np.float64)
+        try:
+            L = np.linalg.cholesky(G)
+            if not (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all():
+                return None
+            z = np.linalg.solve(G, ones)
+            z += np.linalg.solve(G, ones - loads(z[E].sum(axis=1)))
+        except np.linalg.LinAlgError:
+            return None
+        y = z[E].sum(axis=1)
+        positive = y > FLOAT_SUPPORT_TOL
+        if positive.all():
+            if np.abs(loads(y) - 1).max() > _MATCHING_TOL:
+                return None
+            obj = size / H.t
+            x = dict.fromkeys(used.tolist(), 1 / H.t)
+            return (LPSolution("primal", x, obj, "float"),
+                    LPSolution("dual", dict(zip(kept.tolist(), y.tolist())), obj, "float"))
+        # zero rows add nothing to G: a copy of A[B] would hold a second incidence
+        A[kept[~positive]] = 0
+        E, kept = E[positive], kept[positive]
+    return None
 
 
 def _float_values(values):

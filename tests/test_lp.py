@@ -446,21 +446,53 @@ def _sampled_pair_blow_up(n, t, m, seed):
     return blow_up(Hypergraph(t, n, edges), 2)
 
 
-def _highs_models(monkeypatch):
-    """Record each HiGHS model built: "rung" (column-wise) or "cover" (row-wise)."""
-    models = []
-    real = lp._run_highs
-
-    def spy(exact, rowwise, *args):
-        models.append("cover" if rowwise else "rung")
-        return real(exact, rowwise, *args)
-
-    monkeypatch.setattr(lp, "_run_highs", spy)
-    return models
-
-
 def _covering_only(monkeypatch):
     monkeypatch.setattr(lp, "_uniform_pair", lambda H: None)
+
+
+def _cholesky_calls(monkeypatch):
+    """Record each Cholesky the rung makes: its smallest pivot over the
+    matching diagonal entry of G, or None where the factorization failed."""
+    calls = []
+    real = np.linalg.cholesky
+
+    def spy(G):
+        try:
+            L = real(G)
+        except np.linalg.LinAlgError:
+            calls.append(None)
+            raise
+        calls.append((np.diagonal(L) ** 2 / np.diagonal(G)).min())
+        return L
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+def _used(H):
+    return np.flatnonzero(np.bincount(H.edge_array.ravel(), minlength=H.n))
+
+
+def _incidence_rank(H, edges):
+    """Exact-enough rank of the 0/1 incidence of ``edges`` over the non-isolated vertices."""
+    A = np.zeros((len(edges), H.n))
+    for row, ei in enumerate(edges):
+        A[row, list(H.edges[ei])] = 1
+    return np.linalg.matrix_rank(A[:, _used(H)])
+
+
+def _assert_uniform_and_unique(H, primal, dual):
+    """``primal`` is x = 1/t on the non-isolated vertices, ``dual`` a perfect
+    fractional matching of them, positive on edges of full column rank."""
+    used = _used(H)
+    assert primal.values == dict.fromkeys(used.tolist(), 1 / H.t)
+    assert primal.objective == dual.objective == used.size / H.t
+    assert min(dual.values.values()) > lp.FLOAT_SUPPORT_TOL
+    load = np.zeros(H.n)
+    for ei, ye in dual.values.items():
+        load[list(H.edges[ei])] += ye
+    assert np.abs(load[used] - 1).max() <= 1e-9
+    assert _incidence_rank(H, list(dual.values)) == used.size
 
 
 @functools.cache
@@ -473,23 +505,20 @@ def _rung_accepted():
 def test_the_rung_returns_the_covering_solves_optimum(monkeypatch):
     for B in _rung_accepted():
         H = B.hyper
-        models = _highs_models(monkeypatch)
+        made = _count_highs_objects(monkeypatch)
+        covering = _spy(monkeypatch, "_highs")
+        calls = _cholesky_calls(monkeypatch)
         primal, dual = lp._solve_pair(H, "float")
-        assert models == ["rung"]
+        assert made == [] and covering == []  # an accepted rung builds no HiGHS model
+        assert calls and all(ratio > lp._PIVOT_FLOOR for ratio in calls)
+        monkeypatch.undo()
+        _assert_uniform_and_unique(H, primal, dual)
         obj, x, _, _ = lp._highs(H, exact=False)
         assert primal.support == tuple(np.flatnonzero(x > lp.FLOAT_SUPPORT_TOL).tolist())
-        assert set(primal.values.values()) == {1 / H.t}
         rung_x = np.zeros(H.n)
         rung_x[list(primal.values)] = list(primal.values.values())
         assert np.abs(rung_x - x).max() <= 1e-9
-        assert primal.objective == dual.objective == len(primal.support) / H.t
         assert abs(primal.objective - obj) <= 1e-12 * obj
-        # the solved y is a perfect fractional matching of the non-isolated vertices
-        load = np.zeros(H.n)
-        for ei, ye in dual.values.items():
-            load[list(H.edges[ei])] += ye
-        assert np.abs(load[list(primal.values)] - 1).max() <= 1e-9
-        assert len(dual.values) == len(primal.values)
 
 
 def test_t2_covers_are_those_of_the_covering_solve(monkeypatch):
@@ -503,43 +532,60 @@ def test_t2_covers_are_those_of_the_covering_solve(monkeypatch):
         assert abs(rung.lp_opt - cover.lp_opt) <= 1e-12 * cover.lp_opt
 
 
+def _rung_bytes(H):
+    """The rung's dense incidence plus G, against HiGHS's covering model."""
+    size = _used(H).size
+    return 4 * H.m * size + 8 * size * size, 200 * (H.n + H.m * H.t)
+
+
 def _gate_instance(gate):
     """An instance failing ``gate`` alone."""
     C = itertools.combinations
     if gate == "degree_1":
         # base pair {0, 1} left in one triple: a full (k = 2) blow-up with one
         # degree-1 vertex, m = 31 >= n = 21
-        base = Hypergraph(3, 7, [e for e in C(range(7), 3) if e[:2] != (0, 1) or e[2] == 2])
-    elif gate == "few_edges":
+        return blow_up(Hypergraph(3, 7, [e for e in C(range(7), 3)
+                                         if e[:2] != (0, 1) or e[2] == 2]), 2).hyper
+    if gate == "few_edges":
         # K_6^(5) less one edge: pair degrees 3 and 4, m = 5 < n = 15
-        base = Hypergraph(5, 6, [e for e in C(range(6), 5) if 0 in e])
-    else:
-        base = complete(8, 4)
-    return blow_up(base, 2).hyper
+        return blow_up(Hypergraph(5, 6, [e for e in C(range(6), 5) if 0 in e]), 2).hyper
+    # K_98: the dense arrays take 2 * 98**2 bytes more than the bound
+    return complete(98, 2)
 
 
-@pytest.mark.parametrize("gate", ["degree_1", "few_edges", "regular"])
+@pytest.mark.parametrize("gate", ["degree_1", "few_edges", "memory"])
 def test_the_rung_is_skipped_where_a_gate_fails(monkeypatch, gate):
     H = _gate_instance(gate)
     degree = np.bincount(H.edge_array.ravel(), minlength=H.n)
-    fails = {"degree_1": degree.min() == 1, "few_edges": H.m < H.n,
-             "regular": degree.min() == degree.max()}
+    need, bound = _rung_bytes(H)
+    fails = {"degree_1": degree.min() == 1, "few_edges": H.m < H.n, "memory": need > bound}
     assert degree.min() >= 1 and [key for key, fail in fails.items() if fail] == [gate]
-    models = _highs_models(monkeypatch)
+    calls = _cholesky_calls(monkeypatch)
+    covering = _spy(monkeypatch, "_highs")
     got = repr(lp._solve_pair(H, "float"))
-    assert models == ["cover"]
+    assert calls == [] and len(covering) == 1
     _covering_only(monkeypatch)
     assert got == repr(lp._solve_pair(H, "float"))
 
 
+def test_the_memory_gate_admits_an_instance_at_its_bound(monkeypatch):
+    H = complete(97, 2)
+    assert _rung_bytes(H)[0] == _rung_bytes(H)[1]
+    covering = _spy(monkeypatch, "_highs")
+    primal, dual = lp._solve_pair(H, "float")
+    assert covering == []
+    _assert_uniform_and_unique(H, primal, dual)
+
+
 @pytest.mark.parametrize("reason, shape", [
     ("infeasible", (14, 5, 100, 0)),  # 91x100: no perfect fractional matching
-    ("row_logical", (9, 5, 100, 5)),  # 36x100: a row logical basic, every basic y > 0
-    ("zero_basic_y", (8, 4, 40, 4)),  # 28x40: a basic y at 0
-    ("not_unique", (8, 4, 40, 2)),  # 28x40: both, and x = 1/t is not the only optimum
+    ("singular", (8, 4, 30, 3)),  # 28x30: the incidence has rank < n'
+    ("singular_after_drops", (8, 4, 40, 4)),  # 28x40: full rank, lost with the dropped edges
+    ("not_unique", (8, 4, 40, 2)),  # 28x40: x = 1/t is optimal but not the only optimum
 ])
 def test_a_rejected_rung_falls_back_to_the_covering_solve(monkeypatch, reason, shape):
     H = _sampled_pair_blow_up(*shape).hyper
+    n_used = _used(H).size
     core = lp._highs_core()
     cleared = []
     for name in ("clearModel", "clearSolver"):
@@ -547,26 +593,72 @@ def test_a_rejected_rung_falls_back_to_the_covering_solve(monkeypatch, reason, s
         monkeypatch.setattr(core._Highs, name,
                             lambda self, name=name, real=real: cleared.append(name) or real(self))
     made = _count_highs_objects(monkeypatch)
-    models = _highs_models(monkeypatch)
+    covering = _spy(monkeypatch, "_highs")
+    calls = _cholesky_calls(monkeypatch)
     primal, dual = lp._solve_pair(H, "float")
-    assert models == ["rung", "cover"] and len(made) == 2
-    assert cleared == ["clearSolver", "clearModel"] * 2
-    if reason == "not_unique":
-        # accepting would have changed x: HiGHS finds another optimum
+    # the rung built no HiGHS model: the covering solve's is the only one
+    assert len(covering) == 1 and len(made) == 1
+    assert cleared == ["clearSolver", "clearModel"]
+    full_rank = _incidence_rank(H, range(H.m)) == n_used
+    if reason == "infeasible":
+        # every round factors, and the edges left fall below n'
+        assert all(ratio > lp._PIVOT_FLOOR for ratio in calls) and full_rank
+        assert primal.objective < n_used / H.t - 1e-9
+    elif reason == "singular":
+        assert calls == [None] and not full_rank
+    elif reason == "singular_after_drops":
+        assert len(calls) > 1 and calls[-1] is None and full_rank
+    else:
+        # G is singular, yet float rounding leaves its last pivot positive: the
+        # floor rejects it.  Accepting would have changed x: HiGHS finds another optimum
+        assert 0 < calls[-1] <= lp._PIVOT_FLOOR and full_rank
         assert len(set(primal.values.values())) > 1
-        assert primal.objective == pytest.approx(H.n / H.t, rel=1e-12)
+        assert primal.objective == pytest.approx(n_used / H.t, rel=1e-12)
+    monkeypatch.undo()
     _covering_only(monkeypatch)
     assert repr((primal, dual)) == repr(lp._solve_pair(H, "float"))
 
 
+def test_the_pivot_floor_is_what_rejects_the_not_unique_instance(monkeypatch):
+    # with no floor the rung would return x = 1/t, though another optimum exists
+    H = _sampled_pair_blow_up(8, 4, 40, 2).hyper
+    monkeypatch.setattr(lp, "_PIVOT_FLOOR", 0.0)
+    assert lp._uniform_pair(H) is not None
+    monkeypatch.undo()
+    assert lp._uniform_pair(H) is None
+
+
+def test_every_accepted_rung_is_the_covering_optimum_over_a_seeded_sweep():
+    # pair blow-ups of random bases of varying density; wherever the rung
+    # accepts, the covering solve's x is 1/t on every non-isolated vertex
+    rng = random.Random(17)
+    accepted = rejected = 0
+    for seed in range(160):
+        n = rng.randint(7, 11)
+        t = rng.randint(3, min(6, n - 2))
+        total = math.comb(n, t)
+        m = rng.randint(max(2, total // 20), min(total, 200))
+        H = _sampled_pair_blow_up(n, t, m, seed).hyper
+        pair = lp._uniform_pair(H)
+        if pair is None:
+            rejected += 1
+            continue
+        accepted += 1
+        _assert_uniform_and_unique(H, *pair)
+        _, x, _, _ = lp._highs(H, exact=False)
+        expected = np.zeros(H.n)
+        expected[_used(H)] = 1 / H.t
+        assert np.abs(x - expected).max() <= 1e-9, (n, t, m, seed)
+    assert accepted >= 40 and rejected >= 40
+
+
 def test_exact_mode_confirms_the_unique_uniform_optimum():
     # what the rung accepts, the certified ladder finds: x = 1/t on every
-    # non-isolated vertex (the rung's uniqueness argument, checked exactly)
-    for B in _rung_accepted()[:3]:
-        H = B.hyper
+    # non-isolated vertex (the rung's uniqueness argument, checked exactly);
+    # the regular pair blow-up of complete(8, 4) is accepted too
+    for H in (*(B.hyper for B in _rung_accepted()[:3]), blow_up(complete(8, 4), 2).hyper):
         assert H.n * H.m <= lp.EXACT_SIZE_GUARD and lp._uniform_pair(H) is not None
-        used = np.flatnonzero(np.bincount(H.edge_array.ravel(), minlength=H.n)).tolist()
-        assert solve_vc_lp(H).values == dict.fromkeys(used, Fraction(1, H.t))
+        assert solve_vc_lp(H).values == dict.fromkeys(_used(H).tolist(), Fraction(1, H.t))
 
 
 # --- ladder step 1 against the per-value rationalizer it replaced -----------
@@ -639,11 +731,14 @@ def test_exact_solves_share_one_highs_object_per_thread(monkeypatch):
         lp._solve_pair(H, "exact")
     assert made == [threading.get_ident()]
     held = lp._thread.highs
-    for expected, H in enumerate(instances[:3], start=2):
+    # a float solve that reaches the covering program builds a fresh object;
+    # one the rung accepts (the first instance here) builds none
+    assert [lp._uniform_pair(H) is None for H in instances[:3]] == [False, True, True]
+    for expected, H in zip((1, 2, 3), instances[:3]):
         lp._solve_pair(H, "float")
         assert len(made) == expected
     lp._solve_pair(instances[0], "exact")
-    assert len(made) == 4 and lp._thread.highs is held
+    assert len(made) == 3 and lp._thread.highs is held
 
 
 def test_reused_highs_object_returns_what_fresh_objects_return(monkeypatch):
@@ -992,9 +1087,10 @@ def test_concurrent_first_solves_load_the_binding_once():
         import sys
         import threading
         from turancover import lp
-        from turancover.generators import complete
+        from turancover.hypergraph import Hypergraph
 
-        H = complete(5, 3)
+        # a path: its end vertices have degree 1, so each solve reaches HiGHS
+        H = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
         start = threading.Barrier(4, timeout=60)
         found = []
 
@@ -1013,7 +1109,7 @@ def test_concurrent_first_solves_load_the_binding_once():
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        print(len(found), len(set(found)), abs(found[0][0] - 5 / 3) < 1e-9)
+        print(len(found), len(set(found)), abs(found[0][0] - 2) < 1e-9)
     """) == "4 1 True\n"
 
 
@@ -1024,8 +1120,9 @@ def test_binding_falls_back_to_the_ordinary_import(tmp_path):
         import scipy
         scipy.__path__.insert(0, {str(tmp_path)!r})
         from turancover import lp
-        from turancover.generators import complete
-        assert lp.solve_vc_lp(complete(4, 3), mode="float").objective == 4 / 3
+        from turancover.hypergraph import Hypergraph
+        # a single edge: its vertices have degree 1, so the solve reaches HiGHS
+        assert lp.solve_vc_lp(Hypergraph(3, 3, [(0, 1, 2)]), mode="float").objective == 1
         print("scipy.optimize" in sys.modules)
     """) == "True\n"
 
@@ -1034,9 +1131,12 @@ def test_failed_load_leaves_no_module_behind():
     assert _fresh("""
         import sys
         from importlib.machinery import ExtensionFileLoader
+        import numpy
         from turancover import lp
-        from turancover.generators import complete
+        from turancover.hypergraph import Hypergraph
 
+        # a single edge: its vertices have degree 1, so the solve reaches HiGHS
+        H = Hypergraph(3, 3, [(0, 1, 2)])
         real = ExtensionFileLoader.exec_module
 
         def fail(self, module):
@@ -1044,10 +1144,10 @@ def test_failed_load_leaves_no_module_behind():
 
         ExtensionFileLoader.exec_module = fail
         try:
-            lp.solve_vc_lp(complete(4, 3), mode="float")
-        except ImportError:
-            pass
+            lp.solve_vc_lp(H, mode="float")
+        except ImportError as error:
+            print(error, end=" ")
         print(lp._BINDING_NAME in sys.modules, end=" ")
         ExtensionFileLoader.exec_module = real
-        print(lp.solve_vc_lp(complete(4, 3), mode="float").objective == 4 / 3)
-    """) == "False True\n"
+        print(lp.solve_vc_lp(H, mode="float").objective == 1)
+    """) == "refused False True\n"
