@@ -18,9 +18,12 @@ base shape: it reads back as the edgeless ``Hypergraph``.
 Set systems: ``SS <n> <m>`` then m lines ``<size> e1 ... e_size``.
 LP solutions: one ``<id> <value>`` line per supported variable plus a
 final ``OBJ <value>``, values as num/den rationals in exact mode and
-17-significant-digit floats otherwise.  Covers: ``COVER <size>``, the
+17-significant-digit floats otherwise; numerators and denominators
+follow the rule of ids, and floats are finite and in the form
+``"%.17g"`` writes.  Covers: ``COVER <size>``, the
 sorted ids one per line, then BREAKDOWN / LP / SEED summary lines.
-Matchings: ``MATCHING <k>`` plus k edge-id lines.  Greedy traces: one
+Matchings: ``MATCHING <k>`` plus k edge-id lines.  No id repeats in an
+LP solution, a cover or a matching.  Greedy traces: one
 ``<set_id> <newly_covered> <uncovered_after>`` line per pick.
 
 Instances are parsed on one of two paths with identical results.  The
@@ -45,7 +48,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 from .errors import ParseError
 from .hypergraph import BlowUp, Hypergraph
@@ -76,6 +79,7 @@ _ARRAY_MIN_BYTES = 256
 _HEADER = re.compile(r"HG ([0-9]+) ([0-9]+) ([0-9]+)\n")
 _MAX_DIGITS = 18  # every id of at most 18 digits fits an int64
 _DECIMALS = re.compile(r"[-0-9]*")
+_FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")  # what "%.17g" writes
 
 
 class _Cursor:
@@ -105,17 +109,14 @@ class _Cursor:
         self.pos += 1
         return lineno, text
 
-    def fail(self, lineno, message):
-        raise ParseError(message, line=lineno)
-
     def finish(self):
         """Refuse any meaningful line left over."""
         if not self.done():
             lineno, text = self.peek()
-            self.fail(lineno, f"unexpected trailing content '{text}'")
+            raise ParseError(f"unexpected trailing content '{text}'", line=lineno)
 
 
-def _ints(cursor: _Cursor, lineno: int, tokens, what: str) -> list[int]:
+def _ints(lineno: int, tokens, what: str) -> list[int]:
     """The tokens as ints, each ASCII digits after an optional '-'.
 
     ``int`` alone also takes '+', '_' and non-ASCII digits, which no
@@ -127,7 +128,7 @@ def _ints(cursor: _Cursor, lineno: int, tokens, what: str) -> list[int]:
             return list(map(int, tokens))
         except ValueError:
             pass
-    cursor.fail(lineno, f"malformed {what}: non-integer token")
+    raise ParseError(f"malformed {what}: non-integer token", line=lineno)
 
 
 # ---------------------------------------------------------------- hypergraphs
@@ -164,10 +165,10 @@ def _parse_header(cursor: _Cursor, tag: str, arity: int):
     lineno, text = cursor.take(f"{tag} header")
     tokens = text.split()
     if tokens[0] != tag or len(tokens) != arity + 1:
-        cursor.fail(lineno, f"expected '{tag}' header with {arity} fields, got '{text}'")
-    fields = _ints(cursor, lineno, tokens[1:], f"{tag} header")
+        raise ParseError(f"expected '{tag}' header with {arity} fields, got '{text}'", line=lineno)
+    fields = _ints(lineno, tokens[1:], f"{tag} header")
     if min(fields) < 0:
-        cursor.fail(lineno, f"'{tag}' header fields must be nonnegative, got '{text}'")
+        raise ParseError(f"'{tag}' header fields must be nonnegative, got '{text}'", line=lineno)
     return lineno, fields
 
 
@@ -182,23 +183,23 @@ def _solve_base_uniformity(k: int, uniformity: int):
 def _parse_hypergraph(cursor: _Cursor, dedup: bool) -> Hypergraph:
     header_line, (t, n, m) = _parse_header(cursor, "HG", 3)
     if t < 2 or (m == 0 and 0 < n < t):
-        cursor.fail(header_line, f"implausible hypergraph shape t={t} n={n} m={m}")
+        raise ParseError(f"implausible hypergraph shape t={t} n={n} m={m}", line=header_line)
     edges = []
     seen = set()
     for _ in range(m):
         lineno, text = cursor.take("edge line")
-        ids = _ints(cursor, lineno, text.split(), "edge")
+        ids = _ints(lineno, text.split(), "edge")
         if len(ids) != t:
-            cursor.fail(lineno, f"edge has {len(ids)} vertices, expected {t}")
+            raise ParseError(f"edge has {len(ids)} vertices, expected {t}", line=lineno)
         if any(not 0 <= v < n for v in ids):
-            cursor.fail(lineno, "vertex id out of range")
+            raise ParseError("vertex id out of range", line=lineno)
         key = tuple(sorted(ids))
         if len(set(key)) != t:
-            cursor.fail(lineno, "repeated vertex within edge")
+            raise ParseError("repeated vertex within edge", line=lineno)
         if key in seen:
             if dedup:
                 continue
-            cursor.fail(lineno, f"duplicate edge {' '.join(map(str, key))}")
+            raise ParseError(f"duplicate edge {' '.join(map(str, key))}", line=lineno)
         seen.add(key)
         edges.append(key)
     # checked above as Hypergraph.__post_init__ would (no edge fits n < t)
@@ -341,26 +342,25 @@ def _parse_instance(cursor: _Cursor, dedup: bool):
     k = None
     for _ in range(H.n):
         lineno, text = cursor.take("label line")
-        ids = _ints(cursor, lineno, text.split(), "label")
+        ids = _ints(lineno, text.split(), "label")
         if k is None:
             k = len(ids)  # the cursor skips blank lines, so k >= 1
         elif len(ids) != k:
-            cursor.fail(lineno, f"label has {len(ids)} ids, expected {k}")
+            raise ParseError(f"label has {len(ids)} ids, expected {k}", line=lineno)
         if list(ids) != sorted(set(ids)):
-            cursor.fail(lineno, "label ids must be strictly increasing")
+            raise ParseError("label ids must be strictly increasing", line=lineno)
         labels.append(tuple(ids))
     base_t = _solve_base_uniformity(k, H.t)
     if base_t is None:
-        cursor.fail(peek_line,
-                    f"no base uniformity gives {H.t}-subsets of size {k}")
+        raise ParseError(f"no base uniformity gives {H.t}-subsets of size {k}", line=peek_line)
     # the rest of BlowUp.__post_init__: base ids nonnegative, labels in order
     negative = next((label for label in labels if label[0] < 0), None)
     if negative is not None:
-        cursor.fail(peek_line, f"inconsistent labels block: label {negative}"
-                    " has out-of-range base ids")
+        raise ParseError(f"inconsistent labels block: label {negative}"
+                         " has out-of-range base ids", line=peek_line)
     if any(a >= b for a, b in zip(labels, labels[1:])):
-        cursor.fail(peek_line, "inconsistent labels block: labels must be distinct"
-                    " and lexicographically sorted")
+        raise ParseError("inconsistent labels block: labels must be distinct"
+                         " and lexicographically sorted", line=peek_line)
     base_n = max(label[-1] for label in labels) + 1
     return BlowUp._from_canonical(H, tuple(labels), base_t, base_n, k)
 
@@ -380,14 +380,14 @@ def parse_setsystem(text: str) -> SetSystem:
     sets = []
     for _ in range(m):
         lineno, line = cursor.take("set line")
-        ids = _ints(cursor, lineno, line.split(), "set")
+        ids = _ints(lineno, line.split(), "set")
         if not ids or ids[0] != len(ids) - 1:
-            cursor.fail(lineno, "set line must start with its element count")
+            raise ParseError("set line must start with its element count", line=lineno)
         members = sorted(ids[1:])
         if len(set(members)) != len(members):
-            cursor.fail(lineno, "repeated element within set")
+            raise ParseError("repeated element within set", line=lineno)
         if members and (members[0] < 0 or members[-1] >= n):
-            cursor.fail(lineno, "element out of range")
+            raise ParseError("element out of range", line=lineno)
         sets.append(tuple(members))
     cursor.finish()
     # checked and sorted above as SetSystem.__post_init__ would
@@ -407,19 +407,20 @@ def render_value(value) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def _parse_value(cursor: _Cursor, lineno: int, token: str):
+def _parse_value(lineno: int, token: str):
+    """An LP value as ``render_value`` writes it: "-", "num/den" with the
+    digits of ``_ints``, or a finite float of the form ``_FLOAT``."""
     if token == "-":
         return None
     if "/" in token:
-        num, _, den = token.partition("/")
         try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError):
-            cursor.fail(lineno, f"malformed rational '{token}'")
-    try:
-        return float(token)
-    except ValueError:
-        cursor.fail(lineno, f"malformed value '{token}'")
+            num, den = _ints(lineno, token.split("/"), "rational")
+            return Fraction(num, den)
+        except (ValueError, ZeroDivisionError):  # ParseError is a ValueError
+            raise ParseError(f"malformed rational '{token}'", line=lineno) from None
+    if _FLOAT.fullmatch(token) and isfinite(value := float(token)):
+        return value
+    raise ParseError(f"malformed value '{token}'", line=lineno)
 
 
 def serialize_lp_solution(solution: LPSolution) -> str:
@@ -437,14 +438,16 @@ def parse_lp_solution(text: str, kind: str = "primal") -> LPSolution:
         tokens = line.split()
         if tokens[0] == "OBJ":
             if len(tokens) != 2:
-                cursor.fail(lineno, "OBJ line takes exactly one value")
-            objective = _parse_value(cursor, lineno, tokens[1])
+                raise ParseError("OBJ line takes exactly one value", line=lineno)
+            objective = _parse_value(lineno, tokens[1])
             cursor.finish()
             break
         if len(tokens) != 2:
-            cursor.fail(lineno, "expected '<id> <value>'")
-        key = _ints(cursor, lineno, tokens[:1], "variable id")[0]
-        values[key] = _parse_value(cursor, lineno, tokens[1])
+            raise ParseError("expected '<id> <value>'", line=lineno)
+        key = _ints(lineno, tokens[:1], "variable id")[0]
+        if key in values:
+            raise ParseError(f"repeated variable id {key}", line=lineno)
+        values[key] = _parse_value(lineno, tokens[1])
     if objective is None:
         raise ParseError("missing OBJ line")
     mode = "float" if isinstance(objective, float) else "exact"
@@ -457,10 +460,10 @@ def _render_csv(ids) -> str:
     return ",".join(map(str, ids))
 
 
-def _parse_csv(cursor: _Cursor, lineno: int, text: str):
+def _parse_csv(lineno: int, text: str):
     if not text:
         return ()
-    return tuple(_ints(cursor, lineno, text.split(","), "id list"))
+    return tuple(_ints(lineno, text.split(","), "id list"))
 
 
 def serialize_cover(result: CoverResult) -> str:
@@ -478,19 +481,22 @@ def serialize_cover(result: CoverResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _expect_prefixed(cursor: _Cursor, lineno: int, token: str, prefix: str) -> str:
+def _expect_prefixed(lineno: int, token: str, prefix: str) -> str:
     if not token.startswith(prefix):
-        cursor.fail(lineno, f"expected '{prefix}...', got '{token}'")
+        raise ParseError(f"expected '{prefix}...', got '{token}'", line=lineno)
     return token[len(prefix):]
 
 
 def _counted_ids(cursor: _Cursor, tag: str, line_what: str, id_what: str):
-    """A ``<tag> <count>`` header, then one id per line."""
+    """A ``<tag> <count>`` header, then one id per line, none repeated."""
     _, (count,) = _parse_header(cursor, tag, 1)
-    ids = []
+    ids = {}
     for _ in range(count):
         lineno, line = cursor.take(line_what)
-        ids.append(_ints(cursor, lineno, [line], id_what)[0])
+        i = _ints(lineno, [line], id_what)[0]
+        if i in ids:
+            raise ParseError(f"repeated {id_what} {i}", line=lineno)
+        ids[i] = None  # a dict keeps the order and finds repeats at once
     return tuple(ids)
 
 
@@ -507,22 +513,22 @@ def _parse_cover_block(cursor: _Cursor) -> CoverResult:
     lineno, line = cursor.take("BREAKDOWN line")
     tokens = line.split()
     if len(tokens) != 4 or tokens[0] != "BREAKDOWN":
-        cursor.fail(lineno, "expected 'BREAKDOWN U=... SPRIME=... PARITY=...'")
-    forced = _parse_csv(cursor, lineno, _expect_prefixed(cursor, lineno, tokens[1], "U="))
-    lopsided = _parse_csv(cursor, lineno, _expect_prefixed(cursor, lineno, tokens[2], "SPRIME="))
-    parity = _parse_csv(cursor, lineno, _expect_prefixed(cursor, lineno, tokens[3], "PARITY="))
+        raise ParseError("expected 'BREAKDOWN U=... SPRIME=... PARITY=...'", line=lineno)
+    forced = _parse_csv(lineno, _expect_prefixed(lineno, tokens[1], "U="))
+    lopsided = _parse_csv(lineno, _expect_prefixed(lineno, tokens[2], "SPRIME="))
+    parity = _parse_csv(lineno, _expect_prefixed(lineno, tokens[3], "PARITY="))
     lineno, line = cursor.take("LP line")
     tokens = line.split()
     if len(tokens) != 3 or tokens[0] != "LP":
-        cursor.fail(lineno, "expected 'LP OPT=... RESIDUAL=...'")
-    lp_opt = _parse_value(cursor, lineno, _expect_prefixed(cursor, lineno, tokens[1], "OPT="))
-    lp_res = _parse_value(cursor, lineno, _expect_prefixed(cursor, lineno, tokens[2], "RESIDUAL="))
+        raise ParseError("expected 'LP OPT=... RESIDUAL=...'", line=lineno)
+    lp_opt = _parse_value(lineno, _expect_prefixed(lineno, tokens[1], "OPT="))
+    lp_res = _parse_value(lineno, _expect_prefixed(lineno, tokens[2], "RESIDUAL="))
     lineno, line = cursor.take("SEED line")
     tokens = line.split()
     if len(tokens) != 4 or tokens[0] != "SEED" or tokens[2] != "TRIAL":
-        cursor.fail(lineno, "expected 'SEED <s> TRIAL <i>'")
-    seed = None if tokens[1] == "-" else _ints(cursor, lineno, tokens[1:2], "seed")[0]
-    trial = None if tokens[3] == "-" else _ints(cursor, lineno, tokens[3:4], "trial")[0]
+        raise ParseError("expected 'SEED <s> TRIAL <i>'", line=lineno)
+    seed = None if tokens[1] == "-" else _ints(lineno, tokens[1:2], "seed")[0]
+    trial = None if tokens[3] == "-" else _ints(lineno, tokens[3:4], "trial")[0]
     return CoverResult(cover=ids, forced=forced, high_discrepancy=lopsided,
                        parity_class=parity, lp_opt=lp_opt, lp_opt_residual=lp_res,
                        seed=seed, trial_index=trial)
@@ -573,5 +579,5 @@ def parse_document(text: str, dedup: bool = False):
         elif tag == "MATCHING" and matching is None:
             matching = _parse_matching_block(cursor)
         else:
-            cursor.fail(lineno, f"unexpected block '{tag}'")
+            raise ParseError(f"unexpected block '{tag}'", line=lineno)
     return instance, cover, matching

@@ -68,12 +68,11 @@ optimum is unchanged.  On the dual side, the reduced LP's optimum has
 load(k) <= 1 because x_k is free, and j's only load is y_e <= load(k),
 so its y is a matching of H itself.  And in exact mode, whatever HiGHS
 returns, ``check_complementary_slackness`` checks the pair against the
-unreduced H.  Presolve off alone moves the optimal vertex and makes
-covers larger; with the fixing they come out slightly smaller
-(``BENCH_12.json``).  A pair blow-up of a dense base has no vertex of
-degree 1, and there skipping presolve leaves HiGHS's values as they
-were, bit for bit; float solves of full blow-ups reach other optimal
-vertices than presolve did.
+unreduced H.  The fixing also keeps covers small: without it, HiGHS
+with presolve off returns optimal vertices that make larger covers on
+the benchmark's corpus (``BENCH_12.json``).  A pair blow-up of a dense
+base has no vertex of degree 1, so nothing is fixed there, and HiGHS's
+values are the same bit for bit with presolve on or off.
 
 Float mode returns HiGHS's values as they are (or the uniform rung's,
 below), both sides with the solve's objective.  Support membership
@@ -111,11 +110,15 @@ their diagonal entry and nonsingular ones at least 5e-3
 (``BENCH_17.json``).  G must stay the exact integer matrix: the floor
 tells singular from nonsingular only because G carries no rounding of
 its own, and without the floor the rung accepts instances whose
-x = 1/t is optimal but not unique (``tests/test_lp.py``).  The rung then solves
-``G z = 1`` with one float64 refinement step and sets ``y = A[B] z``,
-the least-norm solution of ``A[B]^T y = 1``.  It accepts if y exceeds
-``FLOAT_SUPPORT_TOL`` on all of B and every vertex load is within 1e-9
-of 1, and returns x, that y and n'/t as both objectives; y can be
+x = 1/t is optimal but not unique (``tests/test_lp.py``).  The rung
+then solves ``G z = 1`` once and sets ``y = A[B] z``, the least-norm
+solution of ``A[B]^T y = 1``.  That solve factors G again, by LU:
+numpy has no triangular solve, and importing ``scipy.linalg`` costs
+about 0.34 s.  No refinement step is needed: the load check below
+bounds the solve's error, and over the 180 ``float_pairs`` LPs of
+seeds 201-220 the worst ``|load - 1|`` was 2.4e-15.  The rung accepts
+if y exceeds ``FLOAT_SUPPORT_TOL`` on all of B and every vertex load
+is within 1e-9 of 1, and returns x, that y and n'/t as both objectives; y can be
 positive on all m edges.  If y is not positive somewhere, those edges
 leave B and the rung goes again while |B| >= n'.  Their rows of A are
 zeroed in place, which leaves G the same: a copy of ``A[B]`` would hold
@@ -140,8 +143,8 @@ Every rejection runs the covering solve as it would without the rung.
 A rejection costs the rung's own rounds on top: 0.04-0.5 ms on sparse
 pair blow-ups of 28x30 to 91x100, and up to 16 ms on 190x388, where
 many rounds run, against a covering solve of 3-57 ms.  An acceptance
-takes 5-12 ms on the benchmark's pair blow-ups, where the HiGHS solve
-it replaced took 72-154 ms (``BENCH_17.json``).  Exact mode does not
+takes 5-12 ms on the benchmark's pair blow-ups, whose covering solve
+takes 72-154 ms (``BENCH_17.json``).  Exact mode does not
 try the rung: its ladder needs a rational y, and the rung's y is a
 float.
 """
@@ -299,6 +302,15 @@ def _nearest_fraction(value: float) -> Fraction:
     return Fraction(pb, qb)
 
 
+def _float_values(values):
+    """The entries of a float array above ``FLOAT_SUPPORT_TOL``, as a dict
+    of Python ints to Python floats: the support, as both modes read it."""
+    import numpy as np
+
+    support = np.flatnonzero(values > FLOAT_SUPPORT_TOL)
+    return dict(zip(support.tolist(), values[support].tolist()))
+
+
 def _rationalized_pair(x, y):
     """Ladder step 1: the nearest fractions with denominators up to 10**6.
 
@@ -306,14 +318,11 @@ def _rationalized_pair(x, y):
     benchmark's corpus), so each distinct float is rationalized once and
     equal values share one Fraction.
     """
-    import numpy as np
-
     memo = {}
 
     def rationalize(values):
         out = {}
-        support = np.flatnonzero(values > FLOAT_SUPPORT_TOL)
-        for i, value in zip(support.tolist(), values[support].tolist()):
+        for i, value in _float_values(values).items():
             q = memo.get(value)
             if q is None:
                 q = memo[value] = _nearest_fraction(value)
@@ -467,9 +476,7 @@ def _highs(H: Hypergraph, exact: bool = True):
     primal x, the negated row duals y (H has edges) and the optimal
     basis, a copy that ``clearModel`` leaves intact; y is an optimal
     matching, so this one layout serves both sides in both modes.  Only
-    ladder step 2 reads the basis.  This is the only HiGHS model left:
-    the uniform rung no longer builds one, so the column-wise layout and
-    the generic cost, bound and row arguments it needed are gone.
+    ladder step 2 reads the basis.
 
     Every solve runs one configuration, presolve off, which about halves
     HiGHS's ``run`` on the benchmark's corpus LPs and saves about an
@@ -541,10 +548,10 @@ def _uniform_pair(H: Hypergraph):
     unique covering optimum, or return None (module docstring).
 
     Each round factors the exact co-degree matrix G of the edges B left
-    (all of them at first) and sets y to the least-norm solution of
-    ``A[B]^T y = 1``; it accepts a y that is positive on B, drops the
-    edges where it is not and goes again, and gives up once G is
-    singular or fewer than n' edges are left.
+    (all of them at first), solves ``G z = 1`` once and sets y = A[B] z,
+    the least-norm solution of ``A[B]^T y = 1``; it accepts a y that is
+    positive on B, drops the edges where it is not and goes again, and
+    gives up once G is singular or fewer than n' edges are left.
     """
     import numpy as np
 
@@ -563,25 +570,20 @@ def _uniform_pair(H: Hypergraph):
     A[np.arange(H.m)[:, None], E] = 1
     kept = np.arange(H.m)
     ones = np.ones(size)
-
-    def loads(y):
-        return np.bincount(E.ravel(), weights=np.repeat(y, H.t), minlength=size)
-
     while kept.size >= size:
         # integer sums below m < 2**24: exact in float32, whatever the order
         G = (A.T @ A).astype(np.float64)
         try:
             L = np.linalg.cholesky(G)
-            if not (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all():
-                return None
-            z = np.linalg.solve(G, ones)
-            z += np.linalg.solve(G, ones - loads(z[E].sum(axis=1)))
         except np.linalg.LinAlgError:
             return None
-        y = z[E].sum(axis=1)
+        if not (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all():
+            return None
+        y = np.linalg.solve(G, ones)[E].sum(axis=1)
         positive = y > FLOAT_SUPPORT_TOL
         if positive.all():
-            if np.abs(loads(y) - 1).max() > _MATCHING_TOL:
+            loads = np.bincount(E.ravel(), weights=np.repeat(y, H.t), minlength=size)
+            if np.abs(loads - 1).max() > _MATCHING_TOL:
                 return None
             obj = size / H.t
             x = dict.fromkeys(used.tolist(), 1 / H.t)
@@ -591,12 +593,6 @@ def _uniform_pair(H: Hypergraph):
         A[kept[~positive]] = 0
         E, kept = E[positive], kept[positive]
     return None
-
-
-def _float_values(values):
-    import numpy as np
-
-    return {int(i): float(values[i]) for i in np.flatnonzero(values > FLOAT_SUPPORT_TOL)}
 
 
 def _solve_pair(H: Hypergraph, mode: str, size_guard=None):

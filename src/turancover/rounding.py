@@ -84,8 +84,7 @@ class RoundingParams:
             raise ParameterError(f"uniformity must be at least 3, got {self.t}")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
-        if not 0 <= self.seed <= _SEED_MASK:
-            raise ParameterError("seed must fit in 64 bits")
+        _check_seed(self.seed)
         if self.gamma is not None and not 0 < self.gamma < 1:
             raise ParameterError(f"threshold must lie in (0,1), got {self.gamma}")
 
@@ -343,6 +342,11 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
     return best
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _SEED_MASK:
+        raise ParameterError("seed must fit in 64 bits")
+
+
 def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
@@ -461,6 +465,7 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
     if B.k != 2:
         raise ParameterError(f"expected a pair blow-up (k = 2), got k={B.k}")
     t = B.base_t
+    _check_seed(seed)
     _check_trials(trials)
     thr = recursive_threshold(B.hyper, Fraction(4, t * t), mode=mode,
                               size_guard=size_guard)
@@ -486,6 +491,7 @@ def color_code_cover(B: BlowUp, seed: int = 0) -> CoverResult:
     t = B.base_t
     if t < 3:
         raise ParameterError(f"uniformity must be at least 3, got {t}")
+    _check_seed(seed)
     P = math.ceil((t - 1) / (2 * math.log(t)))
     coloring = sample_coloring(B.base_n, P, seed)
     colors = coloring.colors

@@ -177,6 +177,7 @@ def test_edgeless_header_below_uniformity_is_refused(text):
     (parse_lp_solution, "0 1/x\nOBJ 1\n", 1, "malformed rational '1/x'"),
     (parse_lp_solution, "0 1/0\nOBJ 1\n", 1, "malformed rational '1/0'"),
     (parse_lp_solution, "0 half\nOBJ 1\n", 1, "malformed value 'half'"),
+    (parse_lp_solution, "0 1/3\n0 2/3\nOBJ 1/3\n", 2, "repeated variable id 0"),
     (parse_setsystem, "SS 4 1\n2 1 1\n", 2, "repeated element within set"),
     (parse_setsystem, "SS 4 1\n2 1 4\n", 2, "element out of range"),
     (parse_instance, "HG 4 4 1\n0 1 2 3\nLABELS\n0 1\n0 2\n0 3\n1 2\n", 3,
@@ -218,6 +219,63 @@ def test_a_leading_minus_still_reaches_the_range_rules():
     for bad in ("0 1 --2", "0 1 -", "0 1 2-"):
         with pytest.raises(ParseError, match="^line 2: malformed edge: non-integer token$"):
             parse_instance(f"HG 3 4 1\n{bad}\n")
+
+
+def _verify(capsys, monkeypatch, argv, text):
+    """Exit code and stderr of an in-process ``turancover`` run on ``text``."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+_COVER_DOC = ("HG 3 4 1\n0 1 2\nCOVER 1\n0\nBREAKDOWN U=0 SPRIME= PARITY=\n"
+              "LP OPT={} RESIDUAL=-\nSEED - TRIAL -\n")
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1_0/3", "malformed rational '1_0/3'"),
+    ("+1/3", "malformed rational '+1/3'"),
+    ("\u0661/3", "malformed rational '\u0661/3'"),
+    ("1_0.5", "malformed value '1_0.5'"),
+    ("+0.5", "malformed value '+0.5'"),
+    ("0.\u0665", "malformed value '0.\u0665'"),
+    ("nan", "malformed value 'nan'"),
+    ("inf", "malformed value 'inf'"),
+    ("1e999", "malformed value '1e999'"),
+    ("1e5", "malformed value '1e5'"),
+], ids=["rational-underscore", "rational-plus-sign", "rational-arabic-indic-digit",
+        "float-underscore", "float-plus-sign", "float-arabic-indic-digit",
+        "nan", "inf", "overflow", "unsigned-exponent"])
+def test_lp_values_are_written_as_render_value_writes_them(capsys, monkeypatch,
+                                                           token, message):
+    # int() and float() take all of these; render_value writes none of them
+    # ("%.17g" signs every exponent)
+    with pytest.raises(ParseError) as info:
+        parse_lp_solution(f"0 {token}\nOBJ 1/3\n")
+    assert str(info.value) == f"line 1: {message}"
+    assert _verify(capsys, monkeypatch, ["verify", "cover"], _COVER_DOC.format(token)) == \
+        (2, f"parse error: line 6: {message}\n")
+
+
+def test_lp_values_keep_what_render_value_writes():
+    for value in (1 / 3, -0.0, 1e-05, 1.5e+20, 2.0, Fraction(-1, 3), None):
+        assert formats._parse_value(1, formats.render_value(value)) == value
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    (parse_cover, _COVER_DOC.format("-").replace("COVER 1\n0\n", "COVER 2\n0\n0\n"), 5,
+     "repeated cover vertex 0"),
+    (parse_matching, "HG 3 6 2\n0 1 2\n3 4 5\nMATCHING 2\n0\n0\n", 6,
+     "repeated edge id 0"),
+], ids=["cover", "matching"])
+def test_counted_blocks_refuse_repeated_ids(capsys, monkeypatch, parse, text, line, message):
+    # the repeated cover vertex passed verification; the repeated edge id exited 3
+    argv = ["verify", "cover" if parse is parse_cover else "matching"]
+    assert _verify(capsys, monkeypatch, argv, text) == \
+        (2, f"parse error: line {line}: {message}\n")
+    with pytest.raises(ParseError) as info:
+        parse(text[text.index(argv[1].upper()):])
+    assert str(info.value) == f"line 3: {message}"
 
 
 def test_setsystem_sets_are_sorted_while_read():

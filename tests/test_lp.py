@@ -497,9 +497,11 @@ def _assert_uniform_and_unique(H, primal, dual):
 
 @functools.cache
 def _rung_accepted():
-    """Dense, irregular pair blow-ups: 66x300 samples and a float_pairs base."""
+    """Dense, irregular pair blow-ups: 66x300 samples and a base of each
+    float_pairs shape."""
     return (*(_sampled_pair_blow_up(12, 5, 300, seed) for seed in range(3)),
-            blow_up(random_hypergraph(20, 8, 0.03, 1), 2))
+            *(blow_up(random_hypergraph(n, t, p, 1), 2)
+              for n, t, p in ((26, 6, 0.02), (22, 7, 0.02), (20, 8, 0.03))))
 
 
 def test_the_rung_returns_the_covering_solves_optimum(monkeypatch):

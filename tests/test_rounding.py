@@ -81,6 +81,20 @@ def test_params_validation():
     assert RoundingParams(t=4, gamma=0.25).gamma_value == 0.25
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_seeded_cover_refuses_a_seed_outside_64_bits(seed):
+    # t2 would color 2**64 as seed 0 (child_seed masks it) yet print SEED 2**64
+    B = blow_up(complete(5, 3), 2)  # k = 2 = t - 1: both a pair and a full blow-up
+    with pytest.raises(ParameterError, match="^seed must fit in 64 bits$"):
+        RoundingParams(t=3, seed=seed)
+    with pytest.raises(ParameterError, match="^seed must fit in 64 bits$"):
+        t2_cover_blowup(B, seed=seed)
+    with pytest.raises(ParameterError, match="^seed must fit in 64 bits$"):
+        color_code_cover(B, seed=seed)
+    assert t2_cover_blowup(B, seed=2**64 - 1).seed == 2**64 - 1
+    assert color_code_cover(B, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_delta_crosses_one_at_eleven():
     assert RoundingParams(t=10).delta > 1
     assert RoundingParams(t=11).delta < 1
