@@ -13,7 +13,9 @@ guard tripped, 5 verification failed.  Input that is not ASCII text is
 malformed (2); an -i file that cannot be read or an -o path that cannot
 be written is a bad parameter (3).  Every failure prints one line to
 stderr, never a traceback.  With --strict, every randomized command
-must be given --seed explicitly.
+must be given --seed explicitly.  The rules on seeds, excluded patterns
+and document contents are the library's: this module passes arguments
+on and reports what the library raises.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .lp import solve_matching_lp, solve_vc_lp
 from .oracles import brute_nu, brute_tau, find_tents, max_independent_set, rho
 from .rounding import (RoundingParams, ahtp_cover_blowup, color_code_cover,
                        fallback_threshold_cover, t2_cover_blowup)
-from .setcover import greedy_set_cover, is_simple_system
+from .setcover import SetSystem, greedy_set_cover, is_simple_system
 
 __all__ = ["main"]
 
@@ -73,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, required=True)
     g = gkind.add_parser("ffree", help="random 3-uniform instance with all tents removed")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--t", type=int, default=3)
     g.add_argument("--p", type=float, default=None,
                    help="edge probability (default derived from the tent density)")
     _add_seed(g)
@@ -114,13 +115,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is None:
-        if args.strict:
-            raise ParameterError("--strict requires an explicit --seed here")
-        return 0
-    if not 0 <= args.seed < 2 ** 64:
-        raise ParameterError("seed must fit in 64 bits")
-    return args.seed
+    """The --seed given, else 0 (refused under --strict)."""
+    if args.seed is None and args.strict:
+        raise ParameterError("--strict requires an explicit --seed here")
+    return 0 if args.seed is None else args.seed
 
 
 def _read_input(args) -> str:
@@ -168,9 +166,7 @@ def _run_gen(args) -> str:
     if args.kind == "hard-setcover":
         return formats.serialize_setsystem(greedy_hard_setsystem(args.k))
     if args.kind == "ffree":
-        if args.t != 3:
-            raise ParameterError("the built-in excluded family is 3-uniform")
-        result = f_free_random(args.n, args.t, [three_tent()], p=args.p,
+        result = f_free_random(args.n, 3, [three_tent()], p=args.p,
                                seed=_resolve_seed(args))
         return formats.serialize_hypergraph(result)
     if args.kind == "simplify":
@@ -233,15 +229,12 @@ def _run_oracle(args) -> str:
 def _run_verify(args) -> str:
     text = _read_input(args)
     if args.what == "simple":
-        head = next((line.strip() for line in text.splitlines()
-                     if line.strip() and not line.lstrip().startswith("#")), "")
-        if head.startswith("SS"):
-            system = formats.parse_setsystem(text)
-            if not is_simple_system(system):
+        structure = formats.parse_setsystem_or_instance(text, dedup=args.dedup)
+        if isinstance(structure, SetSystem):
+            if not is_simple_system(structure):
                 raise VerificationError("set system is not simple: two sets share two elements")
             return "OK\n"
-        H = _as_hypergraph(formats.parse_instance(text, dedup=args.dedup))
-        if not is_simple(H):
+        if not is_simple(_as_hypergraph(structure)):
             raise VerificationError("hypergraph is not simple: two edges share two vertices")
         return "OK\n"
     instance, cover, matching = formats.parse_document(text, dedup=args.dedup)

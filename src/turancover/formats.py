@@ -18,12 +18,14 @@ base shape: it reads back as the edgeless ``Hypergraph``.
 Set systems: ``SS <n> <m>`` then m lines ``<size> e1 ... e_size``.
 LP solutions: one ``<id> <value>`` line per supported variable plus a
 final ``OBJ <value>``, values as num/den rationals in exact mode and
-17-significant-digit floats otherwise; numerators and denominators
-follow the rule of ids, and floats are finite and in the form
-``"%.17g"`` writes.  Covers: ``COVER <size>``, the
-sorted ids one per line, then BREAKDOWN / LP / SEED summary lines.
-Matchings: ``MATCHING <k>`` plus k edge-id lines.  No id repeats in an
-LP solution, a cover or a matching.  Greedy traces: one
+17-significant-digit floats otherwise, every value of the ``OBJ``
+value's kind; numerators and denominators follow the rule of ids, and
+floats are finite and in the form ``"%.17g"`` writes.  Covers:
+``COVER <size>``, the sorted ids one per line, then BREAKDOWN / LP /
+SEED summary lines.  Matchings: ``MATCHING <k>`` plus k edge-id lines.
+No id repeats in an LP solution, a cover or a matching, and in a
+document every cover id names a vertex and every matching id an edge
+of the instance before it.  Greedy traces: one
 ``<set_id> <newly_covered> <uncovered_after>`` line per pick.
 
 Instances are parsed on one of two paths with identical results.  The
@@ -51,7 +53,7 @@ from fractions import Fraction
 from math import comb, isfinite
 
 from .errors import ParseError
-from .hypergraph import BlowUp, Hypergraph
+from .hypergraph import BlowUp, Hypergraph, _as_hypergraph
 from .lp import LPSolution
 from .rounding import CoverResult
 from .setcover import GreedyTrace, SetSystem
@@ -63,6 +65,7 @@ __all__ = [
     "parse_instance",
     "serialize_setsystem",
     "parse_setsystem",
+    "parse_setsystem_or_instance",
     "serialize_lp_solution",
     "parse_lp_solution",
     "render_value",
@@ -82,18 +85,18 @@ _DECIMALS = re.compile(r"[-0-9]*")
 _FLOAT = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")  # what "%.17g" writes
 
 
-class _Cursor:
-    """Iterator over meaningful input lines that remembers line numbers.
+def _meaningful(text: str, first_line: int = 1):
+    """(line number, stripped line) of each line that is neither blank nor
+    a '#' comment; ``first_line`` is the number of the first line."""
+    return ((i, stripped) for i, line in enumerate(text.splitlines(), first_line)
+            if (stripped := line.strip()) and not stripped.startswith("#"))
 
-    ``first_line`` is the number of the first line of ``text``.
-    """
+
+class _Cursor:
+    """Iterator over meaningful input lines that remembers line numbers."""
 
     def __init__(self, text: str, first_line: int = 1):
-        self.rows = [
-            (i, stripped)
-            for i, line in enumerate(text.splitlines(), first_line)
-            if (stripped := line.strip()) and not stripped.startswith("#")
-        ]
+        self.rows = list(_meaningful(text, first_line))
         self.pos = 0
 
     def done(self) -> bool:
@@ -394,6 +397,15 @@ def parse_setsystem(text: str) -> SetSystem:
     return SetSystem._from_canonical(n, tuple(sets))
 
 
+def parse_setsystem_or_instance(text: str, dedup: bool = False):
+    """A set system when the first meaningful line starts with ``SS``,
+    else an instance as ``parse_instance`` reads it."""
+    _, head = next(_meaningful(text), (None, ""))
+    if head.startswith("SS"):
+        return parse_setsystem(text)
+    return parse_instance(text, dedup=dedup)
+
+
 # ----------------------------------------------------------------- LP values
 
 def render_value(value) -> str:
@@ -430,8 +442,11 @@ def serialize_lp_solution(solution: LPSolution) -> str:
 
 
 def parse_lp_solution(text: str, kind: str = "primal") -> LPSolution:
+    """An LP solution whose values are all of the ``OBJ`` value's kind:
+    rationals in exact mode, floats in float mode."""
     cursor = _Cursor(text)
     values = {}
+    lines = {}
     objective = None
     while not cursor.done():
         lineno, line = cursor.take("value line")
@@ -440,6 +455,8 @@ def parse_lp_solution(text: str, kind: str = "primal") -> LPSolution:
             if len(tokens) != 2:
                 raise ParseError("OBJ line takes exactly one value", line=lineno)
             objective = _parse_value(lineno, tokens[1])
+            if objective is None:
+                raise ParseError("OBJ value must be a number, got '-'", line=lineno)
             cursor.finish()
             break
         if len(tokens) != 2:
@@ -448,9 +465,14 @@ def parse_lp_solution(text: str, kind: str = "primal") -> LPSolution:
         if key in values:
             raise ParseError(f"repeated variable id {key}", line=lineno)
         values[key] = _parse_value(lineno, tokens[1])
+        lines[key] = lineno
     if objective is None:
         raise ParseError("missing OBJ line")
     mode = "float" if isinstance(objective, float) else "exact"
+    for key, value in values.items():
+        if not isinstance(value, type(objective)):  # "-" is None, of neither kind
+            raise ParseError(f"value {render_value(value)} is not of the OBJ value's"
+                             f" kind ({mode})", line=lines[key])
     return LPSolution(kind=kind, values=values, objective=objective, mode=mode)
 
 
@@ -460,10 +482,20 @@ def _render_csv(ids) -> str:
     return ",".join(map(str, ids))
 
 
-def _parse_csv(lineno: int, text: str):
+def _parse_csv(lineno: int, text: str, bound):
     if not text:
         return ()
-    return tuple(_ints(lineno, text.split(","), "id list"))
+    ids = tuple(_ints(lineno, text.split(","), "id list"))
+    if bound is not None:  # None: no instance to bound the ids
+        for i in ids:
+            _check_id(lineno, i, bound, "vertex id")
+    return ids
+
+
+def _check_id(lineno: int, i: int, bound: int, what: str) -> None:
+    """Refuse an id outside 0..bound-1 of the instance a block follows."""
+    if not 0 <= i < bound:
+        raise ParseError(f"{what} {i} out of range", line=lineno)
 
 
 def serialize_cover(result: CoverResult) -> str:
@@ -487,8 +519,9 @@ def _expect_prefixed(lineno: int, token: str, prefix: str) -> str:
     return token[len(prefix):]
 
 
-def _counted_ids(cursor: _Cursor, tag: str, line_what: str, id_what: str):
-    """A ``<tag> <count>`` header, then one id per line, none repeated."""
+def _counted_ids(cursor: _Cursor, tag: str, line_what: str, id_what: str, bound):
+    """A ``<tag> <count>`` header, then one id per line, none repeated and,
+    unless ``bound`` is None, each in 0..bound-1."""
     _, (count,) = _parse_header(cursor, tag, 1)
     ids = {}
     for _ in range(count):
@@ -496,27 +529,31 @@ def _counted_ids(cursor: _Cursor, tag: str, line_what: str, id_what: str):
         i = _ints(lineno, [line], id_what)[0]
         if i in ids:
             raise ParseError(f"repeated {id_what} {i}", line=lineno)
+        if bound is not None:
+            _check_id(lineno, i, bound, id_what)
         ids[i] = None  # a dict keeps the order and finds repeats at once
     return tuple(ids)
 
 
 def _whole(parse_block, text: str):
-    """One block that must make up all of ``text``."""
+    """One block that must make up all of ``text``, with no instance to
+    bound its ids."""
     cursor = _Cursor(text)
-    result = parse_block(cursor)
+    result = parse_block(cursor, None)
     cursor.finish()
     return result
 
 
-def _parse_cover_block(cursor: _Cursor) -> CoverResult:
-    ids = _counted_ids(cursor, "COVER", "cover vertex line", "cover vertex")
+def _parse_cover_block(cursor: _Cursor, n) -> CoverResult:
+    """A COVER block; unless ``n`` is None, every id must be below it."""
+    ids = _counted_ids(cursor, "COVER", "cover vertex line", "cover vertex", n)
     lineno, line = cursor.take("BREAKDOWN line")
     tokens = line.split()
     if len(tokens) != 4 or tokens[0] != "BREAKDOWN":
         raise ParseError("expected 'BREAKDOWN U=... SPRIME=... PARITY=...'", line=lineno)
-    forced = _parse_csv(lineno, _expect_prefixed(lineno, tokens[1], "U="))
-    lopsided = _parse_csv(lineno, _expect_prefixed(lineno, tokens[2], "SPRIME="))
-    parity = _parse_csv(lineno, _expect_prefixed(lineno, tokens[3], "PARITY="))
+    forced = _parse_csv(lineno, _expect_prefixed(lineno, tokens[1], "U="), n)
+    lopsided = _parse_csv(lineno, _expect_prefixed(lineno, tokens[2], "SPRIME="), n)
+    parity = _parse_csv(lineno, _expect_prefixed(lineno, tokens[3], "PARITY="), n)
     lineno, line = cursor.take("LP line")
     tokens = line.split()
     if len(tokens) != 3 or tokens[0] != "LP":
@@ -545,8 +582,9 @@ def serialize_matching(edge_ids) -> str:
     return "\n".join([f"MATCHING {len(ids)}"] + [str(i) for i in ids]) + "\n"
 
 
-def _parse_matching_block(cursor: _Cursor):
-    return _counted_ids(cursor, "MATCHING", "matching edge line", "edge id")
+def _parse_matching_block(cursor: _Cursor, m):
+    """A MATCHING block; unless ``m`` is None, every id must be below it."""
+    return _counted_ids(cursor, "MATCHING", "matching edge line", "edge id", m)
 
 
 def parse_matching(text: str):
@@ -566,18 +604,21 @@ def parse_document(text: str, dedup: bool = False):
     """Parse an instance plus any trailing COVER / MATCHING blocks.
 
     Returns (instance, cover_result_or_None, matching_ids_or_None); this
-    is the input shape the verification commands consume.
+    is the input shape the verification commands consume.  Every id in
+    the blocks must name a vertex (COVER, BREAKDOWN) or an edge
+    (MATCHING) of the instance.
     """
     instance, cursor = _head(text, dedup)
+    H = _as_hypergraph(instance)
     cover = None
     matching = None
     while not cursor.done():
         lineno, line = cursor.peek()
         tag = line.split()[0]
         if tag == "COVER" and cover is None:
-            cover = _parse_cover_block(cursor)
+            cover = _parse_cover_block(cursor, H.n)
         elif tag == "MATCHING" and matching is None:
-            matching = _parse_matching_block(cursor)
+            matching = _parse_matching_block(cursor, H.m)
         else:
             raise ParseError(f"unexpected block '{tag}'", line=lineno)
     return instance, cover, matching

@@ -3,8 +3,9 @@ random instances, the combinatorial-lines hypergraph, a set system that
 forces the greedy cover algorithm to overshoot, and the cloud expansion
 that turns any hypergraph into a simple one.
 
-Everything randomized takes an explicit seed and is reproducible: the
-same arguments always yield the same instance, byte for byte after
+Everything randomized takes an explicit seed, an int in [0, 2**64)
+checked before any other argument, and is reproducible: the same
+arguments always yield the same instance, byte for byte after
 serialization.
 """
 
@@ -15,7 +16,7 @@ import random
 from itertools import combinations, product
 
 from .errors import ParameterError, ResourceLimitError
-from .guards import comb_exceeds, resolve_limit
+from .guards import check_seed, comb_exceeds, resolve_limit
 from .hypergraph import Hypergraph
 from .oracles import contains_subhypergraph, rho
 from .setcover import SetSystem, _kept_flags
@@ -61,6 +62,7 @@ def random_hypergraph(n: int, t: int, p: float, seed: int) -> Hypergraph:
     with ResourceLimitError above ``ENUMERATION_GUARD`` candidates, even
     for p = 0.
     """
+    check_seed(seed)
     if not 0 <= p <= 1:
         raise ParameterError(f"probability must lie in [0,1], got {p}")
     _check_candidates(n, t)
@@ -76,11 +78,17 @@ def f_free_random(n: int, t: int, family, p=None, seed: int = 0) -> Hypergraph:
     with rho minimized over the family), then repeatedly locates the
     first remaining copy of a family member in deterministic search
     order and deletes that copy's edges.  The survivor contains no copy
-    of any member: one would have been found and deleted.
+    of any member: one would have been found and deleted.  Every member
+    must be t-uniform: the density rule and the copies it purges are
+    those of t-uniform patterns.
     """
+    check_seed(seed)
     family = list(family)
     if not family:
         raise ParameterError("need at least one pattern to exclude")
+    other = next((F.t for F in family if F.t != t), None)
+    if other is not None:
+        raise ParameterError(f"an excluded pattern is {other}-uniform, expected {t}")
     _check_candidates(n, t)  # before n ** (-1/rho), which fails for n <= 0
     if p is None:
         density = min(rho(F) for F in family)
@@ -193,6 +201,7 @@ def simplify_reduction(G: Hypergraph, B: int, P: int, seed: int) -> Hypergraph:
     Refused with ResourceLimitError when the m * P candidates exceed
     ``ENUMERATION_GUARD``.
     """
+    check_seed(seed)
     if B < 1 or P < 1:
         raise ParameterError("cloud size and per-edge count must be positive")
     cap = resolve_limit(None, ENUMERATION_GUARD)

@@ -1,9 +1,10 @@
-"""Resource-limit plumbing.
+"""Resource-limit plumbing and the seed rule.
 
 Every brute-force search, exact LP solve, generator enumeration and
 blow-up is guarded by a limit.  When no explicit limit is given, the
 environment variable ``TURANCOVER_SIZE_GUARD`` (if set) replaces the
-per-operation default, as a desk-scale escape hatch.
+per-operation default, as a desk-scale escape hatch.  Every public
+function that takes a seed checks it with ``check_seed`` first.
 """
 
 import os
@@ -11,6 +12,17 @@ import os
 from .errors import ParameterError
 
 ENV_VAR = "TURANCOVER_SIZE_GUARD"
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an int in [0, 2**64).
+
+    ``random.Random`` folds a negative seed onto its absolute value, and
+    the per-trial child seeds keep only 64 bits, so a seed outside that
+    range would reproduce another seed's output under its own name.
+    """
+    if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
+        raise ParameterError("seed must fit in 64 bits")
 
 
 def resolve_limit(explicit, default):

@@ -51,12 +51,10 @@ sum over the common denominator.  This is the scheme of QSopt_ex
 exact rational check.
 
 Exact solves share one HiGHS object per thread, emptied after each
-solve.  Float solves build a fresh one each time and empty it with
-``clearSolver`` and ``clearModel`` before dropping it: a reused object
-keeps memory that ``clearModel`` does not hand back, which raised the
-float benchmarks' peak RSS by 6-17 % (``BENCH_10.json``); exact LPs are
-small by ``EXACT_SIZE_GUARD``, so what their object holds on to stays
-small.
+solve.  Float solves build a fresh one each time and drop it: a reused
+object keeps memory that ``clearModel`` does not hand back, which
+raised the float benchmarks' peak RSS, while exact LPs are small by
+``EXACT_SIZE_GUARD``, so what their object holds on to stays small.
 
 Both modes skip HiGHS's presolve, which took about half of its time
 on the benchmark's corpus LPs and removes nothing from pair blow-ups.
@@ -486,14 +484,9 @@ def _highs(H: Hypergraph, exact: bool = True):
     0.1 ms, a tenth of a certified corpus LP.  The object is taken off
     the thread while it solves, so a solve that raises leaves none behind
     and the next one builds a fresh object.  Float mode (``exact=False``)
-    builds a fresh object and empties it with ``clearSolver`` and then
-    ``clearModel`` before dropping it: a reused object keeps memory that
+    builds a fresh object and drops it: a reused object keeps memory that
     ``clearModel`` does not return, which raised the float benchmarks'
-    peak RSS by 6-17 %, while exact LPs are small by ``EXACT_SIZE_GUARD``.
-    In 10 s ``float_pairs`` runs of six seeds, peak RSS read 60.3-60.7 MB
-    with these calls in this order, against up to 64.5 MB without them
-    and 68.8 MB with ``clearModel`` first; single 30 s runs spread by
-    several MB with or without presolve (``BENCH_15.json``).
+    peak RSS, while exact LPs are small by ``EXACT_SIZE_GUARD``.
     """
     import numpy as np
 
@@ -526,9 +519,6 @@ def _highs(H: Hypergraph, exact: bool = True):
     if exact:
         highs.clearModel()
         _thread.highs = highs
-    else:
-        highs.clearSolver()
-        highs.clearModel()
     if result is None:  # pragma: no cover - feasible and bounded
         raise VerificationError("HiGHS found no optimum of a feasible, bounded program")
     return result

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import compress
 
 from .errors import ParameterError, ResourceLimitError, VerificationError
-from .guards import resolve_limit
+from .guards import check_seed, resolve_limit
 from .hypergraph import (BlowUp, Hypergraph, _as_hypergraph, first_non_cover,
                          is_vertex_cover)
 from .lp import LPSolution, solve_vc_lp
@@ -80,11 +80,11 @@ class RoundingParams:
     gamma: Fraction | float | None = None
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.t < 3:
             raise ParameterError(f"uniformity must be at least 3, got {self.t}")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
-        _check_seed(self.seed)
         if self.gamma is not None and not 0 < self.gamma < 1:
             raise ParameterError(f"threshold must lie in (0,1), got {self.gamma}")
 
@@ -159,15 +159,22 @@ class ThresholdResult:
     simply isolated) so blow-up labels remain addressable; ``solution``
     is the optimal LP solution of the residual, all values strictly
     below the threshold, and ``root`` the first pass's optimal solution
-    of the whole instance.
+    of the whole instance.  ``lp_opt`` and ``lp_opt_residual`` read the
+    objectives of ``root`` and ``solution``.
     """
 
     thresholded: tuple[int, ...]
     residual: Hypergraph
     solution: LPSolution
-    lp_opt: Fraction | float
-    lp_opt_residual: Fraction | float
     root: LPSolution
+
+    @property
+    def lp_opt(self) -> Fraction | float:
+        return self.root.objective
+
+    @property
+    def lp_opt_residual(self) -> Fraction | float:
+        return self.solution.objective
 
 
 def _splitmix64(x: int) -> int:
@@ -179,11 +186,13 @@ def _splitmix64(x: int) -> int:
 
 def child_seed(root: int, index: int) -> int:
     """Deterministic per-trial seed: root XOR a splitmix64 step of the index."""
-    return (root ^ _splitmix64(index)) & _SEED_MASK
+    check_seed(root)
+    return root ^ _splitmix64(index)
 
 
 def sample_coloring(n: int, num_colors: int, seed: int) -> Coloring:
     """Color vertices 0..n-1 uniformly at random, in id order."""
+    check_seed(seed)
     if num_colors < 1:
         raise ParameterError("need at least one color")
     rng = random.Random(seed)
@@ -268,8 +277,6 @@ def recursive_threshold(instance, gamma, mode: str = "exact",
         thresholded=tuple(sorted(taken)),
         residual=current,
         solution=solution,
-        lp_opt=root.objective,
-        lp_opt_residual=solution.objective,
         root=root,
     )
 
@@ -340,11 +347,6 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
         if best is None or len(runs[i][0]) < len(best[1]):
             best = (start + i, *runs[i])
     return best
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= _SEED_MASK:
-        raise ParameterError("seed must fit in 64 bits")
 
 
 def _check_trials(trials: int) -> None:
@@ -462,10 +464,10 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
     Best of ``trials`` colorings, ties to the lowest trial index; more
     than ``TRIALS_GUARD`` are refused as in ``ahtp_cover_blowup``.
     """
+    check_seed(seed)
     if B.k != 2:
         raise ParameterError(f"expected a pair blow-up (k = 2), got k={B.k}")
     t = B.base_t
-    _check_seed(seed)
     _check_trials(trials)
     thr = recursive_threshold(B.hyper, Fraction(4, t * t), mode=mode,
                               size_guard=size_guard)
@@ -486,12 +488,12 @@ def color_code_cover(B: BlowUp, seed: int = 0) -> CoverResult:
     lowest) is added.  Valid for every coloring; the expected size is
     about (2 ln t / t) times the vertex count.
     """
+    check_seed(seed)
     if B.k != B.base_t - 1:
         raise ParameterError("color coding needs a full blow-up (k = t-1)")
     t = B.base_t
     if t < 3:
         raise ParameterError(f"uniformity must be at least 3, got {t}")
-    _check_seed(seed)
     P = math.ceil((t - 1) / (2 * math.log(t)))
     coloring = sample_coloring(B.base_n, P, seed)
     colors = coloring.colors

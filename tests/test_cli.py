@@ -162,6 +162,25 @@ def test_verify_simple_both_ways():
     assert "not simple" in err
 
 
+@pytest.mark.parametrize("text, code, kind", [
+    ("# HG 3 4 2\n\n   SS 4 2\n2 0 1\n2 2 3\n", 0, "set system"),
+    ("\n# SS 4 2\n  \nHG 3 4 2\n0 1 2\n0 1 3\n", 5, "hypergraph"),
+    ("#\nSS 4 2\n3 0 1 2\n3 0 1 3\n", 5, "set system"),
+    ("# only a comment\n\n", 2, None),
+], ids=["ss-behind-comments", "hg-behind-comments", "ss-not-simple", "no-header"])
+def test_verify_simple_reads_the_kind_behind_comments_and_blank_lines(
+        capsys, monkeypatch, text, code, kind):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["verify", "simple"]) == code
+    out, err = capsys.readouterr()
+    assert out == ("OK\n" if code == 0 else "")
+    if code == 5:
+        assert err.startswith(f"verification failed: {kind} is not simple")
+    if kind is not None:
+        parsed = formats.parse_setsystem_or_instance(text)
+        assert isinstance(parsed, setcover.SetSystem) == (kind == "set system")
+
+
 def test_verify_matching():
     ok = "HG 3 6 2\n0 1 2\n3 4 5\nMATCHING 2\n0\n1\n"
     assert run(["verify", "matching"], ok)[:2] == (0, "OK\n")
@@ -247,6 +266,36 @@ def test_ffree_without_enough_vertices_exits_3(capsys, n):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"parameter error: need at least 3 vertices, got {n}\n"
+
+
+def test_ffree_takes_no_t(capsys):
+    # the excluded tent is 3-uniform, so 3 was the only value --t accepted
+    with pytest.raises(SystemExit) as info:
+        cli.main(["gen", "ffree", "--n", "8", "--t", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --t 3" in capsys.readouterr().err
+
+
+_PAIR_DOC = formats.serialize_blowup(hypergraph.blow_up(generators.complete(5, 4), 2))
+_FULL_DOC = formats.serialize_blowup(hypergraph.blow_up(generators.complete(5, 4), 3))
+
+
+@pytest.mark.parametrize("argv, stdin_text, other", [
+    (["gen", "random", "--n", "6", "--t", "3", "--p", "0.5"], "", ["--p", "2"]),
+    (["gen", "ffree", "--n", "8"], "", ["--n", "0"]),
+    (["gen", "simplify", "--cloud", "2", "--per-edge", "2"], "HG 3 4 1\n0 1 2\n",
+     ["--cloud", "0"]),
+    (["round", "ahtp"], _FULL_DOC, ["--trials", "0"]),
+    (["round", "t2"], _FULL_DOC, []),  # a full blow-up where a pair one is needed
+    (["round", "colorcode"], _PAIR_DOC, []),  # a pair blow-up where a full one is needed
+], ids=["gen-random", "gen-ffree", "gen-simplify", "round-ahtp", "round-t2", "round-colorcode"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_outside_64_bits_is_reported_first(capsys, monkeypatch, argv, stdin_text,
+                                                  other, seed):
+    for extra in ([], other):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        assert cli.main([*argv, *extra, "--seed", seed]) == 3
+        assert capsys.readouterr() == ("", "parameter error: seed must fit in 64 bits\n")
 
 
 def test_strict_mode_requires_seed():

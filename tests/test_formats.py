@@ -30,7 +30,8 @@ from turancover.formats import (
 from turancover.generators import complete, random_hypergraph
 from turancover.hypergraph import BlowUp, Hypergraph, blow_up
 from turancover.lp import solve_matching_lp, solve_vc_lp
-from turancover.rounding import CoverResult, RoundingParams, ahtp_cover_blowup, color_code_cover
+from turancover.rounding import (CoverResult, RoundingParams, ahtp_cover_blowup,
+                                 color_code_cover, t2_cover_blowup)
 from turancover.setcover import SetSystem, greedy_set_cover
 
 
@@ -278,6 +279,45 @@ def test_counted_blocks_refuse_repeated_ids(capsys, monkeypatch, parse, text, li
     assert str(info.value) == f"line 3: {message}"
 
 
+_BLOCK_DOC = ("HG 3 3 1\n0 1 2\nCOVER 1\n{}\nBREAKDOWN U={} SPRIME= PARITY=\n"
+              "LP OPT=- RESIDUAL=-\nSEED - TRIAL -\n")
+
+
+@pytest.mark.parametrize("argv, text, line, message", [
+    (["verify", "cover"], _BLOCK_DOC.format(7, 7), 4, "cover vertex 7 out of range"),
+    (["verify", "cover"], _BLOCK_DOC.format(-1, -1), 4, "cover vertex -1 out of range"),
+    (["verify", "cover"], _BLOCK_DOC.format(0, "0,3"), 5, "vertex id 3 out of range"),
+    (["verify", "matching"], "HG 3 3 1\n0 1 2\nMATCHING 1\n5\n", 4,
+     "edge id 5 out of range"),
+], ids=["cover-id", "negative-cover-id", "breakdown-id", "matching-id"])
+def test_block_ids_outside_the_instance_are_parse_errors(capsys, monkeypatch, argv, text,
+                                                         line, message):
+    # the cover and matching ids exited 3 through is_vertex_cover and
+    # is_matching, the BREAKDOWN id 5 as a breakdown that differs from the cover
+    assert _verify(capsys, monkeypatch, argv, text) == \
+        (2, f"parse error: line {line}: {message}\n")
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert str(info.value) == f"line {line}: {message}"
+    # a block read on its own has no instance to bound its ids
+    parse = parse_cover if argv[1] == "cover" else parse_matching
+    parse(text[text.index(argv[1].upper()):])
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0 -\nOBJ 1/2\n", 1, "value - is not of the OBJ value's kind (exact)"),
+    ("0 1/2\nOBJ -\n", 2, "OBJ value must be a number, got '-'"),
+    ("0 0.5\nOBJ 1/2\n", 1, "value 0.5 is not of the OBJ value's kind (exact)"),
+    ("0 0.5\n1 1/2\nOBJ 1\n", 2, "value 1/2 is not of the OBJ value's kind (float)"),
+], ids=["dash-value", "dash-objective", "float-in-exact", "exact-in-float"])
+def test_lp_solutions_hold_one_value_kind(text, line, message):
+    # read as None, as an exact solution holding a float (which
+    # check_complementary_slackness then failed on), and as "missing OBJ line"
+    with pytest.raises(ParseError) as info:
+        parse_lp_solution(text)
+    assert str(info.value) == f"line {line}: {message}"
+
+
 def test_setsystem_sets_are_sorted_while_read():
     system = parse_setsystem("SS 5 3\n3 4 0 2\n0\n2 3 1\n")
     assert system == SetSystem(5, ((4, 0, 2), (), (3, 1)))
@@ -485,7 +525,7 @@ def test_array_path_matches_the_line_parser(text, dedup):
 def test_array_path_takes_serializer_output():
     G = random_hypergraph(9, 4, 0.5, seed=3)
     B = blow_up(G, 2)
-    cover = color_code_cover(blow_up(G, 3), seed=1)
+    cover = t2_cover_blowup(B, seed=1)  # a cover of B: its ids are B's vertices
     for instance in (G, B, Hypergraph(3, 0, []), Hypergraph(3, 5, [])):
         text = serialize_instance(instance)
         parsed, offset, lines = formats._array_instance(text)

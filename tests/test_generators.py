@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from turancover import generators
 from turancover.errors import ParameterError, ResourceLimitError
 from turancover.generators import (
     combinatorial_lines,
@@ -68,6 +69,15 @@ def test_generator_parameter_errors(make, message):
     with pytest.raises(ParameterError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_f_free_random_refuses_a_pattern_of_another_uniformity(monkeypatch):
+    # p and the purge would both come from a 3-uniform pattern that no
+    # 4-uniform instance contains; nothing is sampled
+    monkeypatch.setattr(generators, "random_hypergraph", None)
+    with pytest.raises(ParameterError) as info:
+        f_free_random(9, 4, [three_tent()], p=0.3, seed=1)
+    assert str(info.value) == "an excluded pattern is 3-uniform, expected 4"
 
 
 def test_three_tent_shape():

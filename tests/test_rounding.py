@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from turancover import rounding
 from turancover.errors import ParameterError, VerificationError
-from turancover.generators import complete, random_hypergraph
+from turancover.generators import (complete, f_free_random, random_hypergraph,
+                                   simplify_reduction, three_tent)
 from turancover.hypergraph import Hypergraph, blow_up, is_vertex_cover
 from turancover.lp import LPSolution
 from turancover.rounding import (
@@ -93,6 +94,41 @@ def test_every_seeded_cover_refuses_a_seed_outside_64_bits(seed):
         color_code_cover(B, seed=seed)
     assert t2_cover_blowup(B, seed=2**64 - 1).seed == 2**64 - 1
     assert color_code_cover(B, seed=2**64 - 1).seed == 2**64 - 1
+
+
+_PAIR = blow_up(complete(5, 3), 2)  # k = 2 = t - 1: both a pair and a full blow-up
+_SEEDED = {  # each public seeded function: a valid call, and one with another bad argument
+    "RoundingParams": (lambda s: RoundingParams(t=3, seed=s),
+                       lambda s: RoundingParams(t=2, seed=s, trials=0)),
+    "t2_cover_blowup": (lambda s: t2_cover_blowup(_PAIR, seed=s),
+                        lambda s: t2_cover_blowup(blow_up(complete(5, 4), 3), seed=s)),
+    "color_code_cover": (lambda s: color_code_cover(_PAIR, seed=s),
+                         lambda s: color_code_cover(blow_up(complete(5, 4), 2), seed=s)),
+    "sample_coloring": (lambda s: sample_coloring(5, 2, s), lambda s: sample_coloring(5, 0, s)),
+    "child_seed": (lambda s: child_seed(s, 3), None),
+    "random_hypergraph": (lambda s: random_hypergraph(6, 3, 0.5, s),
+                          lambda s: random_hypergraph(2, 3, 1.5, s)),
+    "f_free_random": (lambda s: f_free_random(8, 3, [three_tent()], seed=s),
+                      lambda s: f_free_random(0, 4, [], seed=s)),
+    "simplify_reduction": (lambda s: simplify_reduction(complete(4, 3), 2, 2, s),
+                           lambda s: simplify_reduction(complete(4, 3), 0, 0, s)),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7"], ids=["-1", "2**64", "1.5", "str"])
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_every_seeded_function_checks_its_seed_first(name, seed):
+    # random.Random folds -5 onto 5 and child_seed masked 2**64 + 5 onto 5
+    for call in _SEEDED[name]:
+        if call is not None:
+            with pytest.raises(ParameterError, match="^seed must fit in 64 bits$"):
+                call(seed)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_every_seeded_function_takes_the_ends_of_the_seed_range(name):
+    valid, _ = _SEEDED[name]
+    assert valid(0) != valid(2**64 - 1)
 
 
 def test_delta_crosses_one_at_eleven():
