@@ -22,11 +22,13 @@ final ``OBJ <value>``, values as num/den rationals in exact mode and
 value's kind; numerators and denominators follow the rule of ids, and
 floats are finite and in the form ``"%.17g"`` writes.  Covers:
 ``COVER <size>``, the sorted ids one per line, then BREAKDOWN / LP /
-SEED summary lines.  Matchings: ``MATCHING <k>`` plus k edge-id lines.
-No id repeats in an LP solution, a cover or a matching, and in a
-document every cover id names a vertex and every matching id an edge
-of the instance before it.  Greedy traces: one
-``<set_id> <newly_covered> <uncovered_after>`` line per pick.
+SEED summary lines, the seed in [0, 2**64) and the trial nonnegative
+(or each '-').  Matchings: ``MATCHING <k>`` plus k edge-id lines.  No
+id repeats in an LP solution, a cover or a matching, no cover or
+matching id is negative, and in a document every cover id names a
+vertex and every matching id an edge of the instance before it.
+Greedy traces: one ``<set_id> <newly_covered> <uncovered_after>`` line
+per pick.
 
 Instances are parsed on one of two paths with identical results.  The
 array path reads the edge block and the LABELS block of a document in
@@ -486,15 +488,15 @@ def _parse_csv(lineno: int, text: str, bound):
     if not text:
         return ()
     ids = tuple(_ints(lineno, text.split(","), "id list"))
-    if bound is not None:  # None: no instance to bound the ids
-        for i in ids:
-            _check_id(lineno, i, bound, "vertex id")
+    for i in ids:
+        _check_id(lineno, i, bound, "vertex id")
     return ids
 
 
-def _check_id(lineno: int, i: int, bound: int, what: str) -> None:
-    """Refuse an id outside 0..bound-1 of the instance a block follows."""
-    if not 0 <= i < bound:
+def _check_id(lineno: int, i: int, bound, what: str) -> None:
+    """Refuse a negative id, or one outside 0..bound-1 of the instance a
+    block follows; a ``bound`` of None (no instance) sets no upper end."""
+    if i < 0 or (bound is not None and i >= bound):
         raise ParseError(f"{what} {i} out of range", line=lineno)
 
 
@@ -520,8 +522,8 @@ def _expect_prefixed(lineno: int, token: str, prefix: str) -> str:
 
 
 def _counted_ids(cursor: _Cursor, tag: str, line_what: str, id_what: str, bound):
-    """A ``<tag> <count>`` header, then one id per line, none repeated and,
-    unless ``bound`` is None, each in 0..bound-1."""
+    """A ``<tag> <count>`` header, then one id per line, none repeated,
+    none negative and, unless ``bound`` is None, each below ``bound``."""
     _, (count,) = _parse_header(cursor, tag, 1)
     ids = {}
     for _ in range(count):
@@ -529,8 +531,7 @@ def _counted_ids(cursor: _Cursor, tag: str, line_what: str, id_what: str, bound)
         i = _ints(lineno, [line], id_what)[0]
         if i in ids:
             raise ParseError(f"repeated {id_what} {i}", line=lineno)
-        if bound is not None:
-            _check_id(lineno, i, bound, id_what)
+        _check_id(lineno, i, bound, id_what)
         ids[i] = None  # a dict keeps the order and finds repeats at once
     return tuple(ids)
 
@@ -545,7 +546,8 @@ def _whole(parse_block, text: str):
 
 
 def _parse_cover_block(cursor: _Cursor, n) -> CoverResult:
-    """A COVER block; unless ``n`` is None, every id must be below it."""
+    """A COVER block: ids nonnegative and, unless ``n`` is None, below
+    it; a seed in [0, 2**64) and a nonnegative trial, where given."""
     ids = _counted_ids(cursor, "COVER", "cover vertex line", "cover vertex", n)
     lineno, line = cursor.take("BREAKDOWN line")
     tokens = line.split()
@@ -565,7 +567,11 @@ def _parse_cover_block(cursor: _Cursor, n) -> CoverResult:
     if len(tokens) != 4 or tokens[0] != "SEED" or tokens[2] != "TRIAL":
         raise ParseError("expected 'SEED <s> TRIAL <i>'", line=lineno)
     seed = None if tokens[1] == "-" else _ints(lineno, tokens[1:2], "seed")[0]
+    if seed is not None and not 0 <= seed < 2 ** 64:
+        raise ParseError(f"seed {seed} does not fit in 64 bits", line=lineno)
     trial = None if tokens[3] == "-" else _ints(lineno, tokens[3:4], "trial")[0]
+    if trial is not None and trial < 0:
+        raise ParseError(f"trial {trial} is negative", line=lineno)
     return CoverResult(cover=ids, forced=forced, high_discrepancy=lopsided,
                        parity_class=parity, lp_opt=lp_opt, lp_opt_residual=lp_res,
                        seed=seed, trial_index=trial)
@@ -583,7 +589,8 @@ def serialize_matching(edge_ids) -> str:
 
 
 def _parse_matching_block(cursor: _Cursor, m):
-    """A MATCHING block; unless ``m`` is None, every id must be below it."""
+    """A MATCHING block: ids nonnegative and, unless ``m`` is None,
+    below it."""
     return _counted_ids(cursor, "MATCHING", "matching edge line", "edge id", m)
 
 

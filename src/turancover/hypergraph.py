@@ -269,26 +269,41 @@ def first_non_cover(H: Hypergraph, covers) -> int | None:
     """Index of the first of ``covers`` that misses an edge of H, or None.
 
     Equivalent to checking each cover with ``is_vertex_cover`` in turn,
-    ids validated the same way, but bit-sliced: cover i sets bit i % 64
-    of a per-vertex word, each edge ORs the words of its vertices, and
-    the AND over all edges has a zero bit for every non-cover.  One
-    64-cover word is gathered at a time, so the pass over the edges
-    takes m * t * 8 bytes.
+    ids validated the same way, but checked in one bit-sliced pass over
+    the covers' incidence matrix (``_first_non_cover_row``).
     """
     sets = [_id_set(cover, H.n, "vertex id") for cover in covers]
     if not sets or H.m == 0:
         return None
     import numpy as np
 
+    incidence = np.zeros((len(sets), H.n), dtype=bool)
+    for i, cov in enumerate(sets):
+        incidence[i, np.fromiter(cov, dtype=np.intp, count=len(cov))] = True
+    return _first_non_cover_row(H, incidence)
+
+
+def _first_non_cover_row(H: Hypergraph, incidence) -> int | None:
+    """Index of the first row of a ``(rows, n)`` boolean incidence matrix
+    whose vertex set misses an edge of H, or None.
+
+    Bit-sliced: row i sets bit i % 64 of a per-vertex word, each edge
+    ORs the words of its vertices, and the AND over all edges has a zero
+    bit for every non-cover.  One 64-row word is gathered at a time, so
+    the pass over the edges takes m * t * 8 bytes.
+    """
+    if H.m == 0:
+        return None
+    import numpy as np
+
     E = H.edge_array
-    for start in range(0, len(sets), 64):
-        chunk = sets[start:start + 64]
-        bits = np.zeros(H.n, dtype=np.uint64)
-        for i, cov in enumerate(chunk):
-            ids = np.fromiter(cov, dtype=np.intp, count=len(cov))
-            bits[ids] |= np.uint64(1 << i)
+    for start in range(0, len(incidence), 64):
+        rows = incidence[start:start + 64]
+        # each row sets its own bit, so the sum is their OR
+        shifts = np.arange(len(rows), dtype=np.uint64)[:, None]
+        bits = (rows.astype(np.uint64) << shifts).sum(axis=0, dtype=np.uint64)
         covered = np.bitwise_and.reduce(np.bitwise_or.reduce(bits[E], axis=1))
-        missed = ~int(covered) & ((1 << len(chunk)) - 1)
+        missed = ~int(covered) & ((1 << len(rows)) - 1)
         if missed:
             return start + (missed & -missed).bit_length() - 1
     return None

@@ -17,9 +17,13 @@ accounting identities; float mode trades that for speed on big
 instances.  All randomness flows from one 64-bit root seed: trial i
 colors vertices with the child seed root XOR mix(i), so trials are
 reproducible and independent of evaluation order.  Both LP finishers
-share one best-of-trials loop, which builds the trials' covers 64 at a
-time and verifies each chunk in one batched pass (``first_non_cover``);
-the lowest failing trial, if any, raises.
+share one best-of-trials loop, which works on blocks of 64 trials as
+arrays: one coloring matrix per block, the classes of every trial by
+array compares over the support's labels (``_pair_classes``,
+``_parity_classes``; ``monochromatic_pairs`` and ``color_trial`` are
+their one-coloring views), and one bit-sliced check of the block's
+covers (``hypergraph._first_non_cover_row``).  The lowest failing
+trial, if any, raises; only the winning trial is built as tuples.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from itertools import compress
 
 from .errors import ParameterError, ResourceLimitError, VerificationError
 from .guards import check_seed, resolve_limit
-from .hypergraph import (BlowUp, Hypergraph, _as_hypergraph, first_non_cover,
-                         is_vertex_cover)
+from .hypergraph import (BlowUp, Hypergraph, _as_hypergraph, _first_non_cover_row,
+                         first_non_cover, is_vertex_cover)
 from .lp import LPSolution, solve_vc_lp
 
 __all__ = [
@@ -115,6 +119,7 @@ class Coloring:
     seed: int
 
     def __post_init__(self):
+        check_seed(self.seed)
         if self.num_colors < 1:
             raise ParameterError("need at least one color")
         if any(not 0 <= c < self.num_colors for c in self.colors):
@@ -190,17 +195,51 @@ def child_seed(root: int, index: int) -> int:
     return root ^ _splitmix64(index)
 
 
+def _draw_colors(getrandbits, n: int, num_colors: int) -> list[int]:
+    """n colors below ``num_colors``, each drawn as ``randrange`` draws it.
+
+    CPython's ``randrange(c)`` takes ``getrandbits(c.bit_length())`` and
+    draws again while the value is at least c; calling ``getrandbits``
+    directly gives the same colors without ``randrange``'s per-call
+    overhead.
+    """
+    k = num_colors.bit_length()
+    colors = []
+    while len(colors) < n:
+        c = getrandbits(k)
+        if c < num_colors:
+            colors.append(c)
+    return colors
+
+
 def sample_coloring(n: int, num_colors: int, seed: int) -> Coloring:
     """Color vertices 0..n-1 uniformly at random, in id order."""
     check_seed(seed)
     if num_colors < 1:
         raise ParameterError("need at least one color")
-    rng = random.Random(seed)
-    return Coloring(tuple(rng.randrange(num_colors) for _ in range(n)), num_colors, seed)
+    colors = _draw_colors(random.Random(seed).getrandbits, n, num_colors)
+    return Coloring(tuple(colors), num_colors, seed)
 
 
 def two_coloring(n: int, seed: int) -> Coloring:
     return sample_coloring(n, 2, seed)
+
+
+def _colorings(n: int, seed: int, trials: range):
+    """The two-colorings of ``trials`` as a ``(len(trials), n)`` uint8
+    matrix: row i is ``two_coloring(n, child_seed(seed, trials[i])).colors``.
+
+    One ``random.Random`` is reseeded per row, which costs less than
+    building a fresh one.
+    """
+    import numpy as np
+
+    rng = random.Random()
+    rows = bytearray()
+    for trial in trials:
+        rng.seed(child_seed(seed, trial))
+        rows.extend(_draw_colors(rng.getrandbits, n, 2))
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(trials), n)
 
 
 def _resolve_gamma(gamma, mode):
@@ -281,37 +320,84 @@ def recursive_threshold(instance, gamma, mode: str = "exact",
     )
 
 
+def _pair_classes(colorings, labels):
+    """The monochromatic-pair rule, row-wise over a coloring matrix.
+
+    ``colorings`` is a ``(rows, base_n)`` matrix of two-colorings and
+    ``labels`` the ``(s, 2)`` base pairs of the support vertices.
+    Returns (high_discrepancy, chosen) as ``(rows, s)`` boolean masks:
+    none are high-discrepancy, and a vertex is chosen when its two base
+    endpoints share a color.
+    """
+    import numpy as np
+
+    chosen = colorings[:, labels[:, 0]] == colorings[:, labels[:, 1]]
+    return np.zeros_like(chosen), chosen
+
+
+def _parity_classes(colorings, labels, t: int):
+    """The parity/discrepancy rule, row-wise over a coloring matrix.
+
+    ``labels`` is the ``(s, k)`` label matrix of the support vertices.
+    From each label's count of color-1 elements, returns (lopsided,
+    smaller) as ``(rows, s)`` boolean masks: the vertices whose label
+    sees some color at most (1-delta)(t-1)/2 times, and the smaller of
+    the two classes under f(v) = count mod 2, ties to parity 0.
+    """
+    import numpy as np
+
+    ones = colorings[:, labels].sum(axis=2, dtype=np.intp)
+    low_count = (1 - _delta(t)) * (t - 1) / 2
+    lopsided = (ones <= low_count) | (labels.shape[1] - ones <= low_count)
+    odd = (ones & 1).astype(bool)
+    take_odd = 2 * odd.sum(axis=1) < labels.shape[0]
+    return lopsided, odd == take_odd[:, None]
+
+
+def _label_matrix(support, labels):
+    """The ``(s, k)`` intp matrix of the support vertices' labels."""
+    import numpy as np
+
+    return np.array([labels[v] for v in support], dtype=np.intp)
+
+
+def _ids(support, mask) -> tuple[int, ...]:
+    """The support vertices that ``mask`` (one row) selects, sorted."""
+    return tuple(sorted(v for v, keep in zip(support, mask.tolist()) if keep))
+
+
+def _coloring_row(coloring: Coloring):
+    """One coloring as a one-row coloring matrix."""
+    import numpy as np
+
+    return np.array([coloring.colors], dtype=np.uint8)
+
+
 def color_trial(support, labels, t: int, coloring: Coloring):
     """One parity/discrepancy trial over a residual support.
 
     Returns (high_discrepancy, parity_class): the support vertices whose
     label sees some color at most (1-delta)(t-1)/2 times, and the
     smaller of the two classes under f(v) = (#color-1 elements) mod 2,
-    ties resolved toward parity 0.  Both come back sorted.
+    ties resolved toward parity 0.  Both come back sorted.  The
+    one-coloring view of ``_parity_classes``.
     """
     if coloring.num_colors != 2:
         raise ParameterError("parity trials need exactly two colors")
-    low_count = (1 - _delta(t)) * (t - 1) / 2
-    colors = coloring.colors
-    lopsided = []
-    classes = ([], [])
-    for v in support:
-        label = labels[v]
-        ones = sum(colors[u] for u in label)
-        zeros = len(label) - ones
-        if ones <= low_count or zeros <= low_count:
-            lopsided.append(v)
-        classes[ones & 1].append(v)
-    smaller = classes[0] if len(classes[0]) <= len(classes[1]) else classes[1]
-    return tuple(sorted(lopsided)), tuple(sorted(smaller))
+    if not support:
+        return (), ()
+    lopsided, smaller = _parity_classes(_coloring_row(coloring),
+                                        _label_matrix(support, labels), t)
+    return _ids(support, lopsided[0]), _ids(support, smaller[0])
 
 
 def monochromatic_pairs(support, labels, coloring: Coloring):
-    """Support vertices of a 2-blow-up whose two base endpoints share a color."""
-    colors = coloring.colors
-    return tuple(sorted(
-        v for v in support
-        if colors[labels[v][0]] == colors[labels[v][1]]))
+    """Support vertices of a 2-blow-up whose two base endpoints share a
+    color, sorted.  The one-coloring view of ``_pair_classes``."""
+    if not support:
+        return ()
+    _, chosen = _pair_classes(_coloring_row(coloring), _label_matrix(support, labels))
+    return _ids(support, chosen[0])
 
 
 def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
@@ -319,34 +405,46 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
     """Best of the color trials over a residual support.
 
     Trial i two-colors the base vertices with child seed i, ``finish``
-    turns that coloring into the trial's classes, and the trial's cover
-    is ``forced`` plus their union.  With an empty support every trial
-    gives ``forced`` and empty classes, so no coloring is drawn: the
-    empty coloring goes to ``finish``, which reads colors only of
-    support vertices, and the result is trial 0.  Trials are built and
-    verified in chunks of 64, one batched ``first_non_cover`` pass per
-    chunk, so memory does not grow with ``trials``; the lowest failing
-    trial raises.  Returns (trial, cover, classes) for the smallest
-    cover, ties to the lowest trial index.
+    turns colorings into the trials' classes, and a trial's cover is
+    ``forced`` plus the union of its classes.  With an empty support
+    every trial gives ``forced`` and empty classes, so no coloring is
+    drawn and the result is trial 0.  Otherwise trials run in blocks of
+    64, so memory does not grow with ``trials``: ``finish`` maps the
+    block's coloring matrix (``_colorings``) and the support's label
+    matrix to two ``(block, s)`` class masks, the block's covers are
+    the rows of one ``(block, n)`` boolean matrix, and one bit-sliced
+    pass (``_first_non_cover_row``) verifies them all; the lowest
+    failing trial raises.  Cover sizes are row sums.  Returns (trial,
+    cover, classes) for the smallest cover, ties to the lowest trial
+    index; only that trial's cover and classes are built as tuples.
     """
     if not support:
         cover = tuple(sorted(forced))
         if first_non_cover(B.hyper, [cover]) is not None:
             raise VerificationError(f"{context} trial 0 produced a non-cover")
-        return 0, cover, finish(Coloring((), 2, child_seed(seed, 0)))
+        return 0, cover, ((), ())
+    import numpy as np
+
+    columns = np.array(support, dtype=np.intp)
+    labels = _label_matrix(support, B.labels)
+    base = np.zeros(B.hyper.n, dtype=bool)
+    base[list(forced)] = True
     best = None
     for start in range(0, trials, _TRIAL_CHUNK):
-        runs = []
-        for trial in range(start, min(start + _TRIAL_CHUNK, trials)):
-            classes = finish(two_coloring(B.base_n, child_seed(seed, trial)))
-            runs.append((tuple(sorted(forced.union(*classes))), classes))
-        bad = first_non_cover(B.hyper, [cover for cover, _ in runs])
+        block = range(start, min(start + _TRIAL_CHUNK, trials))
+        lopsided, chosen = finish(_colorings(B.base_n, seed, block), labels)
+        covers = np.tile(base, (len(block), 1))
+        covers[:, columns] |= lopsided | chosen
+        bad = _first_non_cover_row(B.hyper, covers)
         if bad is not None:
             raise VerificationError(f"{context} trial {start + bad} produced a non-cover")
-        i = min(range(len(runs)), key=lambda i: len(runs[i][0]))
-        if best is None or len(runs[i][0]) < len(best[1]):
-            best = (start + i, *runs[i])
-    return best
+        sizes = covers.sum(axis=1)
+        i = int(sizes.argmin())
+        if best is None or sizes[i] < best[0]:
+            best = (sizes[i], start + i, covers[i], lopsided[i], chosen[i])
+    _, trial, cover, lopsided, chosen = best
+    return (trial, tuple(np.flatnonzero(cover).tolist()),
+            (_ids(support, lopsided), _ids(support, chosen)))
 
 
 def _check_trials(trials: int) -> None:
@@ -393,8 +491,9 @@ def _lp_cover(B: BlowUp, thr: ThresholdResult, trials: int, seed: int,
     """The result of an LP rounder: the threshold survivors finished by
     the best of the color trials over the residual support.
 
-    ``finish`` maps a trial's coloring to its (high_discrepancy,
-    parity_class) pair; ``rounding_size`` records the cover's size.
+    ``finish`` maps a block of colorings and the support's labels to
+    (high_discrepancy, parity_class) masks, as ``_best_trial`` says;
+    ``rounding_size`` records the cover's size.
     """
     trial, cover, (lopsided, parity) = _best_trial(
         B, set(thr.thresholded), thr.solution.support, trials, seed, finish, context)
@@ -439,9 +538,9 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     if mode == "exact" and Fraction(len(support)) > B.hyper.t * thr.lp_opt_residual:
         raise VerificationError("residual support exceeds its certified bound")
 
-    def finish(coloring):
-        lopsided, parity = color_trial(support, B.labels, params.t, coloring)
-        if 2 * len(parity) > len(support):
+    def finish(colorings, labels):
+        lopsided, parity = _parity_classes(colorings, labels, params.t)
+        if (2 * parity.sum(axis=1) > len(support)).any():
             raise VerificationError("parity class exceeds half the support")
         return lopsided, parity
 
@@ -471,11 +570,7 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
     _check_trials(trials)
     thr = recursive_threshold(B.hyper, Fraction(4, t * t), mode=mode,
                               size_guard=size_guard)
-    support = thr.solution.support
-    return _lp_cover(
-        B, thr, trials, seed,
-        lambda coloring: ((), monochromatic_pairs(support, B.labels, coloring)),
-        "pair")
+    return _lp_cover(B, thr, trials, seed, _pair_classes, "pair")
 
 
 def color_code_cover(B: BlowUp, seed: int = 0) -> CoverResult:

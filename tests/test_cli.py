@@ -2,6 +2,7 @@
 where a test needs to patch the package in-process."""
 
 import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -50,6 +51,20 @@ def test_round_then_verify_pipeline():
         ["verify", "cover"],
     )
     assert out == "OK\n"
+
+
+def test_t2_float_rounding_output_is_pinned():
+    # the pair blow-up of a dense 8-uniform base, the float_pairs shape
+    # (20, 8, 0.03): every pair stays in the residual support, so all 200
+    # color trials run; the digest pins the output bytes
+    out = chain(
+        ["gen", "random", "--n", "20", "--t", "8", "--p", "0.03", "--seed", "5"],
+        ["blowup", "--k", "2"],
+        ["round", "t2", "--mode", "float", "--trials", "200", "--seed", "11"],
+    )
+    assert out.endswith("SEED 11 TRIAL 2\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "2eb3f29735cb1f2895812093875ef079f932d133febfa7409e79f0b13a3c691c"
 
 
 def test_lines_have_no_tents():
@@ -345,9 +360,9 @@ def _refuse(*args, **kwargs):
     (["gen", "simplify", "--cloud", "2", "--per-edge", "100000000"], "HG 3 3 1\n0 1 2\n",
      [(generators, "random"), (generators, "_kept_flags")]),
     (["round", "t2", "--trials", "100000000"], "pair blow-up",
-     [(rounding, "solve_vc_lp"), (rounding, "two_coloring")]),
+     [(rounding, "solve_vc_lp"), (rounding, "_colorings")]),
     (["round", "ahtp", "--trials", "100000000"], "full blow-up",
-     [(rounding, "solve_vc_lp"), (rounding, "two_coloring")]),
+     [(rounding, "solve_vc_lp"), (rounding, "_colorings")]),
     # one edge over 10**8 vertices: HiGHS would hold gigabytes for the columns
     (["lp", "vc", "--mode", "float"], "HG 2 100000000 1\n0 1\n", [(lp, "_highs")]),
     (["round", "threshold", "--mode", "float"], "HG 2 100000000 1\n0 1\n", [(lp, "_highs")]),

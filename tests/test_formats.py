@@ -299,9 +299,52 @@ def test_block_ids_outside_the_instance_are_parse_errors(capsys, monkeypatch, ar
     with pytest.raises(ParseError) as info:
         parse_document(text)
     assert str(info.value) == f"line {line}: {message}"
-    # a block read on its own has no instance to bound its ids
+    # a block read on its own has no instance to bound its ids above,
+    # but a negative id is refused all the same
     parse = parse_cover if argv[1] == "cover" else parse_matching
-    parse(text[text.index(argv[1].upper()):])
+    block = text[text.index(argv[1].upper()):]
+    if "-1" in message:
+        with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+            parse(block)
+    else:
+        parse(block)
+
+
+_SUMMARY_DOC = ("HG 3 3 1\n0 1 2\nCOVER 1\n{}\nBREAKDOWN U={} SPRIME= PARITY=\n"
+                "LP OPT=- RESIDUAL=-\nSEED {} TRIAL {}\n")
+
+
+@pytest.mark.parametrize("fields, line, message", [
+    ((-4, 0, "-", "-"), 2, "cover vertex -4 out of range"),
+    ((0, "0,-4", "-", "-"), 3, "vertex id -4 out of range"),
+    ((0, 0, -5, -3), 5, "seed -5 does not fit in 64 bits"),
+    ((0, 0, 2**64, 0), 5, f"seed {2**64} does not fit in 64 bits"),
+    ((0, 0, 2**76 + 1, 0), 5, f"seed {2**76 + 1} does not fit in 64 bits"),
+    ((0, 0, 5, -3), 5, "trial -3 is negative"),
+], ids=["cover-id", "breakdown-id", "negative-seed", "seed-2**64", "77-bit-seed",
+        "negative-trial"])
+def test_cover_blocks_refuse_negative_ids_seeds_and_trials(capsys, monkeypatch, fields, line,
+                                                           message):
+    # a block alone returned (-4,) for a negative id, and verify cover
+    # printed OK on SEED -5 TRIAL -3 and on a 77-bit seed
+    text = _SUMMARY_DOC.format(*fields)
+    with pytest.raises(ParseError) as info:
+        parse_cover(text[text.index("COVER"):])
+    assert str(info.value) == f"line {line}: {message}"
+    assert _verify(capsys, monkeypatch, ["verify", "cover"], text) == \
+        (2, f"parse error: line {line + 2}: {message}\n")
+
+
+def test_cover_blocks_take_the_ends_of_the_seed_and_trial_ranges():
+    for seed, trial in ((0, 0), (2**64 - 1, 10**30)):
+        text = _SUMMARY_DOC.format(0, 0, seed, trial)
+        cover = parse_cover(text[text.index("COVER"):])
+        assert (cover.seed, cover.trial_index) == (seed, trial)
+
+
+def test_matching_blocks_refuse_negative_ids():
+    with pytest.raises(ParseError, match="^line 2: edge id -3 out of range$"):
+        parse_matching("MATCHING 1\n-3\n")
 
 
 @pytest.mark.parametrize("text, line, message", [

@@ -1,9 +1,11 @@
 """Tests for the LP threshold loop, color trials, and the cover producers."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from turancover import rounding
 from turancover.errors import ParameterError, VerificationError
 from turancover.generators import (complete, f_free_random, random_hypergraph,
                                    simplify_reduction, three_tent)
-from turancover.hypergraph import Hypergraph, blow_up, is_vertex_cover
+from turancover.hypergraph import Hypergraph, blow_up, first_non_cover, is_vertex_cover
 from turancover.lp import LPSolution
 from turancover.rounding import (
     Coloring,
@@ -62,6 +64,22 @@ def test_sample_coloring_is_deterministic():
     assert sample_coloring(30, 4, 54321).colors != a.colors
 
 
+@pytest.mark.parametrize("num_colors", [*range(1, 10), 128, 255, 256, 1000, 2**33 + 5])
+def test_sample_coloring_draws_what_randrange_draws(num_colors):
+    for seed in (0, 1, 7, 12345, 2**63 + 11, 2**64 - 1):
+        rng = random.Random(seed)
+        expected = tuple(rng.randrange(num_colors) for _ in range(40))
+        assert sample_coloring(40, num_colors, seed).colors == expected
+
+
+@pytest.mark.parametrize("trials", [range(0), range(3), range(60, 130)])
+def test_coloring_matrix_rows_are_two_colorings(trials):
+    matrix = rounding._colorings(13, 99, trials)
+    assert matrix.shape == (len(trials), 13)
+    assert [tuple(row) for row in matrix.tolist()] == [
+        two_coloring(13, child_seed(99, trial)).colors for trial in trials]
+
+
 def test_two_coloring_uses_two_colors():
     c = two_coloring(50, 7)
     assert c.num_colors == 2
@@ -105,6 +123,7 @@ _SEEDED = {  # each public seeded function: a valid call, and one with another b
     "color_code_cover": (lambda s: color_code_cover(_PAIR, seed=s),
                          lambda s: color_code_cover(blow_up(complete(5, 4), 2), seed=s)),
     "sample_coloring": (lambda s: sample_coloring(5, 2, s), lambda s: sample_coloring(5, 0, s)),
+    "Coloring": (lambda s: Coloring((0, 1), 2, s), lambda s: Coloring((0, 5), 2, s)),
     "child_seed": (lambda s: child_seed(s, 3), None),
     "random_hypergraph": (lambda s: random_hypergraph(6, 3, 0.5, s),
                           lambda s: random_hypergraph(2, 3, 1.5, s)),
@@ -217,6 +236,47 @@ def test_exact_threshold_below_a_millionth_is_refused(gamma):
     assert rounding._resolve_gamma(gamma, "float") > 0
 
 
+def _color_trial_reference(support, labels, t, coloring):
+    """``color_trial`` as one Python pass over the support."""
+    low_count = (1 - rounding._delta(t)) * (t - 1) / 2
+    colors = coloring.colors
+    lopsided = []
+    classes = ([], [])
+    for v in support:
+        label = labels[v]
+        ones = sum(colors[u] for u in label)
+        zeros = len(label) - ones
+        if ones <= low_count or zeros <= low_count:
+            lopsided.append(v)
+        classes[ones & 1].append(v)
+    smaller = classes[0] if len(classes[0]) <= len(classes[1]) else classes[1]
+    return tuple(sorted(lopsided)), tuple(sorted(smaller))
+
+
+def _monochromatic_pairs_reference(support, labels, coloring):
+    """``monochromatic_pairs`` as one Python pass over the support."""
+    colors = coloring.colors
+    return tuple(sorted(
+        v for v in support
+        if colors[labels[v][0]] == colors[labels[v][1]]))
+
+
+@pytest.mark.parametrize("t", [3, 4, 8, 11, 14])
+def test_one_coloring_views_match_the_python_rules(t):
+    rng = random.Random(t)
+    base_n = t + 4
+    labels = list(combinations(range(base_n), t - 1))
+    pairs = list(combinations(range(base_n), 2))
+    for seed in range(40):
+        coloring = two_coloring(base_n, seed)
+        support = sorted(rng.sample(range(len(labels)), rng.randrange(len(labels) + 1)))
+        assert color_trial(support, labels, t, coloring) == \
+            _color_trial_reference(support, labels, t, coloring)
+        support = sorted(rng.sample(range(len(pairs)), rng.randrange(len(pairs) + 1)))
+        assert monochromatic_pairs(support, pairs, coloring) == \
+            _monochromatic_pairs_reference(support, pairs, coloring)
+
+
 def test_monochromatic_pairs_picks_single_color_labels():
     labels = [(0, 1), (1, 2), (2, 3)]
     coloring = Coloring((0, 0, 1, 1), 2, seed=0)
@@ -299,7 +359,7 @@ def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
     # is drawn
     from turancover import rounding
 
-    counts = {"solve_vc_lp": 0, "two_coloring": 0}
+    counts = {"solve_vc_lp": 0, "_colorings": 0}
     for name in counts:
         real = getattr(rounding, name)
 
@@ -311,14 +371,20 @@ def test_ahtp_cover_solves_root_once_and_skips_idle_trials(monkeypatch):
     B = blow_up(random_hypergraph(8, 4, 0.3, seed=2), 3)
     res = ahtp_cover_blowup(B, RoundingParams(t=4, seed=9, trials=50), mode="exact")
     assert res.trial_index == 0 and res.parity_class == ()
-    assert counts == {"solve_vc_lp": 2, "two_coloring": 0}
+    assert counts == {"solve_vc_lp": 2, "_colorings": 0}
+
+
+def _no_classes(colorings, labels, *args):
+    """A class rule that selects no vertex in any trial."""
+    empty = np.zeros((len(colorings), len(labels)), dtype=bool)
+    return empty, empty.copy()
 
 
 def test_ahtp_cover_reports_first_failing_trial(monkeypatch):
     # gamma = 9/10 leaves three residual edges, so empty classes miss them
     from turancover import rounding
 
-    monkeypatch.setattr(rounding, "color_trial", lambda *args: ((), ()))
+    monkeypatch.setattr(rounding, "_parity_classes", _no_classes)
     B = blow_up(complete(5, 4), 3)
     params = RoundingParams(t=4, seed=3, trials=70, gamma=Fraction(9, 10))
     with pytest.raises(VerificationError, match=r"^rounding trial 0 produced a non-cover$"):
@@ -329,21 +395,28 @@ def test_t2_cover_reports_first_failing_trial(monkeypatch):
     # every pair of complete(5, 3) stays in the residual support
     from turancover import rounding
 
-    monkeypatch.setattr(rounding, "monochromatic_pairs", lambda *args: ())
+    monkeypatch.setattr(rounding, "_pair_classes", _no_classes)
     B = blow_up(complete(5, 3), 2)
     with pytest.raises(VerificationError, match=r"^pair trial 0 produced a non-cover$"):
         t2_cover_blowup(B, seed=3, trials=70, mode="exact")
 
 
 def _best_trial_reference(B, forced, support, trials, seed, finish, context):
-    """The build-every-trial-then-check-once loop that the chunked one replaced."""
-    from turancover import rounding
-
+    """The trial loop one trial at a time: each trial's classes from the
+    Python rules, each cover built as a tuple, all checked at once.  ``context`` names the rounder ("pair" for
+    ``t2_cover_blowup``, "rounding" for ``ahtp_cover_blowup``), and so
+    its rule; ``finish``, the array form, is not used."""
     runs = []
     for trial in range(trials if support else 1):
-        classes = finish(two_coloring(B.base_n, child_seed(seed, trial)))
+        coloring = two_coloring(B.base_n, child_seed(seed, trial))
+        if context == "pair":
+            classes = ((), _monochromatic_pairs_reference(support, B.labels, coloring))
+        else:
+            classes = _color_trial_reference(support, B.labels, B.base_t, coloring)
+            if 2 * len(classes[1]) > len(support):
+                raise VerificationError("parity class exceeds half the support")
         runs.append((tuple(sorted(forced.union(*classes))), classes))
-    bad = rounding.first_non_cover(B.hyper, [cover for cover, _ in runs])
+    bad = first_non_cover(B.hyper, [cover for cover, _ in runs])
     if bad is not None:
         raise VerificationError(f"{context} trial {bad} produced a non-cover")
     trial = min(range(len(runs)), key=lambda i: len(runs[i][0]))
@@ -355,19 +428,63 @@ def test_chunked_trials_match_the_all_at_once_loop(monkeypatch, trials):
     from turancover import rounding
 
     checked = []
-    real = rounding.first_non_cover
+    real = rounding._first_non_cover_row
 
-    def spy(H, covers):
-        checked.append(len(covers))
-        return real(H, covers)
+    def spy(H, incidence):
+        checked.append(len(incidence))
+        return real(H, incidence)
 
-    monkeypatch.setattr(rounding, "first_non_cover", spy)
+    monkeypatch.setattr(rounding, "_first_non_cover_row", spy)
     # complete bases keep every pair in the residual support, so all trials run
     cases = [(blow_up(complete(n, t), 2), s) for s, (n, t) in enumerate([(5, 3), (6, 3), (7, 4)])]
     new = [t2_cover_blowup(B, seed=s, trials=trials, mode="float") for B, s in cases]
     assert max(checked) <= 64 and sum(checked) == 3 * trials  # every trial checked
     monkeypatch.setattr(rounding, "_best_trial", _best_trial_reference)
     assert new == [t2_cover_blowup(B, seed=s, trials=trials, mode="float") for B, s in cases]
+
+
+def _outcome(call):
+    """What ``call`` returns, or the message of the VerificationError it raises."""
+    try:
+        return call()
+    except VerificationError as exc:
+        return f"raised: {exc}"
+
+
+# pair blow-ups of complete bases and of one base of each float_pairs
+# shape; full blow-ups whose overridden gamma leaves residual edges, so
+# that some trials fail: from trial 65 on (seed 39), 27 (seed 24) and 0
+_T2_BASES = [complete(5, 3), complete(6, 3), complete(7, 4),
+             random_hypergraph(26, 6, 0.02, 1), random_hypergraph(22, 7, 0.02, 2),
+             random_hypergraph(20, 8, 0.03, 3)]
+_AHTP_CASES = [(complete(7, 4), Fraction(1, 2), 39), (complete(7, 4), Fraction(1, 2), 24),
+               (complete(5, 4), Fraction(9, 10), 0)]
+
+
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 129, 200])
+def test_array_trials_match_the_per_trial_reference(monkeypatch, trials):
+    supports = []
+    real = rounding._best_trial
+
+    def spy(B, forced, support, *args):
+        supports.append(len(support))
+        return real(B, forced, support, *args)
+
+    def run_all():
+        t2 = [_outcome(lambda: t2_cover_blowup(blow_up(G, 2), seed=s, trials=trials,
+                                               mode="float"))
+              for s, G in enumerate(_T2_BASES)]
+        ahtp = [_outcome(lambda: ahtp_cover_blowup(
+                    blow_up(G, G.t - 1),
+                    RoundingParams(t=G.t, seed=s, trials=trials, gamma=gamma)))
+                for G, gamma, s in _AHTP_CASES]
+        return t2, ahtp
+
+    monkeypatch.setattr(rounding, "_best_trial", spy)
+    new = run_all()
+    assert all(supports)  # every case finishes a non-empty support
+    monkeypatch.setattr(rounding, "_best_trial", _best_trial_reference)
+    assert new == run_all()
 
 
 def test_an_empty_residual_gives_what_the_loop_gives(monkeypatch):
@@ -391,11 +508,21 @@ def test_an_empty_residual_still_verifies_the_forced_set(monkeypatch):
 def test_lowest_failing_trial_raises_across_chunks(monkeypatch):
     from turancover import rounding
 
-    failing = {child_seed(3, 70), child_seed(3, 100)}
-    real = rounding.monochromatic_pairs
-    monkeypatch.setattr(rounding, "monochromatic_pairs",
-                        lambda support, labels, coloring: ()
-                        if coloring.seed in failing else real(support, labels, coloring))
+    failing = {70, 100}
+    block = []
+    real_colorings, real_classes = rounding._colorings, rounding._pair_classes
+
+    def colorings(n, seed, trials):
+        block[:] = trials
+        return real_colorings(n, seed, trials)
+
+    def pair_classes(colorings, labels):
+        lopsided, chosen = real_classes(colorings, labels)
+        chosen[[trial in failing for trial in block]] = False
+        return lopsided, chosen
+
+    monkeypatch.setattr(rounding, "_colorings", colorings)
+    monkeypatch.setattr(rounding, "_pair_classes", pair_classes)
     B = blow_up(complete(5, 3), 2)
     assert t2_cover_blowup(B, seed=3, trials=70, mode="exact").size > 0
     with pytest.raises(VerificationError, match=r"^pair trial 70 produced a non-cover$"):
