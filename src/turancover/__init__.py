@@ -17,11 +17,10 @@ from .lp import (LPSolution, SlacknessReport, check_complementary_slackness,
                  solve_matching_lp, solve_vc_lp)
 from .oracles import (Embedding, brute_nu, brute_tau, contains_subhypergraph,
                       find_tents, max_independent_set, rho)
-from .rounding import (Coloring, CoverResult, RoundingParams, ThresholdResult,
+from .rounding import (CoverResult, RoundingParams, ThresholdResult,
                        ahtp_cover_blowup, child_seed, color_code_cover,
-                       color_trial, fallback_threshold_cover,
-                       monochromatic_pairs, recursive_threshold,
-                       sample_coloring, t2_cover_blowup, two_coloring)
+                       fallback_threshold_cover, recursive_threshold,
+                       t2_cover_blowup)
 from .setcover import (GreedyTrace, SetSystem, brute_set_cover, dual_system,
                        greedy_ratio_check, greedy_set_cover, is_simple_system)
 
@@ -35,10 +34,9 @@ __all__ = [
     "check_complementary_slackness",
     "Embedding", "brute_tau", "brute_nu", "max_independent_set", "find_tents",
     "contains_subhypergraph", "rho",
-    "RoundingParams", "Coloring", "CoverResult", "ThresholdResult",
-    "child_seed", "sample_coloring", "two_coloring", "color_trial",
-    "monochromatic_pairs", "recursive_threshold", "ahtp_cover_blowup",
-    "t2_cover_blowup", "color_code_cover", "fallback_threshold_cover",
+    "RoundingParams", "CoverResult", "ThresholdResult", "child_seed",
+    "recursive_threshold", "ahtp_cover_blowup", "t2_cover_blowup",
+    "color_code_cover", "fallback_threshold_cover",
     "SetSystem", "GreedyTrace", "greedy_set_cover", "brute_set_cover",
     "greedy_ratio_check", "is_simple_system", "dual_system",
     "complete", "random_hypergraph", "f_free_random", "combinatorial_lines",

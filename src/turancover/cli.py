@@ -6,7 +6,8 @@ certificates the earlier stages emitted.  `round` echoes its input
 instance before the COVER block precisely so that `verify cover` can be
 piped directly after it; `verify cover` checks that the COVER ids cover
 the instance and are exactly the union of the BREAKDOWN's U, SPRIME and
-PARITY.  Identical arguments and inputs produce byte-identical output.
+PARITY, and that the LP line's RESIDUAL does not exceed its OPT.
+Identical arguments and inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 malformed input, 3 bad parameters, 4 resource
 guard tripped, 5 verification failed.  Input that is not ASCII text is
@@ -246,6 +247,8 @@ def _run_verify(args) -> str:
             raise VerificationError("claimed cover misses at least one edge")
         if set(cover.cover) != {*cover.forced, *cover.high_discrepancy, *cover.parity_class}:
             raise VerificationError("claimed cover is not U, SPRIME and PARITY combined")
+        if cover.lp_opt is not None and cover.lp_opt_residual > cover.lp_opt:
+            raise VerificationError("claimed residual LP optimum exceeds the LP optimum")
         return "OK\n"
     if matching is None:
         raise ParseError("no MATCHING block found in input")

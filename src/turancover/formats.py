@@ -547,7 +547,8 @@ def _whole(parse_block, text: str):
 
 def _parse_cover_block(cursor: _Cursor, n) -> CoverResult:
     """A COVER block: ids nonnegative and, unless ``n`` is None, below
-    it; a seed in [0, 2**64) and a nonnegative trial, where given."""
+    it; LP values of one kind; a seed in [0, 2**64) and a nonnegative
+    trial, where given."""
     ids = _counted_ids(cursor, "COVER", "cover vertex line", "cover vertex", n)
     lineno, line = cursor.take("BREAKDOWN line")
     tokens = line.split()
@@ -562,6 +563,9 @@ def _parse_cover_block(cursor: _Cursor, n) -> CoverResult:
         raise ParseError("expected 'LP OPT=... RESIDUAL=...'", line=lineno)
     lp_opt = _parse_value(lineno, _expect_prefixed(lineno, tokens[1], "OPT="))
     lp_res = _parse_value(lineno, _expect_prefixed(lineno, tokens[2], "RESIDUAL="))
+    if type(lp_opt) is not type(lp_res):
+        raise ParseError("OPT and RESIDUAL must both be '-', both rationals or both"
+                         " floats", line=lineno)
     lineno, line = cursor.take("SEED line")
     tokens = line.split()
     if len(tokens) != 4 or tokens[0] != "SEED" or tokens[2] != "TRIAL":

@@ -17,7 +17,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import ParameterError, ResourceLimitError
@@ -30,12 +30,28 @@ __all__ = [
     "blow_up",
     "is_simple",
     "is_vertex_cover",
-    "first_non_cover",
     "is_matching",
     "dual",
 ]
 
 BLOWUP_GUARD = 1_000_000
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int, if ``operator.index`` takes it."""
+    if not hasattr(type(value), "__index__"):
+        raise ParameterError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
+
+
+def _int_rows(rows, what: str):
+    """``rows`` of ids with every id an int.  All-int rows, the common
+    case, are checked in one C-level pass over their types and returned
+    as given; otherwise each id is converted by ``_index``."""
+    rows = tuple(rows)
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return tuple(tuple(_index(v, what) for v in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -52,22 +68,27 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.t < 2:
-            raise ParameterError(f"uniformity must be at least 2, got {self.t}")
-        if self.n < 0 or (self.n < self.t and not (self.n == 0 and not self.edges)):
-            raise ParameterError(f"vertex count {self.n} below uniformity {self.t}")
+        t = _index(self.t, "uniformity")
+        n = _index(self.n, "vertex count")
+        edges = _int_rows(self.edges, "vertex id")
+        if t < 2:
+            raise ParameterError(f"uniformity must be at least 2, got {t}")
+        if n < 0 or (n < t and not (n == 0 and not edges)):
+            raise ParameterError(f"vertex count {n} below uniformity {t}")
         norm = []
-        for e in self.edges:
+        for e in edges:
             te = tuple(sorted(e))
-            if len(te) != self.t or len(set(te)) != self.t:
-                raise ParameterError(f"edge {e} is not a {self.t}-subset")
-            if te[0] < 0 or te[-1] >= self.n:
+            if len(te) != t or len(set(te)) != t:
+                raise ParameterError(f"edge {e} is not a {t}-subset")
+            if te[0] < 0 or te[-1] >= n:
                 raise ParameterError(f"edge {e} has out-of-range vertex ids")
             norm.append(te)
         norm.sort()
         for a, b in zip(norm, norm[1:]):
             if a == b:
                 raise ParameterError(f"duplicate edge {a}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
 
     @classmethod
@@ -122,23 +143,29 @@ class BlowUp:
     k: int
 
     def __post_init__(self):
-        if not 1 <= self.k < self.base_t:
-            raise ParameterError(f"subset size {self.k} not in [1, {self.base_t})")
-        if len(self.labels) != self.hyper.n:
+        base_t = _index(self.base_t, "base uniformity")
+        base_n = _index(self.base_n, "base vertex count")
+        k = _index(self.k, "subset size")
+        labels = _int_rows(self.labels, "base id")
+        if not 1 <= k < base_t:
+            raise ParameterError(f"subset size {k} not in [1, {base_t})")
+        if len(labels) != self.hyper.n:
             raise ParameterError("one label per blow-up vertex required")
-        if self.hyper.edges and self.hyper.t != comb(self.base_t, self.k):
+        if self.hyper.edges and self.hyper.t != comb(base_t, k):
             raise ParameterError("blow-up uniformity does not match C(base_t, k)")
         norm = []
-        for lab in self.labels:
+        for lab in labels:
             tl = tuple(sorted(lab))
-            if len(tl) != self.k or len(set(tl)) != self.k:
-                raise ParameterError(f"label {lab} is not a {self.k}-subset")
-            if tl and (tl[0] < 0 or tl[-1] >= self.base_n):
+            if len(tl) != k or len(set(tl)) != k:
+                raise ParameterError(f"label {lab} is not a {k}-subset")
+            if tl and (tl[0] < 0 or tl[-1] >= base_n):
                 raise ParameterError(f"label {lab} has out-of-range base ids")
             norm.append(tl)
         if sorted(norm) != norm or len(set(norm)) != len(norm):
             raise ParameterError("labels must be distinct and lexicographically sorted")
-        object.__setattr__(self, "labels", tuple(norm))
+        for name, value in (("base_t", base_t), ("base_n", base_n), ("k", k),
+                            ("labels", tuple(norm))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_canonical(cls, hyper: Hypergraph, labels: tuple, base_t: int,
@@ -250,10 +277,7 @@ def _id_set(ids, bound: int, what: str) -> set[int]:
     ``operator.index`` takes them; all-int ids are checked in C passes."""
     out = set(ids)
     if not set(map(type, out)) <= {int}:
-        for v in out:
-            if not hasattr(type(v), "__index__"):
-                raise ParameterError(f"{what} {v!r} is not an integer")
-        out = set(map(operator.index, out))
+        out = {_index(v, what) for v in out}
     if out and (min(out) < 0 or max(out) >= bound):
         raise ParameterError(f"{what} {next(v for v in out if not 0 <= v < bound)} out of range")
     return out
@@ -263,24 +287,6 @@ def is_vertex_cover(H: Hypergraph, cover) -> bool:
     """True when every edge of H contains a vertex of ``cover``."""
     cov = _id_set(cover, H.n, "vertex id")
     return all(not cov.isdisjoint(e) for e in H.edges)
-
-
-def first_non_cover(H: Hypergraph, covers) -> int | None:
-    """Index of the first of ``covers`` that misses an edge of H, or None.
-
-    Equivalent to checking each cover with ``is_vertex_cover`` in turn,
-    ids validated the same way, but checked in one bit-sliced pass over
-    the covers' incidence matrix (``_first_non_cover_row``).
-    """
-    sets = [_id_set(cover, H.n, "vertex id") for cover in covers]
-    if not sets or H.m == 0:
-        return None
-    import numpy as np
-
-    incidence = np.zeros((len(sets), H.n), dtype=bool)
-    for i, cov in enumerate(sets):
-        incidence[i, np.fromiter(cov, dtype=np.intp, count=len(cov))] = True
-    return _first_non_cover_row(H, incidence)
 
 
 def _first_non_cover_row(H: Hypergraph, incidence) -> int | None:

@@ -18,12 +18,12 @@ instances.  All randomness flows from one 64-bit root seed: trial i
 colors vertices with the child seed root XOR mix(i), so trials are
 reproducible and independent of evaluation order.  Both LP finishers
 share one best-of-trials loop, which works on blocks of 64 trials as
-arrays: one coloring matrix per block, the classes of every trial by
-array compares over the support's labels (``_pair_classes``,
-``_parity_classes``; ``monochromatic_pairs`` and ``color_trial`` are
-their one-coloring views), and one bit-sliced check of the block's
-covers (``hypergraph._first_non_cover_row``).  The lowest failing
-trial, if any, raises; only the winning trial is built as tuples.
+arrays: one coloring matrix per block (``_colorings``), the classes of
+every trial by array compares over the support's labels
+(``_pair_classes``, ``_parity_classes``), and one bit-sliced check of
+the block's covers (``hypergraph._first_non_cover_row``).  The lowest
+failing trial, if any, raises; only the winning trial is built as
+tuples.  Every coloring is drawn by ``_draw_colors``.
 """
 
 from __future__ import annotations
@@ -37,19 +37,14 @@ from itertools import compress
 from .errors import ParameterError, ResourceLimitError, VerificationError
 from .guards import check_seed, resolve_limit
 from .hypergraph import (BlowUp, Hypergraph, _as_hypergraph, _first_non_cover_row,
-                         first_non_cover, is_vertex_cover)
+                         is_vertex_cover)
 from .lp import LPSolution, solve_vc_lp
 
 __all__ = [
     "RoundingParams",
-    "Coloring",
     "CoverResult",
     "ThresholdResult",
     "child_seed",
-    "sample_coloring",
-    "two_coloring",
-    "color_trial",
-    "monochromatic_pairs",
     "recursive_threshold",
     "ahtp_cover_blowup",
     "t2_cover_blowup",
@@ -87,8 +82,7 @@ class RoundingParams:
         check_seed(self.seed)
         if self.t < 3:
             raise ParameterError(f"uniformity must be at least 3, got {self.t}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be at least 1, got {self.trials}")
+        _check_trials(self.trials)
         if self.gamma is not None and not 0 < self.gamma < 1:
             raise ParameterError(f"threshold must lie in (0,1), got {self.gamma}")
 
@@ -108,22 +102,6 @@ class RoundingParams:
         Exceeds 1 for t <= 10, making the high-discrepancy set empty there.
         """
         return _delta(self.t)
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """A vertex coloring of the base hypergraph, one color id per vertex."""
-
-    colors: tuple[int, ...]
-    num_colors: int
-    seed: int
-
-    def __post_init__(self):
-        check_seed(self.seed)
-        if self.num_colors < 1:
-            raise ParameterError("need at least one color")
-        if any(not 0 <= c < self.num_colors for c in self.colors):
-            raise ParameterError("color id out of range")
 
 
 @dataclass(frozen=True)
@@ -212,22 +190,10 @@ def _draw_colors(getrandbits, n: int, num_colors: int) -> list[int]:
     return colors
 
 
-def sample_coloring(n: int, num_colors: int, seed: int) -> Coloring:
-    """Color vertices 0..n-1 uniformly at random, in id order."""
-    check_seed(seed)
-    if num_colors < 1:
-        raise ParameterError("need at least one color")
-    colors = _draw_colors(random.Random(seed).getrandbits, n, num_colors)
-    return Coloring(tuple(colors), num_colors, seed)
-
-
-def two_coloring(n: int, seed: int) -> Coloring:
-    return sample_coloring(n, 2, seed)
-
-
 def _colorings(n: int, seed: int, trials: range):
     """The two-colorings of ``trials`` as a ``(len(trials), n)`` uint8
-    matrix: row i is ``two_coloring(n, child_seed(seed, trials[i])).colors``.
+    matrix: row i holds the n colors that ``random.Random(child_seed(seed,
+    trials[i]))`` draws by ``randrange(2)``, as ``_draw_colors`` draws them.
 
     One ``random.Random`` is reseeded per row, which costs less than
     building a fresh one.
@@ -366,40 +332,6 @@ def _ids(support, mask) -> tuple[int, ...]:
     return tuple(sorted(v for v, keep in zip(support, mask.tolist()) if keep))
 
 
-def _coloring_row(coloring: Coloring):
-    """One coloring as a one-row coloring matrix."""
-    import numpy as np
-
-    return np.array([coloring.colors], dtype=np.uint8)
-
-
-def color_trial(support, labels, t: int, coloring: Coloring):
-    """One parity/discrepancy trial over a residual support.
-
-    Returns (high_discrepancy, parity_class): the support vertices whose
-    label sees some color at most (1-delta)(t-1)/2 times, and the
-    smaller of the two classes under f(v) = (#color-1 elements) mod 2,
-    ties resolved toward parity 0.  Both come back sorted.  The
-    one-coloring view of ``_parity_classes``.
-    """
-    if coloring.num_colors != 2:
-        raise ParameterError("parity trials need exactly two colors")
-    if not support:
-        return (), ()
-    lopsided, smaller = _parity_classes(_coloring_row(coloring),
-                                        _label_matrix(support, labels), t)
-    return _ids(support, lopsided[0]), _ids(support, smaller[0])
-
-
-def monochromatic_pairs(support, labels, coloring: Coloring):
-    """Support vertices of a 2-blow-up whose two base endpoints share a
-    color, sorted.  The one-coloring view of ``_pair_classes``."""
-    if not support:
-        return ()
-    _, chosen = _pair_classes(_coloring_row(coloring), _label_matrix(support, labels))
-    return _ids(support, chosen[0])
-
-
 def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
                 finish, context: str):
     """Best of the color trials over a residual support.
@@ -408,7 +340,8 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
     turns colorings into the trials' classes, and a trial's cover is
     ``forced`` plus the union of its classes.  With an empty support
     every trial gives ``forced`` and empty classes, so no coloring is
-    drawn and the result is trial 0.  Otherwise trials run in blocks of
+    drawn, ``is_vertex_cover`` checks that one cover, and the result is
+    trial 0.  Otherwise trials run in blocks of
     64, so memory does not grow with ``trials``: ``finish`` maps the
     block's coloring matrix (``_colorings``) and the support's label
     matrix to two ``(block, s)`` class masks, the block's covers are
@@ -420,7 +353,7 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
     """
     if not support:
         cover = tuple(sorted(forced))
-        if first_non_cover(B.hyper, [cover]) is not None:
+        if not is_vertex_cover(B.hyper, cover):
             raise VerificationError(f"{context} trial 0 produced a non-cover")
         return 0, cover, ((), ())
     import numpy as np
@@ -447,9 +380,14 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
             (_ids(support, lopsided), _ids(support, chosen)))
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
+def _check_trials(trials) -> None:
+    """Refuse a trial count that is not an int of at least 1."""
+    if not (isinstance(trials, int) and trials >= 1):
+        raise ParameterError(f"trials must be an integer of at least 1, got {trials!r}")
+
+
+def _guard_trials(trials: int) -> None:
+    """Refuse more than ``TRIALS_GUARD`` trials (or the override)."""
     cap = resolve_limit(None, TRIALS_GUARD)
     if trials > cap:
         raise ResourceLimitError(f"{trials} trials exceed limit {cap}")
@@ -531,7 +469,7 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     if B.base_t != params.t:
         raise ParameterError(
             f"blow-up base is {B.base_t}-uniform but parameters say {params.t}")
-    _check_trials(params.trials)
+    _guard_trials(params.trials)
     thr = recursive_threshold(B.hyper, params.gamma_value, mode=mode,
                               size_guard=size_guard)
     support = thr.solution.support
@@ -568,6 +506,7 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
         raise ParameterError(f"expected a pair blow-up (k = 2), got k={B.k}")
     t = B.base_t
     _check_trials(trials)
+    _guard_trials(trials)
     thr = recursive_threshold(B.hyper, Fraction(4, t * t), mode=mode,
                               size_guard=size_guard)
     return _lp_cover(B, thr, trials, seed, _pair_classes, "pair")
@@ -590,8 +529,7 @@ def color_code_cover(B: BlowUp, seed: int = 0) -> CoverResult:
     if t < 3:
         raise ParameterError(f"uniformity must be at least 3, got {t}")
     P = math.ceil((t - 1) / (2 * math.log(t)))
-    coloring = sample_coloring(B.base_n, P, seed)
-    colors = coloring.colors
+    colors = _draw_colors(random.Random(seed).getrandbits, B.base_n, P)
     missing = []
     residues: list[list[int]] = [[] for _ in range(P)]
     for v, label in enumerate(B.labels):

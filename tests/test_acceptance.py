@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from turancover import rounding
 from turancover.generators import (
     combinatorial_lines,
     complete,
@@ -38,13 +39,25 @@ from turancover.rounding import (
     GAMMA_DENOMINATOR,
     RoundingParams,
     ahtp_cover_blowup,
-    child_seed,
-    color_trial,
     recursive_threshold,
     t2_cover_blowup,
-    two_coloring,
 )
 from turancover.setcover import SetSystem, brute_set_cover, greedy_set_cover
+
+
+def _parity_trials(B, support, t, seed, trials):
+    """Each trial's (high_discrepancy, parity_class) as sorted id tuples:
+    ``_parity_classes`` over one ``_colorings`` block of 64 trials at a
+    time.  An empty support gives empty classes in every trial."""
+    if not support:
+        return [((), ())] * trials
+    labels = rounding._label_matrix(support, B.labels)
+    out = []
+    for start in range(0, trials, 64):
+        block = rounding._colorings(B.base_n, seed, range(start, min(start + 64, trials)))
+        for lopsided, parity in zip(*rounding._parity_classes(block, labels, t)):
+            out.append((rounding._ids(support, lopsided), rounding._ids(support, parity)))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +82,7 @@ def rounding_suite():
         support = thr.solution.support
         forced = set(thr.thresholded)
         invalid = 0
-        for trial in range(params.trials):
-            coloring = two_coloring(B.base_n, child_seed(params.seed, trial))
-            lopsided, parity = color_trial(support, B.labels, t, coloring)
+        for lopsided, parity in _parity_trials(B, support, t, params.seed, params.trials):
             if 2 * len(parity) > len(support):
                 invalid += 1
                 continue
@@ -171,11 +182,7 @@ def test_criterion_05_discrepancy_set_shrinks_residual_support():
         thr = recursive_threshold(B.hyper, 0.99, mode="float")
         support = thr.solution.support
         assert len(support) >= 20
-        sizes = []
-        for i in range(1000):
-            coloring = two_coloring(B.base_n, child_seed(root, i))
-            lopsided, _ = color_trial(support, B.labels, t, coloring)
-            sizes.append(len(lopsided))
+        sizes = [len(lopsided) for lopsided, _ in _parity_trials(B, support, t, root, 1000)]
         mean = statistics.fmean(sizes)
         se = statistics.stdev(sizes) / math.sqrt(len(sizes))
         assert mean <= (2 / t) * len(support) + 3 * se
@@ -197,9 +204,7 @@ def test_criterion_06_large_instance_mean_output_size():
         supported += bool(support)
         forced = set(thr.thresholded)
         sizes = []
-        for i in range(200):
-            coloring = two_coloring(B.base_n, child_seed(root, i))
-            lopsided, parity = color_trial(support, B.labels, 100, coloring)
+        for lopsided, parity in _parity_trials(B, support, 100, root, 200):
             cover = tuple(sorted(forced | set(lopsided) | set(parity)))
             assert is_vertex_cover(B.hyper, cover)
             sizes.append(len(cover))

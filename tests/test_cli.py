@@ -232,6 +232,33 @@ def test_verify_cover_checks_the_breakdown():
     assert run(["verify", "cover"], doc.replace("U=", "U=0"))[:2] == (0, "OK\n")
 
 
+def test_verify_cover_checks_the_lp_line(capsys, monkeypatch):
+    # both edits printed OK: a RESIDUAL above OPT, and values of two kinds
+    doc = chain(
+        ["gen", "random", "--n", "8", "--t", "4", "--p", "0.3", "--seed", "5"],
+        ["blowup", "--k", "3"],
+        ["round", "ahtp", "--seed", "1"],
+    )
+    line = "LP OPT=33/4 RESIDUAL=0/1"
+    lineno = doc[:doc.index(line)].count("\n") + 1
+
+    def verify(lp_line):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc.replace(line, lp_line)))
+        code = cli.main(["verify", "cover"])
+        return (code, *capsys.readouterr())
+
+    for ok in (line, "LP OPT=33/4 RESIDUAL=33/4", "LP OPT=8.25 RESIDUAL=0.0",
+               "LP OPT=- RESIDUAL=-"):
+        assert verify(ok) == (0, "OK\n", "")
+    for above in ("LP OPT=33/4 RESIDUAL=99/1", "LP OPT=8.25 RESIDUAL=8.5"):
+        assert verify(above) == (
+            5, "", "verification failed: claimed residual LP optimum exceeds the LP optimum\n")
+    for mixed in ("LP OPT=1.5 RESIDUAL=-", "LP OPT=- RESIDUAL=0/1",
+                  "LP OPT=33/4 RESIDUAL=0.0", "LP OPT=8.25 RESIDUAL=0/1"):
+        assert verify(mixed) == (2, "", f"parse error: line {lineno}: OPT and RESIDUAL must"
+                                 " both be '-', both rationals or both floats\n")
+
+
 @pytest.mark.parametrize("argv, stdin_text, line", [
     (["verify", "simple"], "HG 3 2 0\n", 1),
     (["verify", "simple"], "SS -1 0\n", 1),
@@ -477,6 +504,28 @@ def test_cold_blowup_loads_neither_numpy_nor_scipy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n"
     assert proc.stdout == formats.serialize_blowup(hypergraph.blow_up(base, 2))
+
+
+def test_cold_colorcode_round_and_verify_load_neither_numpy_nor_scipy():
+    # color_code_cover draws its colors in pure Python, and verify cover
+    # checks one cover without arrays
+    code = ("import io, sys\n"
+            "from turancover import cli\n"
+            "text, out = sys.stdin.read(), sys.stdout\n"
+            "for argv in (['round', 'colorcode', '--seed', '3'], ['verify', 'cover']):\n"
+            "    sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    text = sys.stdout.getvalue()\n"
+            "    out.write(text)\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules), file=sys.stderr)")
+    B = hypergraph.blow_up(generators.complete(8, 4), 3)
+    proc = subprocess.run([sys.executable, "-c", code], input=formats.serialize_blowup(B),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+    assert proc.stdout == (formats.serialize_blowup(B)
+                           + formats.serialize_cover(rounding.color_code_cover(B, seed=3))
+                           + "OK\n")
 
 
 def test_solves_leave_scipy_optimize_unloaded():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from turancover import hypergraph
@@ -17,7 +17,6 @@ from turancover.hypergraph import (
     Hypergraph,
     blow_up,
     dual,
-    first_non_cover,
     is_matching,
     is_simple,
     is_vertex_cover,
@@ -219,6 +218,14 @@ def _first_non_cover_reference(H, covers):
     return next((i for i, c in enumerate(covers) if not is_vertex_cover(H, c)), None)
 
 
+def _first_failing_row(H, covers):
+    """``_first_non_cover_row`` on the ``(len(covers), n)`` incidence matrix of ``covers``."""
+    incidence = np.zeros((len(covers), H.n), dtype=bool)
+    for i, cover in enumerate(covers):
+        incidence[i, np.array(list(cover), dtype=np.intp)] = True
+    return hypergraph._first_non_cover_row(H, incidence)
+
+
 @st.composite
 def _hypergraph_and_covers(draw):
     t = draw(st.integers(2, 4))
@@ -243,7 +250,7 @@ def _hypergraph_and_covers(draw):
 @given(_hypergraph_and_covers())
 def test_first_non_cover_matches_per_cover_check(case):
     H, covers = case
-    assert first_non_cover(H, covers) == _first_non_cover_reference(H, covers)
+    assert _first_failing_row(H, covers) == _first_non_cover_reference(H, covers)
 
 
 @pytest.mark.parametrize("bad", [None, 0, 62, 63, 64, 127, 128, 149])
@@ -253,18 +260,20 @@ def test_first_non_cover_across_word_boundaries(bad):
     if bad is not None:
         covers[bad] = [0, 1]
         covers[-1] = []
-    assert first_non_cover(G, covers) == bad
-    assert first_non_cover(Hypergraph(3, 5, []), covers) is None
-    assert first_non_cover(Hypergraph(3, 0, []), [[]] * 70) is None
+    assert _first_failing_row(G, covers) == bad
+    assert _first_failing_row(Hypergraph(3, 5, []), covers) is None
+    assert _first_failing_row(Hypergraph(3, 0, []), [[]] * 70) is None
 
 
 def test_first_non_cover_rejects_bad_ids():
+    # a block of trials is checked as a boolean matrix, which holds no
+    # ids; one cover's ids are checked by is_vertex_cover
     G = complete(4, 3)
     for bad in (-1, 4):
-        with pytest.raises(ParameterError, match="out of range"):
-            first_non_cover(G, [range(4), [0, bad]])
-    with pytest.raises(ParameterError, match="out of range"):
-        first_non_cover(Hypergraph(3, 0, []), [[0]])
+        with pytest.raises(ParameterError, match=f"^vertex id {bad} out of range$"):
+            is_vertex_cover(G, [0, 1, bad])
+    with pytest.raises(ParameterError, match="^vertex id 0 out of range$"):
+        is_vertex_cover(Hypergraph(3, 0, []), [0])
 
 
 def test_ids_are_accepted_by_operator_index():
@@ -273,8 +282,9 @@ def test_ids_are_accepted_by_operator_index():
     G = complete(4, 3)
     assert is_vertex_cover(G, np.array([0, 1]))
     assert not is_vertex_cover(G, [np.int64(0)])
-    assert first_non_cover(G, [np.arange(4), np.array([0, 1], dtype=np.int32)]) is None
-    assert first_non_cover(G, [[True, 2, 3], [0]]) == 1  # True is vertex 1
+    assert is_vertex_cover(G, np.array([0, 1], dtype=np.int32))
+    assert is_vertex_cover(G, [True, 2, 3])  # True is vertex 1
+    assert not is_vertex_cover(G, [True])
     H = Hypergraph(3, 7, [(0, 1, 2), (3, 4, 5), (2, 3, 6)])
     assert is_matching(H, np.array([0, 2]))
     assert not is_matching(H, [np.uint8(1), 2])
@@ -290,10 +300,39 @@ def test_ids_that_are_not_integers_are_named_so(bad):
     message = f"^{{}} id {re.escape(repr(bad))} is not an integer$"
     with pytest.raises(ParameterError, match=message.format("vertex")):
         is_vertex_cover(G, [0, bad])
-    with pytest.raises(ParameterError, match=message.format("vertex")):
-        first_non_cover(G, [range(4), [bad]])
     with pytest.raises(ParameterError, match=message.format("edge")):
         is_matching(G, [bad])
+
+
+@pytest.mark.parametrize("bad", [0.5, 3.0, "1", None])
+def test_instance_fields_that_are_not_integers_are_named_so(bad):
+    # Hypergraph(3, 5, [(0.5, 1, 2)]) was built: its edge_array read 0.5
+    # as 0, and blow_up gave it a label holding 0.5
+    B = blow_up(complete(4, 3), 2)
+    cases = [
+        (lambda: Hypergraph(3, 5, [(bad, 1, 2), (1, 2, 3)]), "vertex id"),
+        (lambda: Hypergraph(bad, 5, []), "uniformity"),
+        (lambda: Hypergraph(3, bad, []), "vertex count"),
+        (lambda: BlowUp(B.hyper, ((bad, 1), *B.labels[1:]), 3, 4, 2), "base id"),
+        (lambda: BlowUp(B.hyper, B.labels, bad, 4, 2), "base uniformity"),
+        (lambda: BlowUp(B.hyper, B.labels, 3, bad, 2), "base vertex count"),
+        (lambda: BlowUp(B.hyper, B.labels, 3, 4, bad), "subset size"),
+    ]
+    named = re.escape(repr(bad))
+    for build, what in cases:
+        with pytest.raises(ParameterError, match=f"^{what} {named} is not an integer$"):
+            build()
+
+
+def test_instance_fields_are_stored_as_ints():
+    H = Hypergraph(np.int64(3), np.int32(5), [(np.int8(4), True, 2), [0, 1, 2]])
+    assert H.edges == ((0, 1, 2), (1, 2, 4))
+    assert {type(v) for v in (H.t, H.n, *chain.from_iterable(H.edges))} == {int}
+    B = blow_up(complete(4, 3), 2)
+    C = BlowUp(B.hyper, [tuple(map(np.int64, label)) for label in B.labels],
+               np.int64(3), np.uint8(4), np.int16(2))
+    assert C == B
+    assert {type(v) for v in (C.base_t, C.base_n, C.k, *chain.from_iterable(C.labels))} == {int}
 
 
 def test_matching_ids_are_all_checked_before_any_edge_is_compared():

@@ -1,6 +1,7 @@
 """Tests for the LP threshold loop, color trials, and the cover producers."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -13,21 +14,16 @@ from turancover import rounding
 from turancover.errors import ParameterError, VerificationError
 from turancover.generators import (complete, f_free_random, random_hypergraph,
                                    simplify_reduction, three_tent)
-from turancover.hypergraph import Hypergraph, blow_up, first_non_cover, is_vertex_cover
+from turancover.hypergraph import Hypergraph, blow_up, is_vertex_cover
 from turancover.lp import LPSolution
 from turancover.rounding import (
-    Coloring,
     RoundingParams,
     ahtp_cover_blowup,
     child_seed,
     color_code_cover,
-    color_trial,
     fallback_threshold_cover,
-    monochromatic_pairs,
     recursive_threshold,
-    sample_coloring,
     t2_cover_blowup,
-    two_coloring,
 )
 
 
@@ -55,35 +51,43 @@ def test_child_seeds_distinct_and_in_range():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
+def _draw(n, num_colors, seed):
+    """``_draw_colors`` from a generator seeded with ``seed``."""
+    return rounding._draw_colors(random.Random(seed).getrandbits, n, num_colors)
+
+
+def _randrange_colors(n, num_colors, seed):
+    """n colors as ``random.Random(seed).randrange(num_colors)`` draws them."""
+    rng = random.Random(seed)
+    return [rng.randrange(num_colors) for _ in range(n)]
+
+
 def test_sample_coloring_is_deterministic():
-    a = sample_coloring(30, 4, 12345)
-    b = sample_coloring(30, 4, 12345)
-    assert a == b
-    assert len(a.colors) == 30
-    assert all(0 <= c < 4 for c in a.colors)
-    assert sample_coloring(30, 4, 54321).colors != a.colors
+    a = _draw(30, 4, 12345)
+    assert a == _draw(30, 4, 12345)
+    assert len(a) == 30
+    assert all(0 <= c < 4 for c in a)
+    assert _draw(30, 4, 54321) != a
 
 
 @pytest.mark.parametrize("num_colors", [*range(1, 10), 128, 255, 256, 1000, 2**33 + 5])
 def test_sample_coloring_draws_what_randrange_draws(num_colors):
     for seed in (0, 1, 7, 12345, 2**63 + 11, 2**64 - 1):
-        rng = random.Random(seed)
-        expected = tuple(rng.randrange(num_colors) for _ in range(40))
-        assert sample_coloring(40, num_colors, seed).colors == expected
+        assert _draw(40, num_colors, seed) == _randrange_colors(40, num_colors, seed)
 
 
 @pytest.mark.parametrize("trials", [range(0), range(3), range(60, 130)])
 def test_coloring_matrix_rows_are_two_colorings(trials):
     matrix = rounding._colorings(13, 99, trials)
     assert matrix.shape == (len(trials), 13)
-    assert [tuple(row) for row in matrix.tolist()] == [
-        two_coloring(13, child_seed(99, trial)).colors for trial in trials]
+    assert matrix.tolist() == [_randrange_colors(13, 2, child_seed(99, trial))
+                               for trial in trials]
 
 
 def test_two_coloring_uses_two_colors():
-    c = two_coloring(50, 7)
-    assert c.num_colors == 2
-    assert set(c.colors) <= {0, 1}
+    matrix = rounding._colorings(50, 7, range(4))
+    assert matrix.dtype == np.uint8
+    assert set(matrix.ravel().tolist()) == {0, 1}
 
 
 def test_params_validation():
@@ -122,8 +126,6 @@ _SEEDED = {  # each public seeded function: a valid call, and one with another b
                         lambda s: t2_cover_blowup(blow_up(complete(5, 4), 3), seed=s)),
     "color_code_cover": (lambda s: color_code_cover(_PAIR, seed=s),
                          lambda s: color_code_cover(blow_up(complete(5, 4), 2), seed=s)),
-    "sample_coloring": (lambda s: sample_coloring(5, 2, s), lambda s: sample_coloring(5, 0, s)),
-    "Coloring": (lambda s: Coloring((0, 1), 2, s), lambda s: Coloring((0, 5), 2, s)),
     "child_seed": (lambda s: child_seed(s, 3), None),
     "random_hypergraph": (lambda s: random_hypergraph(6, 3, 0.5, s),
                           lambda s: random_hypergraph(2, 3, 1.5, s)),
@@ -190,6 +192,23 @@ def test_threshold_residual_keeps_vertex_ids():
     assert leftover.isdisjoint(res.thresholded)
 
 
+def _parity_rows(support, labels, t, colorings):
+    """``_parity_classes`` over a coloring matrix, each row as (lopsided,
+    smaller) id tuples."""
+    matrix = np.array(colorings, dtype=np.uint8)
+    lopsided, smaller = rounding._parity_classes(
+        matrix, rounding._label_matrix(support, labels), t)
+    return [(rounding._ids(support, a), rounding._ids(support, b))
+            for a, b in zip(lopsided, smaller)]
+
+
+def _pair_rows(support, labels, colorings):
+    """``_pair_classes`` over a coloring matrix, each row's chosen ids."""
+    matrix = np.array(colorings, dtype=np.uint8)
+    _, chosen = rounding._pair_classes(matrix, rounding._label_matrix(support, labels))
+    return [rounding._ids(support, row) for row in chosen]
+
+
 def test_color_trial_flags_lopsided_labels():
     # t = 14 puts the imbalance cutoff just under 0.65, so only labels
     # with a color seen at most zero times count as high-discrepancy;
@@ -197,8 +216,7 @@ def test_color_trial_flags_lopsided_labels():
     t = 14
     labels = [tuple(range(13)), tuple(range(13, 26)), tuple(range(26, 39))]
     colors = [0] * 13 + [1] * 7 + [0] * 6 + [1] * 6 + [0] * 7
-    coloring = Coloring(tuple(colors), 2, seed=0)
-    lopsided, parity = color_trial([0, 1, 2], labels, t, coloring)
+    [(lopsided, parity)] = _parity_rows([0, 1, 2], labels, t, [colors])
     assert lopsided == (0,)
     # ones-counts are 0, 7, 6, so vertex 1 sits alone in the odd class
     assert parity == (1,)
@@ -208,8 +226,7 @@ def test_color_trial_tie_prefers_even_class():
     t = 14
     labels = [tuple(range(13)), tuple(range(13, 26))]
     colors = [0] * 13 + [1] * 7 + [0] * 6
-    coloring = Coloring(tuple(colors), 2, seed=0)
-    lopsided, parity = color_trial([0, 1], labels, t, coloring)
+    [(lopsided, parity)] = _parity_rows([0, 1], labels, t, [colors])
     assert lopsided == (0,)
     assert parity == (0,)
 
@@ -217,16 +234,9 @@ def test_color_trial_tie_prefers_even_class():
 def test_color_trial_small_t_never_flags():
     t = 4
     labels = [(0, 1, 2), (1, 2, 3)]
-    coloring = Coloring((0, 0, 0, 1), 2, seed=0)
-    lopsided, parity = color_trial([0, 1], labels, t, coloring)
+    [(lopsided, parity)] = _parity_rows([0, 1], labels, t, [(0, 0, 0, 1)])
     assert lopsided == ()
     assert parity == (0,)
-
-
-def test_color_trial_needs_two_colors():
-    coloring = Coloring((0, 1, 2, 0), 3, seed=0)
-    with pytest.raises(ParameterError, match="^parity trials need exactly two colors$"):
-        color_trial([0, 1], [(0, 1, 2), (1, 2, 3)], 4, coloring)
 
 
 @pytest.mark.parametrize("gamma", [1e-7, 9.99e-7])
@@ -236,10 +246,10 @@ def test_exact_threshold_below_a_millionth_is_refused(gamma):
     assert rounding._resolve_gamma(gamma, "float") > 0
 
 
-def _color_trial_reference(support, labels, t, coloring):
-    """``color_trial`` as one Python pass over the support."""
+def _color_trial_reference(support, labels, t, colors):
+    """The parity/discrepancy rule of one coloring as one Python pass
+    over the support."""
     low_count = (1 - rounding._delta(t)) * (t - 1) / 2
-    colors = coloring.colors
     lopsided = []
     classes = ([], [])
     for v in support:
@@ -253,9 +263,9 @@ def _color_trial_reference(support, labels, t, coloring):
     return tuple(sorted(lopsided)), tuple(sorted(smaller))
 
 
-def _monochromatic_pairs_reference(support, labels, coloring):
-    """``monochromatic_pairs`` as one Python pass over the support."""
-    colors = coloring.colors
+def _monochromatic_pairs_reference(support, labels, colors):
+    """The monochromatic-pair rule of one coloring as one Python pass
+    over the support."""
     return tuple(sorted(
         v for v in support
         if colors[labels[v][0]] == colors[labels[v][1]]))
@@ -263,24 +273,24 @@ def _monochromatic_pairs_reference(support, labels, coloring):
 
 @pytest.mark.parametrize("t", [3, 4, 8, 11, 14])
 def test_one_coloring_views_match_the_python_rules(t):
+    # each row of a block's class masks is the rule applied to that row's coloring
     rng = random.Random(t)
     base_n = t + 4
     labels = list(combinations(range(base_n), t - 1))
     pairs = list(combinations(range(base_n), 2))
-    for seed in range(40):
-        coloring = two_coloring(base_n, seed)
-        support = sorted(rng.sample(range(len(labels)), rng.randrange(len(labels) + 1)))
-        assert color_trial(support, labels, t, coloring) == \
-            _color_trial_reference(support, labels, t, coloring)
-        support = sorted(rng.sample(range(len(pairs)), rng.randrange(len(pairs) + 1)))
-        assert monochromatic_pairs(support, pairs, coloring) == \
-            _monochromatic_pairs_reference(support, pairs, coloring)
+    for block in range(5):
+        colorings = rounding._colorings(base_n, t, range(8 * block, 8 * block + 8)).tolist()
+        support = sorted(rng.sample(range(len(labels)), rng.randrange(1, len(labels) + 1)))
+        assert _parity_rows(support, labels, t, colorings) == [
+            _color_trial_reference(support, labels, t, colors) for colors in colorings]
+        support = sorted(rng.sample(range(len(pairs)), rng.randrange(1, len(pairs) + 1)))
+        assert _pair_rows(support, pairs, colorings) == [
+            _monochromatic_pairs_reference(support, pairs, colors) for colors in colorings]
 
 
 def test_monochromatic_pairs_picks_single_color_labels():
     labels = [(0, 1), (1, 2), (2, 3)]
-    coloring = Coloring((0, 0, 1, 1), 2, seed=0)
-    assert monochromatic_pairs([0, 1, 2], labels, coloring) == (0, 2)
+    assert _pair_rows([0, 1, 2], labels, [(0, 0, 1, 1), (0, 1, 1, 0)]) == [(0, 2), (1,)]
 
 
 def test_fallback_cover_on_pair_blow_up():
@@ -402,21 +412,24 @@ def test_t2_cover_reports_first_failing_trial(monkeypatch):
 
 
 def _best_trial_reference(B, forced, support, trials, seed, finish, context):
-    """The trial loop one trial at a time: each trial's classes from the
-    Python rules, each cover built as a tuple, all checked at once.  ``context`` names the rounder ("pair" for
-    ``t2_cover_blowup``, "rounding" for ``ahtp_cover_blowup``), and so
-    its rule; ``finish``, the array form, is not used."""
+    """The trial loop one trial at a time: each trial's colors drawn by
+    ``randrange(2)``, its classes from the Python rules, its cover built
+    as a tuple and checked by ``is_vertex_cover``.  ``context`` names the
+    rounder ("pair" for ``t2_cover_blowup``, "rounding" for
+    ``ahtp_cover_blowup``), and so its rule; ``finish``, the array form,
+    is not used."""
     runs = []
     for trial in range(trials if support else 1):
-        coloring = two_coloring(B.base_n, child_seed(seed, trial))
+        colors = _randrange_colors(B.base_n, 2, child_seed(seed, trial))
         if context == "pair":
-            classes = ((), _monochromatic_pairs_reference(support, B.labels, coloring))
+            classes = ((), _monochromatic_pairs_reference(support, B.labels, colors))
         else:
-            classes = _color_trial_reference(support, B.labels, B.base_t, coloring)
+            classes = _color_trial_reference(support, B.labels, B.base_t, colors)
             if 2 * len(classes[1]) > len(support):
                 raise VerificationError("parity class exceeds half the support")
         runs.append((tuple(sorted(forced.union(*classes))), classes))
-    bad = first_non_cover(B.hyper, [cover for cover, _ in runs])
+    bad = next((i for i, (cover, _) in enumerate(runs)
+                if not is_vertex_cover(B.hyper, cover)), None)
     if bad is not None:
         raise VerificationError(f"{context} trial {bad} produced a non-cover")
     trial = min(range(len(runs)), key=lambda i: len(runs[i][0]))
@@ -527,6 +540,21 @@ def test_lowest_failing_trial_raises_across_chunks(monkeypatch):
     assert t2_cover_blowup(B, seed=3, trials=70, mode="exact").size > 0
     with pytest.raises(VerificationError, match=r"^pair trial 70 produced a non-cover$"):
         t2_cover_blowup(B, seed=3, trials=150, mode="exact")
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, "3", None])
+def test_every_rounder_takes_one_trials_rule(trials):
+    # a pair blow-up of complete(4, 3) leaves an empty residual support,
+    # one of complete(5, 3) keeps every pair; k = t - 1 makes the second
+    # a full blow-up for ahtp too
+    message = f"^trials must be an integer of at least 1, got {re.escape(repr(trials))}$"
+    for B in (blow_up(complete(4, 3), 2), blow_up(complete(5, 3), 2)):
+        with pytest.raises(ParameterError, match=message):
+            t2_cover_blowup(B, seed=1, trials=trials)
+        with pytest.raises(ParameterError, match=message):
+            ahtp_cover_blowup(B, RoundingParams(t=3, seed=1, trials=trials))
+    with pytest.raises(ParameterError, match=message):
+        RoundingParams(t=4, trials=trials)
 
 
 def test_trials_guard_refuses_before_solving(monkeypatch):
