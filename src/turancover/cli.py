@@ -6,7 +6,8 @@ certificates the earlier stages emitted.  `round` echoes its input
 instance before the COVER block precisely so that `verify cover` can be
 piped directly after it; `verify cover` checks that the COVER ids cover
 the instance and are exactly the union of the BREAKDOWN's U, SPRIME and
-PARITY, and that the LP line's RESIDUAL does not exceed its OPT.
+PARITY, that the LP line's RESIDUAL does not exceed its OPT, and that a
+rational OPT is the certified exact optimum of the echoed instance.
 Identical arguments and inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 malformed input, 3 bad parameters, 4 resource
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 
 from . import formats
 from .errors import ParameterError, ParseError, ResourceLimitError, VerificationError
@@ -249,6 +251,9 @@ def _run_verify(args) -> str:
             raise VerificationError("claimed cover is not U, SPRIME and PARITY combined")
         if cover.lp_opt is not None and cover.lp_opt_residual > cover.lp_opt:
             raise VerificationError("claimed residual LP optimum exceeds the LP optimum")
+        if isinstance(cover.lp_opt, Fraction) and \
+                cover.lp_opt != solve_vc_lp(H, mode="exact").objective:
+            raise VerificationError("claimed LP optimum is not the instance's exact optimum")
         return "OK\n"
     if matching is None:
         raise ParseError("no MATCHING block found in input")

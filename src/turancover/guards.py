@@ -17,11 +17,11 @@ ENV_VAR = "TURANCOVER_SIZE_GUARD"
 def check_seed(seed) -> None:
     """Refuse a seed that is not an int in [0, 2**64).
 
-    ``random.Random`` folds a negative seed onto its absolute value, and
-    the per-trial child seeds keep only 64 bits, so a seed outside that
-    range would reproduce another seed's output under its own name.
+    ``random.Random`` folds a negative seed onto its absolute value and
+    ``True`` onto 1, and the per-trial child seeds keep only 64 bits, so
+    such a seed would reproduce another seed's output under its own name.
     """
-    if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2 ** 64):
         raise ParameterError("seed must fit in 64 bits")
 
 

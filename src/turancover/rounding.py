@@ -15,15 +15,15 @@ one-over-uniformity serves as the trivial fallback and
 Exact mode keeps all LP arithmetic rational and asserts the per-run
 accounting identities; float mode trades that for speed on big
 instances.  All randomness flows from one 64-bit root seed: trial i
-colors vertices with the child seed root XOR mix(i), so trials are
-reproducible and independent of evaluation order.  Both LP finishers
-share one best-of-trials loop, which works on blocks of 64 trials as
-arrays: one coloring matrix per block (``_colorings``), the classes of
-every trial by array compares over the support's labels
-(``_pair_classes``, ``_parity_classes``), and one bit-sliced check of
-the block's covers (``hypergraph._first_non_cover_row``).  The lowest
-failing trial, if any, raises; only the winning trial is built as
-tuples.  Every coloring is drawn by ``_draw_colors``.
+colors with the splitmix64 stream of the child seed root XOR mix(i), so
+trials are reproducible and independent of evaluation order.  Both LP
+finishers share one best-of-trials loop, which works on blocks of 64
+trials as arrays: one uint64-computed coloring matrix per block
+(``_colorings``), the classes of every trial by array compares over the
+support's labels (``_pair_classes``, ``_parity_classes``), and one
+bit-sliced check of the block's covers (``_first_non_cover_row``).  The
+lowest failing trial, if any, raises; only the winning trial is built as
+tuples.
 """
 
 from __future__ import annotations
@@ -33,11 +33,12 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
+from numbers import Real
 
 from .errors import ParameterError, ResourceLimitError, VerificationError
 from .guards import check_seed, resolve_limit
 from .hypergraph import (BlowUp, Hypergraph, _as_hypergraph, _first_non_cover_row,
-                         is_vertex_cover)
+                         _index, is_vertex_cover)
 from .lp import LPSolution, solve_vc_lp
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # the splitmix64 increment
 FLOAT_THRESHOLD_SLACK = 1e-9
 GAMMA_DENOMINATOR = 10**6
 TRIALS_GUARD = 100_000
@@ -80,11 +82,13 @@ class RoundingParams:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if self.t < 3:
-            raise ParameterError(f"uniformity must be at least 3, got {self.t}")
+        t = _index(self.t, "uniformity")
+        if t < 3:
+            raise ParameterError(f"uniformity must be at least 3, got {t}")
         _check_trials(self.trials)
-        if self.gamma is not None and not 0 < self.gamma < 1:
-            raise ParameterError(f"threshold must lie in (0,1), got {self.gamma}")
+        if self.gamma is not None:
+            _check_gamma(self.gamma)
+        object.__setattr__(self, "t", t)
 
     @property
     def t_prime(self) -> float:
@@ -160,52 +164,40 @@ class ThresholdResult:
         return self.solution.objective
 
 
-def _splitmix64(x: int) -> int:
-    z = (x + 0x9E3779B97F4A7C15) & _SEED_MASK
+def _splitmix64(x):
+    """splitmix64's output for state ``x``: an int, or a uint64 array (which wraps)."""
+    z = (x + _GOLDEN) & _SEED_MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _SEED_MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _SEED_MASK
     return (z ^ (z >> 31)) & _SEED_MASK
 
 
 def child_seed(root: int, index: int) -> int:
-    """Deterministic per-trial seed: root XOR a splitmix64 step of the index."""
+    """Per-trial seed: root XOR splitmix64(index), for an int or a uint64 array index."""
     check_seed(root)
     return root ^ _splitmix64(index)
 
 
-def _draw_colors(getrandbits, n: int, num_colors: int) -> list[int]:
-    """n colors below ``num_colors``, each drawn as ``randrange`` draws it.
-
-    CPython's ``randrange(c)`` takes ``getrandbits(c.bit_length())`` and
-    draws again while the value is at least c; calling ``getrandbits``
-    directly gives the same colors without ``randrange``'s per-call
-    overhead.
-    """
-    k = num_colors.bit_length()
-    colors = []
-    while len(colors) < n:
-        c = getrandbits(k)
-        if c < num_colors:
-            colors.append(c)
-    return colors
-
-
 def _colorings(n: int, seed: int, trials: range):
     """The two-colorings of ``trials`` as a ``(len(trials), n)`` uint8
-    matrix: row i holds the n colors that ``random.Random(child_seed(seed,
-    trials[i]))`` draws by ``randrange(2)``, as ``_draw_colors`` draws them.
-
-    One ``random.Random`` is reseeded per row, which costs less than
-    building a fresh one.
+    matrix.  Word w of trial i is output w of the splitmix64 stream seeded
+    by ``child_seed(seed, i)``, that is ``_splitmix64(child_seed(seed, i)
+    + w * _GOLDEN)`` mod 2**64, and base vertex v takes bit v % 64 of word
+    v // 64, least significant bit first.
     """
     import numpy as np
 
-    rng = random.Random()
-    rows = bytearray()
-    for trial in trials:
-        rng.seed(child_seed(seed, trial))
-        rows.extend(_draw_colors(rng.getrandbits, n, 2))
-    return np.frombuffer(rows, dtype=np.uint8).reshape(len(trials), n)
+    index = np.arange(trials.start, trials.stop, dtype=np.uint64)
+    words = np.arange((n + 63) // 64, dtype=np.uint64)
+    stream = _splitmix64(child_seed(seed, index)[:, None] + words * _GOLDEN)
+    bits = np.unpackbits(stream.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :n]
+
+
+def _check_gamma(gamma) -> None:
+    """Refuse a threshold that is not a real number in (0, 1)."""
+    if not (isinstance(gamma, Real) and 0 < gamma < 1):
+        raise ParameterError(f"threshold must lie in (0,1), got {gamma!r}")
 
 
 def _resolve_gamma(gamma, mode):
@@ -217,8 +209,7 @@ def _resolve_gamma(gamma, mode):
     Float mode relaxes the given value by a hair so ties survive
     floating-point LP noise.
     """
-    if not 0 < gamma < 1:
-        raise ParameterError(f"threshold must lie in (0,1), got {gamma}")
+    _check_gamma(gamma)
     if mode == "exact":
         if isinstance(gamma, Fraction):
             return gamma
@@ -336,12 +327,12 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
                 finish, context: str):
     """Best of the color trials over a residual support.
 
-    Trial i two-colors the base vertices with child seed i, ``finish``
-    turns colorings into the trials' classes, and a trial's cover is
-    ``forced`` plus the union of its classes.  With an empty support
-    every trial gives ``forced`` and empty classes, so no coloring is
-    drawn, ``is_vertex_cover`` checks that one cover, and the result is
-    trial 0.  Otherwise trials run in blocks of
+    Trial i two-colors the base vertices with the splitmix64 stream of
+    child seed i, ``finish`` turns colorings into the trials' classes,
+    and a trial's cover is ``forced`` plus the union of its classes.
+    With an empty support every trial gives ``forced`` and empty
+    classes, so no coloring is drawn, ``is_vertex_cover`` checks that one
+    cover, and the result is trial 0.  Otherwise trials run in blocks of
     64, so memory does not grow with ``trials``: ``finish`` maps the
     block's coloring matrix (``_colorings``) and the support's label
     matrix to two ``(block, s)`` class masks, the block's covers are
@@ -381,8 +372,8 @@ def _best_trial(B: BlowUp, forced: set, support, trials: int, seed: int,
 
 
 def _check_trials(trials) -> None:
-    """Refuse a trial count that is not an int of at least 1."""
-    if not (isinstance(trials, int) and trials >= 1):
+    """Refuse a trial count that is not an int (nor a bool) of at least 1."""
+    if not (isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1):
         raise ParameterError(f"trials must be an integer of at least 1, got {trials!r}")
 
 
@@ -529,7 +520,8 @@ def color_code_cover(B: BlowUp, seed: int = 0) -> CoverResult:
     if t < 3:
         raise ParameterError(f"uniformity must be at least 3, got {t}")
     P = math.ceil((t - 1) / (2 * math.log(t)))
-    colors = _draw_colors(random.Random(seed).getrandbits, B.base_n, P)
+    rng = random.Random(seed)
+    colors = [rng.randrange(P) for _ in range(B.base_n)]
     missing = []
     residues: list[list[int]] = [[] for _ in range(P)]
     for v, label in enumerate(B.labels):

@@ -62,9 +62,25 @@ def test_t2_float_rounding_output_is_pinned():
         ["blowup", "--k", "2"],
         ["round", "t2", "--mode", "float", "--trials", "200", "--seed", "11"],
     )
-    assert out.endswith("SEED 11 TRIAL 2\n")
+    assert out.endswith("SEED 11 TRIAL 10\n")
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "2eb3f29735cb1f2895812093875ef079f932d133febfa7409e79f0b13a3c691c"
+        "c6d5fb2c11dbeebc4000694fd859a24b7ab3d7c991cc51ed0c1e6d4cb5e59f47"
+
+
+def test_colorcode_output_is_pinned():
+    # color_code_cover draws randrange(P) from random.Random(seed); the
+    # digests pin its output bytes at P = 2 for seeds at both ends of the range
+    doc = chain(["gen", "complete", "--n", "12", "--t", "6"], ["blowup", "--k", "5"])
+    digests = {}
+    for seed in (0, 1, 2**64 - 1):
+        code, out, err = run(["round", "colorcode", "--seed", str(seed)], doc)
+        assert (code, err) == (0, "")
+        digests[seed] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == {
+        0: "a52812a37a78684bfb96a3808654af9d3921f9db3ae7a57c6014b3a6958bdd9f",
+        1: "2b5949376dac1a5b3a2874a4a892f389a1e7ee77295a1255e5e3e07b8db4abbf",
+        2**64 - 1: "a85483fc40b3b20dfb27d2f2bbb9f07be49be2dabb37169103528f4cf75ce130",
+    }
 
 
 def test_lines_have_no_tents():
@@ -233,7 +249,9 @@ def test_verify_cover_checks_the_breakdown():
 
 
 def test_verify_cover_checks_the_lp_line(capsys, monkeypatch):
-    # both edits printed OK: a RESIDUAL above OPT, and values of two kinds
+    # each edit printed OK: a RESIDUAL above OPT, values of two kinds, and
+    # a rational OPT that is not the instance's optimum; only a rational
+    # OPT is solved for
     doc = chain(
         ["gen", "random", "--n", "8", "--t", "4", "--p", "0.3", "--seed", "5"],
         ["blowup", "--k", "3"],
@@ -241,6 +259,10 @@ def test_verify_cover_checks_the_lp_line(capsys, monkeypatch):
     )
     line = "LP OPT=33/4 RESIDUAL=0/1"
     lineno = doc[:doc.index(line)].count("\n") + 1
+
+    solves = []
+    monkeypatch.setattr(cli, "solve_vc_lp",
+                        lambda H, mode: solves.append(mode) or lp.solve_vc_lp(H, mode))
 
     def verify(lp_line):
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc.replace(line, lp_line)))
@@ -250,6 +272,11 @@ def test_verify_cover_checks_the_lp_line(capsys, monkeypatch):
     for ok in (line, "LP OPT=33/4 RESIDUAL=33/4", "LP OPT=8.25 RESIDUAL=0.0",
                "LP OPT=- RESIDUAL=-"):
         assert verify(ok) == (0, "OK\n", "")
+    assert solves == ["exact", "exact"]
+    for wrong in ("LP OPT=1/1000 RESIDUAL=0/1", "LP OPT=17/2 RESIDUAL=0/1"):
+        assert verify(wrong) == (
+            5, "", "verification failed: claimed LP optimum is not the instance's"
+            " exact optimum\n")
     for above in ("LP OPT=33/4 RESIDUAL=99/1", "LP OPT=8.25 RESIDUAL=8.5"):
         assert verify(above) == (
             5, "", "verification failed: claimed residual LP optimum exceeds the LP optimum\n")

@@ -51,43 +51,59 @@ def test_child_seeds_distinct_and_in_range():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
-def _draw(n, num_colors, seed):
-    """``_draw_colors`` from a generator seeded with ``seed``."""
-    return rounding._draw_colors(random.Random(seed).getrandbits, n, num_colors)
+def test_vectorised_child_seeds_equal_child_seed():
+    index = [*range(40), 2**32, 2**63, 2**64 - 3, 2**64 - 2, 2**64 - 1, *range(1000, 1005)]
+    assert len(index) == 50
+    for seed in (0, 123, 2**63 + 11, 2**64 - 1):
+        seeds = child_seed(seed, np.array(index, dtype=np.uint64))
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [child_seed(seed, i) for i in index]
 
 
-def _randrange_colors(n, num_colors, seed):
-    """n colors as ``random.Random(seed).randrange(num_colors)`` draws them."""
-    rng = random.Random(seed)
-    return [rng.randrange(num_colors) for _ in range(n)]
+_M64 = (1 << 64) - 1
 
 
-def test_sample_coloring_is_deterministic():
-    a = _draw(30, 4, 12345)
-    assert a == _draw(30, 4, 12345)
-    assert len(a) == 30
-    assert all(0 <= c < 4 for c in a)
-    assert _draw(30, 4, 54321) != a
+def _splitmix64_stream(state):
+    """The splitmix64 generator as a pure-Python stream: each output adds
+    the golden gamma to the state and mixes the sum."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        yield z ^ (z >> 31)
 
 
-@pytest.mark.parametrize("num_colors", [*range(1, 10), 128, 255, 256, 1000, 2**33 + 5])
-def test_sample_coloring_draws_what_randrange_draws(num_colors):
-    for seed in (0, 1, 7, 12345, 2**63 + 11, 2**64 - 1):
-        assert _draw(40, num_colors, seed) == _randrange_colors(40, num_colors, seed)
+def _stream_colors(n, seed):
+    """n two-colors from the splitmix64 stream seeded by ``seed``: 64 per
+    output word, least significant bit first."""
+    colors = []
+    for word in _splitmix64_stream(seed):
+        if len(colors) >= n:
+            return colors[:n]
+        colors.extend((word >> b) & 1 for b in range(64))
+
+
+def test_splitmix64_stream_reference_is_the_published_generator():
+    # the first outputs of splitmix64 seeded with 1234567
+    stream = _splitmix64_stream(1234567)
+    assert [next(stream) for _ in range(3)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]
 
 
 @pytest.mark.parametrize("trials", [range(0), range(3), range(60, 130)])
 def test_coloring_matrix_rows_are_two_colorings(trials):
-    matrix = rounding._colorings(13, 99, trials)
-    assert matrix.shape == (len(trials), 13)
-    assert matrix.tolist() == [_randrange_colors(13, 2, child_seed(99, trial))
-                               for trial in trials]
+    for n in (1, 13, 63, 64, 65, 130):  # across the 64-bit word boundaries
+        matrix = rounding._colorings(n, 99, trials)
+        assert matrix.shape == (len(trials), n)
+        assert matrix.tolist() == [_stream_colors(n, child_seed(99, trial))
+                                   for trial in trials]
 
 
 def test_two_coloring_uses_two_colors():
-    matrix = rounding._colorings(50, 7, range(4))
+    matrix = rounding._colorings(1000, 7, range(200))
     assert matrix.dtype == np.uint8
     assert set(matrix.ravel().tolist()) == {0, 1}
+    assert abs(matrix.mean() - 0.5) < 0.005
 
 
 def test_params_validation():
@@ -102,6 +118,24 @@ def test_params_validation():
     p = RoundingParams(t=4)
     assert p.gamma_value == pytest.approx(1 / p.t_prime)
     assert RoundingParams(t=4, gamma=0.25).gamma_value == 0.25
+    assert type(RoundingParams(t=np.int64(4)).t) is int
+
+
+@pytest.mark.parametrize("t", [4.0, "4", None])
+def test_params_refuse_a_uniformity_that_is_not_an_integer(t):
+    message = f"^uniformity {re.escape(repr(t))} is not an integer$"
+    with pytest.raises(ParameterError, match=message):
+        RoundingParams(t=t)
+
+
+@pytest.mark.parametrize("gamma", ["0.5", 0, 1, Fraction(3, 2), float("nan"), [0.5]])
+def test_one_threshold_rule(gamma):
+    message = f"^threshold must lie in \\(0,1\\), got {re.escape(repr(gamma))}$"
+    with pytest.raises(ParameterError, match=message):
+        RoundingParams(t=4, gamma=gamma)
+    for mode in ("exact", "float"):
+        with pytest.raises(ParameterError, match=message):
+            recursive_threshold(complete(4, 3), gamma, mode=mode)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -136,10 +170,12 @@ _SEEDED = {  # each public seeded function: a valid call, and one with another b
 }
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7"], ids=["-1", "2**64", "1.5", "str"])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7", True],
+                         ids=["-1", "2**64", "1.5", "str", "True"])
 @pytest.mark.parametrize("name", sorted(_SEEDED))
 def test_every_seeded_function_checks_its_seed_first(name, seed):
-    # random.Random folds -5 onto 5 and child_seed masked 2**64 + 5 onto 5
+    # random.Random folds -5 onto 5, child_seed masked 2**64 + 5 onto 5,
+    # and True would reproduce seed 1 yet print SEED True
     for call in _SEEDED[name]:
         if call is not None:
             with pytest.raises(ParameterError, match="^seed must fit in 64 bits$"):
@@ -412,15 +448,15 @@ def test_t2_cover_reports_first_failing_trial(monkeypatch):
 
 
 def _best_trial_reference(B, forced, support, trials, seed, finish, context):
-    """The trial loop one trial at a time: each trial's colors drawn by
-    ``randrange(2)``, its classes from the Python rules, its cover built
-    as a tuple and checked by ``is_vertex_cover``.  ``context`` names the
-    rounder ("pair" for ``t2_cover_blowup``, "rounding" for
-    ``ahtp_cover_blowup``), and so its rule; ``finish``, the array form,
-    is not used."""
+    """The trial loop one trial at a time: each trial's colors read off
+    the pure-Python splitmix64 stream of its child seed, its classes from
+    the Python rules, its cover built as a tuple and checked by
+    ``is_vertex_cover``.  ``context`` names the rounder ("pair" for
+    ``t2_cover_blowup``, "rounding" for ``ahtp_cover_blowup``), and so its
+    rule; ``finish``, the array form, is not used."""
     runs = []
     for trial in range(trials if support else 1):
-        colors = _randrange_colors(B.base_n, 2, child_seed(seed, trial))
+        colors = _stream_colors(B.base_n, child_seed(seed, trial))
         if context == "pair":
             classes = ((), _monochromatic_pairs_reference(support, B.labels, colors))
         else:
@@ -466,12 +502,20 @@ def _outcome(call):
 
 # pair blow-ups of complete bases and of one base of each float_pairs
 # shape; full blow-ups whose overridden gamma leaves residual edges, so
-# that some trials fail: from trial 65 on (seed 39), 27 (seed 24) and 0
+# that some trials fail: first at trial 86 (seed 12676, in the second
+# block), 33 (seed 2) and 0
 _T2_BASES = [complete(5, 3), complete(6, 3), complete(7, 4),
              random_hypergraph(26, 6, 0.02, 1), random_hypergraph(22, 7, 0.02, 2),
              random_hypergraph(20, 8, 0.03, 3)]
-_AHTP_CASES = [(complete(7, 4), Fraction(1, 2), 39), (complete(7, 4), Fraction(1, 2), 24),
+_AHTP_CASES = [(complete(7, 4), Fraction(1, 2), 12676), (complete(7, 4), Fraction(1, 2), 2),
                (complete(5, 4), Fraction(9, 10), 0)]
+
+
+def test_ahtp_cases_fail_first_where_their_comment_says():
+    assert [_outcome(lambda: ahtp_cover_blowup(
+                blow_up(G, G.t - 1), RoundingParams(t=G.t, seed=s, trials=200, gamma=gamma)))
+            for G, gamma, s in _AHTP_CASES] == [
+        f"raised: rounding trial {i} produced a non-cover" for i in (86, 33, 0)]
 
 
 @pytest.mark.parametrize("trials", [1, 63, 64, 65, 129, 200])
@@ -542,7 +586,7 @@ def test_lowest_failing_trial_raises_across_chunks(monkeypatch):
         t2_cover_blowup(B, seed=3, trials=150, mode="exact")
 
 
-@pytest.mark.parametrize("trials", [0, -3, 2.5, "3", None])
+@pytest.mark.parametrize("trials", [0, -3, 2.5, "3", None, True])
 def test_every_rounder_takes_one_trials_rule(trials):
     # a pair blow-up of complete(4, 3) leaves an empty residual support,
     # one of complete(5, 3) keeps every pair; k = t - 1 makes the second
