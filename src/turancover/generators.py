@@ -15,8 +15,8 @@ import math
 import random
 from itertools import combinations, product
 
-from .errors import ParameterError, ResourceLimitError
-from .guards import check_seed, comb_exceeds, resolve_limit
+from .errors import ParameterError
+from .guards import ENUMERATION_GUARD, check_comb, check_limit, check_power, check_seed
 from .hypergraph import Hypergraph
 from .oracles import contains_subhypergraph, rho
 from .setcover import SetSystem, _kept_flags
@@ -32,15 +32,12 @@ __all__ = [
 ]
 
 LINES_GUARD = 50_000
-ENUMERATION_GUARD = 1_000_000
 
 
 def _check_candidates(n: int, t: int) -> None:
     if n < t:
         raise ParameterError(f"need at least {t} vertices, got {n}")
-    cap = resolve_limit(None, ENUMERATION_GUARD)
-    if comb_exceeds(n, t, cap):
-        raise ResourceLimitError(f"C({n},{t}) candidate edges exceed limit {cap}")
+    check_comb(n, t, 1, ENUMERATION_GUARD, "candidate edges")
     if t < 2:  # the trusted constructor of the callers does not check it
         raise ParameterError(f"uniformity must be at least 2, got {t}")
 
@@ -115,13 +112,12 @@ def combinatorial_lines(n: int, limit=None) -> Hypergraph:
     most significant, symbol s contributing s-1).  Each template over
     {1,2,3,wildcard} with at least one wildcard yields the line of the
     three points obtained by setting every wildcard to a common symbol,
-    so there are 4^n - 3^n edges.
+    so there are 4^n - 3^n edges.  Refused with ResourceLimitError when
+    the 4^n templates exceed ``LINES_GUARD``.
     """
     if n < 1:
         raise ParameterError(f"cube dimension must be positive, got {n}")
-    cap = resolve_limit(limit, LINES_GUARD)
-    if 4 ** n > cap:
-        raise ResourceLimitError(f"4^{n} templates exceed limit {cap}")
+    check_power(4, n, LINES_GUARD, "line templates", limit)
     weights = [3 ** (n - 1 - i) for i in range(n)]
 
     def point_id(symbols) -> int:
@@ -165,9 +161,7 @@ def greedy_hard_setsystem(k: int) -> SetSystem:
     """
     if k < 2:
         raise ParameterError(f"block count must be at least 2, got {k}")
-    cap = resolve_limit(None, ENUMERATION_GUARD)
-    if k * k > cap:
-        raise ResourceLimitError(f"{k}*{k} universe exceeds limit {cap}")
+    check_limit(k * k, ENUMERATION_GUARD, "universe k*k")
     decoys = []
     s, c = 0, k
     for _ in range(math.ceil((k - 1) * math.log(k))):
@@ -204,9 +198,7 @@ def simplify_reduction(G: Hypergraph, B: int, P: int, seed: int) -> Hypergraph:
     check_seed(seed)
     if B < 1 or P < 1:
         raise ParameterError("cloud size and per-edge count must be positive")
-    cap = resolve_limit(None, ENUMERATION_GUARD)
-    if G.m * P > cap:
-        raise ResourceLimitError(f"{G.m}*{P} candidate edges exceed limit {cap}")
+    check_limit(G.m * P, ENUMERATION_GUARD, "candidate edges m*P")
     rng = random.Random(seed)
     # copies of a sorted edge's endpoints are sorted, since v*B + r < (v+1)*B
     candidates = [tuple(v * B + rng.randrange(B) for v in edge)

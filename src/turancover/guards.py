@@ -1,17 +1,40 @@
-"""Resource-limit plumbing and the seed rule.
+"""The rules every module shares: one limit rule, the seed rule, integer ids.
 
-Every brute-force search, exact LP solve, generator enumeration and
-blow-up is guarded by a limit.  When no explicit limit is given, the
-environment variable ``TURANCOVER_SIZE_GUARD`` (if set) replaces the
-per-operation default, as a desk-scale escape hatch.  Every public
-function that takes a seed checks it with ``check_seed`` first.
+Each guarded operation passes the count of what it would build to
+``check_limit`` (or to ``check_comb``/``check_power``, which never compute
+a count they refuse).  The limit is the explicit ``size_guard=``/``limit=``,
+else the ``TURANCOVER_SIZE_GUARD`` override, else the operation's default;
+either source must be an int, not a bool, of at least 0 (else
+ParameterError).  A count above it is a ResourceLimitError reading
+``<what> = <count> exceeds limit <limit>``.
 """
 
+import operator
 import os
+from contextlib import suppress
+from itertools import chain
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 
 ENV_VAR = "TURANCOVER_SIZE_GUARD"
+ENUMERATION_GUARD = 1_000_000
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int, if ``operator.index`` takes it."""
+    if not hasattr(type(value), "__index__"):
+        raise ParameterError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
+
+
+def _int_rows(rows, what: str):
+    """``rows`` of ids with every id an int.  All-int rows, the common
+    case, are checked in one C-level pass over their types and returned
+    as given; otherwise each id is converted by ``_index``."""
+    rows = tuple(rows)
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return tuple(tuple(_index(v, what) for v in row) for row in rows)
 
 
 def check_seed(seed) -> None:
@@ -25,34 +48,57 @@ def check_seed(seed) -> None:
         raise ParameterError("seed must fit in 64 bits")
 
 
-def resolve_limit(explicit, default):
-    """Pick the active limit: explicit argument > env override > default.
+def resolve_limit(explicit, default) -> int:
+    """The active limit: ``explicit``, else the override, else ``default``."""
+    source, value, shown = "a limit", explicit, explicit
+    if explicit is None:
+        shown = os.environ.get(ENV_VAR)
+        if not shown:
+            return default
+        source, value = ENV_VAR, shown
+        with suppress(ValueError):
+            value = int(shown)
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ParameterError(f"{source} must be a non-negative integer, got {shown!r}")
 
-    A negative explicit or environment limit is a ParameterError.
-    """
-    if explicit is not None:
-        if explicit < 0:
-            raise ParameterError(f"a limit must be non-negative, got {explicit}")
-        return explicit
-    env = os.environ.get(ENV_VAR)
-    if not env:
-        return default
-    try:
-        limit = int(env)
-    except ValueError:
-        raise ParameterError(f"{ENV_VAR} must be an integer, got {env!r}") from None
-    if limit < 0:
-        raise ParameterError(f"{ENV_VAR} must be non-negative, got {env!r}")
-    return limit
+
+def check_limit(count: int, default: int, what: str, limit=None) -> int:
+    """Refuse ``count`` items of ``what`` above the active limit; return
+    that limit, so a loop whose count grows can compare against it."""
+    cap = resolve_limit(limit, default)
+    if count > cap:
+        raise ResourceLimitError(f"{what} = {count} exceeds limit {cap}")
+    return cap
+
+
+def check_comb(n: int, k: int, per: int, default: int, what: str, limit=None) -> None:
+    """``check_limit`` for per * C(n, k) items, k >= 0, without computing
+    C(n, k): per * C(n, k) > cap exactly when C(n, k) > cap // per."""
+    cap = resolve_limit(limit, default)
+    if per and comb_exceeds(n, k, cap // per):
+        count = f"C({n},{k})" if per == 1 else f"{per}*C({n},{k})"
+        raise ResourceLimitError(f"{what} = {count} exceeds limit {cap}")
+
+
+def check_power(base: int, exp: int, default: int, what: str, limit=None) -> None:
+    """``check_limit`` for base**exp items, base >= 2: base**exp is at least
+    2**(exp * (bits(base) - 1)), so it is computed only if that is not
+    already past the limit's bit length, and then has at most twice its bits."""
+    cap = resolve_limit(limit, default)
+    if exp * (base.bit_length() - 1) >= cap.bit_length() or base ** exp > cap:
+        raise ResourceLimitError(f"{what} = {base}^{exp} exceeds limit {cap}")
 
 
 def comb_exceeds(n: int, k: int, cap: int) -> bool:
-    """True when C(n, k) > cap, for 0 <= k <= n.
+    """True when C(n, k) > cap, for k >= 0 (C(n, k) = 0 when k > n).
 
     Builds C(n - j + i, i) for i = 1..j with j = min(k, n - k), a
     nondecreasing sequence ending at C(n, k), and stops at the first term
     above ``cap``, so a huge binomial is never computed in full.
     """
+    if k > n:
+        return False
     j = min(k, n - k)
     c = 1
     for i in range(1, j + 1):

@@ -13,15 +13,14 @@ read-only.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
-from .errors import ParameterError, ResourceLimitError
-from .guards import comb_exceeds, resolve_limit
+from .errors import ParameterError
+from .guards import ENUMERATION_GUARD, _index, _int_rows, check_comb
 from .setcover import SetSystem, _kept_flags, dual_system
 
 __all__ = [
@@ -33,25 +32,6 @@ __all__ = [
     "is_matching",
     "dual",
 ]
-
-BLOWUP_GUARD = 1_000_000
-
-
-def _index(value, what: str) -> int:
-    """``value`` as an int, if ``operator.index`` takes it."""
-    if not hasattr(type(value), "__index__"):
-        raise ParameterError(f"{what} {value!r} is not an integer")
-    return operator.index(value)
-
-
-def _int_rows(rows, what: str):
-    """``rows`` of ids with every id an int.  All-int rows, the common
-    case, are checked in one C-level pass over their types and returned
-    as given; otherwise each id is converted by ``_index``."""
-    rows = tuple(rows)
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return rows
-    return tuple(tuple(_index(v, what) for v in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -202,14 +182,12 @@ def blow_up(base: Hypergraph, k: int) -> BlowUp:
     short-lived process that needs no numpy never loads it (importing it
     costs about 70 ms).  Both give the same instance.
 
-    Refused with ResourceLimitError when C(t, k) exceeds ``BLOWUP_GUARD``
-    (or the ``TURANCOVER_SIZE_GUARD`` override), edgeless bases included.
+    Refused with ResourceLimitError when its m*C(t, k) edge entries (an
+    edgeless base counting as one edge) exceed ``ENUMERATION_GUARD``.
     """
     if not 1 <= k < base.t:
         raise ParameterError(f"subset size {k} not in [1, {base.t})")
-    cap = resolve_limit(None, BLOWUP_GUARD)
-    if comb_exceeds(base.t, k, cap):
-        raise ResourceLimitError(f"C({base.t},{k}) vertices per blown-up edge exceed limit {cap}")
+    check_comb(base.t, k, max(base.m, 1), ENUMERATION_GUARD, "blow-up entries")
     if "numpy" in sys.modules and base.n ** k <= base.m * comb(base.t, k):
         return _array_blow_up(base, k)
     return _tuple_blow_up(base, k)

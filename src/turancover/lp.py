@@ -156,8 +156,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, ResourceLimitError, VerificationError
-from .guards import resolve_limit
+from .errors import ParameterError, VerificationError
+from .guards import check_limit
 from .hypergraph import Hypergraph
 
 __all__ = [
@@ -588,22 +588,16 @@ def _uniform_pair(H: Hypergraph):
 def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
     """Optimal (primal, dual) pair from HiGHS; see the module docstring."""
     if mode == "exact":
-        guard = resolve_limit(size_guard, EXACT_SIZE_GUARD)
+        check_limit(H.n * H.m, EXACT_SIZE_GUARD, "exact LP size n*m", size_guard)
     elif mode == "float":
-        guard = resolve_limit(size_guard, FLOAT_SIZE_GUARD)
+        # HiGHS, which no edgeless LP calls, holds 200-330 bytes per unit of n + m*t
+        check_limit(H.n + H.m * H.t if H.m else 0, FLOAT_SIZE_GUARD, "float LP size n+m*t",
+                    size_guard)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     if H.m == 0:
         zero = _ZERO if mode == "exact" else 0.0
         return LPSolution("primal", {}, zero, mode), LPSolution("dual", {}, zero, mode)
-    if mode == "exact" and H.n * H.m > guard:
-        raise ResourceLimitError(
-            f"exact mode needs n*m <= {guard}, got {H.n}*{H.m} = {H.n * H.m}"
-        )
-    # HiGHS holds 200-330 bytes per unit of n + m*t: a huge n alone costs gigabytes
-    if mode == "float" and H.n + H.m * H.t > guard:
-        raise ResourceLimitError(f"float LP size n+m*t = {H.n}+{H.m}*{H.t}"
-                                 f" = {H.n + H.m * H.t} exceeds limit {guard}")
     if mode == "float":
         pair = _uniform_pair(H)
         if pair is not None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import ParameterError, ResourceLimitError
-from .guards import resolve_limit
+from .guards import check_comb, check_limit, resolve_limit
 from .hypergraph import Hypergraph, dual
 from .setcover import greedy_set_cover
 
@@ -48,10 +48,12 @@ class Embedding:
 
 
 class _NodeBudget:
+    """A search's node budget, ``BRUTE_NODE_LIMIT`` nodes by default."""
+
     __slots__ = ("left",)
 
     def __init__(self, limit):
-        self.left = limit
+        self.left = resolve_limit(limit, BRUTE_NODE_LIMIT)
 
     def spend(self):
         self.left -= 1
@@ -80,7 +82,7 @@ def brute_tau(H: Hypergraph, limit=None, lp_bound: bool = True) -> int:
     early termination; oracle-vs-LP tests pass lp_bound=False to stay
     independent of the solver under test.
     """
-    budget = _NodeBudget(resolve_limit(limit, BRUTE_NODE_LIMIT))
+    budget = _NodeBudget(limit)
     edge_sets = [frozenset(e) for e in H.edges]
     if not edge_sets:
         return 0
@@ -116,7 +118,7 @@ def brute_tau(H: Hypergraph, limit=None, lp_bound: bool = True) -> int:
 
 def brute_nu(H: Hypergraph, limit=None, lp_bound: bool = True) -> int:
     """Exact maximum matching size by include/exclude over edges in id order."""
-    budget = _NodeBudget(resolve_limit(limit, BRUTE_NODE_LIMIT))
+    budget = _NodeBudget(limit)
     edge_sets = [frozenset(e) for e in H.edges]
     m = len(edge_sets)
     best = 0
@@ -149,7 +151,7 @@ def max_independent_set(H: Hypergraph, limit=None) -> int:
     Independent include/exclude search over vertices; complements
     brute_tau for the identity independence + cover = n.
     """
-    budget = _NodeBudget(resolve_limit(limit, BRUTE_NODE_LIMIT))
+    budget = _NodeBudget(limit)
     edges_at = [[] for _ in range(H.n)]
     for e in H.edges:
         edges_at[max(e)].append(frozenset(e))
@@ -175,24 +177,23 @@ def max_independent_set(H: Hypergraph, limit=None) -> int:
 def find_tents(H: Hypergraph, limit=None) -> list[tuple[int, int, int, int]]:
     """All tent configurations, as 4-tuples of edge ids.
 
-    A tent is three edges with a common vertex plus a crossing edge that
-    meets each of the three in exactly one vertex, those three meeting
-    points pairwise distinct.  Result tuples list the three concurrent
+    A tent is three edges meeting pairwise in one common vertex, the
+    apex, plus a crossing edge that meets each of the three in exactly
+    one vertex, those three meeting points pairwise distinct: for t = 3,
+    a copy of ``three_tent``.  Result tuples list the three concurrent
     edges sorted ascending, the crossing edge last.  Every 4-subset of
     edges is tried in each of its four crossing-edge roles, so a subset
     can appear more than once with different roles.
     """
-    checks = resolve_limit(limit, TENT_CHECK_LIMIT)
+    check_comb(H.m, 4, 4, TENT_CHECK_LIMIT, "tent checks", limit)
     sets = [frozenset(e) for e in H.edges]
-    m = len(sets)
-    if m * (m - 1) * (m - 2) * (m - 3) // 24 * 4 > checks:
-        raise ResourceLimitError(f"tent scan over {m} edges exceeds budget {checks}")
     found = []
-    for quad in combinations(range(m), 4):
+    for quad in combinations(range(len(sets)), 4):
         for cross in quad:
             rest = tuple(i for i in quad if i != cross)
             a, b, c = (sets[i] for i in rest)
-            if not (a & b & c):
+            apex = a & b
+            if len(apex) != 1 or a & c != apex or b & c != apex:
                 continue
             e4 = sets[cross]
             meets = [e4 & s for s in (a, b, c)]
@@ -212,11 +213,11 @@ def contains_subhypergraph(H: Hypergraph, F: Hypergraph, limit=None) -> Embeddin
     host-edge vertices in sorted permutation order, so the result is
     deterministic.  Patterns are capped at 6 edges.
     """
+    budget = _NodeBudget(limit)
     if F.m > PATTERN_EDGE_LIMIT:
         raise ResourceLimitError(f"pattern has {F.m} edges, limit {PATTERN_EDGE_LIMIT}")
     if F.t != H.t:
         return None
-    budget = _NodeBudget(resolve_limit(limit, BRUTE_NODE_LIMIT))
     host_sets = [frozenset(e) for e in H.edges]
 
     def extend(fi, vmap, used_hv, used_he):
@@ -259,9 +260,7 @@ def rho(F: Hypergraph, limit=None) -> Fraction:
     """
     if F.m < 2:
         raise ParameterError("density parameter needs at least two edges")
-    cap = resolve_limit(limit, RHO_EDGE_LIMIT)
-    if F.m > cap:
-        raise ResourceLimitError(f"pattern has {F.m} edges, density limit {cap}")
+    check_limit(F.m, RHO_EDGE_LIMIT, "pattern edges", limit)
     bits = []
     for e in F.edges:
         b = 0

@@ -35,10 +35,10 @@ from fractions import Fraction
 from itertools import compress
 from numbers import Real
 
-from .errors import ParameterError, ResourceLimitError, VerificationError
-from .guards import check_seed, resolve_limit
+from .errors import ParameterError, VerificationError
+from .guards import _index, check_limit, check_seed
 from .hypergraph import (BlowUp, Hypergraph, _as_hypergraph, _first_non_cover_row,
-                         _index, is_vertex_cover)
+                         is_vertex_cover)
 from .lp import LPSolution, solve_vc_lp
 
 __all__ = [
@@ -377,13 +377,6 @@ def _check_trials(trials) -> None:
         raise ParameterError(f"trials must be an integer of at least 1, got {trials!r}")
 
 
-def _guard_trials(trials: int) -> None:
-    """Refuse more than ``TRIALS_GUARD`` trials (or the override)."""
-    cap = resolve_limit(None, TRIALS_GUARD)
-    if trials > cap:
-        raise ResourceLimitError(f"{trials} trials exceed limit {cap}")
-
-
 def fallback_threshold_cover(instance, mode: str = "exact",
                              size_guard=None) -> CoverResult:
     """Trivial uniformity-factor cover: one LP solve, keep every vertex
@@ -460,7 +453,7 @@ def ahtp_cover_blowup(B: BlowUp, params: RoundingParams, mode: str = "exact",
     if B.base_t != params.t:
         raise ParameterError(
             f"blow-up base is {B.base_t}-uniform but parameters say {params.t}")
-    _guard_trials(params.trials)
+    check_limit(params.trials, TRIALS_GUARD, "trials")
     thr = recursive_threshold(B.hyper, params.gamma_value, mode=mode,
                               size_guard=size_guard)
     support = thr.solution.support
@@ -497,7 +490,7 @@ def t2_cover_blowup(B: BlowUp, seed: int = 0, trials: int = 1,
         raise ParameterError(f"expected a pair blow-up (k = 2), got k={B.k}")
     t = B.base_t
     _check_trials(trials)
-    _guard_trials(trials)
+    check_limit(trials, TRIALS_GUARD, "trials")
     thr = recursive_threshold(B.hyper, Fraction(4, t * t), mode=mode,
                               size_guard=size_guard)
     return _lp_cover(B, thr, trials, seed, _pair_classes, "pair")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .errors import ParameterError, ResourceLimitError, VerificationError
-from .guards import resolve_limit
+from .errors import ParameterError, VerificationError
+from .guards import ENUMERATION_GUARD, _index, _int_rows, check_limit
 
 __all__ = [
     "SetSystem",
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 BRUTE_SET_LIMIT = 30
-UNIVERSE_GUARD = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -45,16 +44,18 @@ class SetSystem:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 0:
+        n = _index(self.n, "universe size")
+        if n < 0:
             raise ParameterError("universe size must be nonnegative")
         norm = []
-        for idx, s in enumerate(self.sets):
+        for idx, s in enumerate(_int_rows(self.sets, "element")):
             ts = tuple(sorted(s))
             if len(set(ts)) != len(ts):
                 raise ParameterError(f"set {idx} has repeated elements")
-            if ts and (ts[0] < 0 or ts[-1] >= self.n):
+            if ts and (ts[0] < 0 or ts[-1] >= n):
                 raise ParameterError(f"set {idx} has out-of-range elements")
             norm.append(ts)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "sets", tuple(norm))
 
     @classmethod
@@ -95,13 +96,19 @@ def _kept_flags(members):
     members can be in a shared pair, so a member of more than three
     elements contributes only the pairs of those: a single large member
     whose elements lie nowhere else stores none, where all its pairs
-    would take memory quadratic in its size.
+    would take memory quadratic in its size.  Before a member's pairs are
+    built, the pairs stored so far plus its own are checked against
+    ``ENUMERATION_GUARD``.
     """
+    cap = check_limit(0, ENUMERATION_GUARD, "simplicity pairs")
     degree = Counter(chain.from_iterable(members))
     used: set[tuple[int, int]] = set()
     for s in members:
         if len(s) > 3:  # below four elements C(|s|, 2) <= |s|: filtering cannot pay
             s = [x for x in s if degree[x] > 1]
+        needed = len(used) + len(s) * (len(s) - 1) // 2
+        if needed > cap:
+            check_limit(needed, ENUMERATION_GUARD, "simplicity pairs")
         pairs = list(combinations(s, 2))
         kept = used.isdisjoint(pairs)
         if kept:
@@ -145,12 +152,10 @@ def greedy_set_cover(system: SetSystem) -> GreedyTrace:
     Each set's gain (its count of uncovered elements) is kept up to date:
     covering an element lowers the gain of every set containing it, so
     the whole run touches each incidence once plus one scan of the gains
-    per pick.  A universe of more than ``UNIVERSE_GUARD`` elements is
+    per pick.  A universe of more than ``ENUMERATION_GUARD`` elements is
     refused with ResourceLimitError before anything is allocated.
     """
-    cap = resolve_limit(None, UNIVERSE_GUARD)
-    if system.n > cap:
-        raise ResourceLimitError(f"universe of {system.n} elements exceeds limit {cap}")
+    check_limit(system.n, ENUMERATION_GUARD, "greedy universe")
     gains = [len(s) for s in system.sets]
     containing = _containing(system)
     covered = [False] * system.n
@@ -203,9 +208,7 @@ def brute_set_cover(system: SetSystem, limit: int | None = None) -> int:
     with a count/max-set-size bound.  Guarded to at most ``limit``
     (default 30) sets.
     """
-    max_sets = resolve_limit(limit, BRUTE_SET_LIMIT)
-    if system.m > max_sets:
-        raise ResourceLimitError(f"{system.m} sets exceeds brute-force limit {max_sets}")
+    check_limit(system.m, BRUTE_SET_LIMIT, "brute-force sets", limit)
     if system.n == 0:
         return 0
     member_sets = [set(s) for s in system.sets]

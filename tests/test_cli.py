@@ -88,6 +88,13 @@ def test_lines_have_no_tents():
     assert out == "TENTS 0\n"
 
 
+def test_tent_free_output_has_no_tents():
+    # find_tents once also counted three edges sharing a second vertex
+    out = chain(["gen", "ffree", "--n", "12", "--p", "0.25", "--seed", "10"],
+                ["oracle", "tents"])
+    assert out == "TENTS 0\n"
+
+
 def test_exact_lp_output():
     out = chain(
         ["gen", "complete", "--n", "4", "--t", "3"],
@@ -388,6 +395,11 @@ def test_resource_guard_exit_code():
     (["gen", "complete", "--n", "60", "--t", "8"], ""),
     (["gen", "hard-setcover", "--k", "100000"], ""),
     (["blowup", "--k", "50000"], "HG 100000 100000 0\n"),
+    # 21 edges of C(20,10) = 184,756 entries each: each edge passes, all 21 do not
+    pytest.param(["blowup", "--k", "10"],
+                 formats.serialize_hypergraph(generators.complete(21, 20)), id="blowup-entries"),
+    # refused by bit length: 4**n is never computed
+    (["gen", "lines", "--n", "100000000"], ""),
 ])
 def test_oversized_enumerations_exit_4_before_starting(monkeypatch, capsys, argv, stdin_text):
     def refuse(*args):
@@ -428,6 +440,11 @@ def _refuse(*args, **kwargs):
      [(lp, "_highs")]),
     (["oracle", "taustar", "--mode", "float", "--limit", "1"], "HG 2 3 2\n0 1\n1 2\n",
      [(lp, "_highs")]),
+    # a 2000-set whose elements each lie in a 2-set: its C(2000,2) pairs are never built
+    pytest.param(["verify", "simple"],
+                 "SS 4000 2001\n2000 " + " ".join(map(str, range(2000))) + "\n"
+                 + "".join(f"2 {x} {2000 + x}\n" for x in range(2000)),
+                 [(setcover, "combinations")], id="verify-simple-pairs"),
 ])
 def test_unbounded_inputs_exit_4_before_allocating(monkeypatch, capsys, argv, stdin_text,
                                                    patches):

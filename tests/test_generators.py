@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -239,18 +240,34 @@ def test_enumeration_guards_admit_exactly_the_limit(monkeypatch):
     assert complete(5, 3).m == 10
     assert random_hypergraph(5, 2, 0.0, seed=0).m == 0
     assert greedy_hard_setsystem(3).n == 9
-    assert simplify_reduction(complete(5, 3), 2, 1, seed=0).n == 10  # 10 candidates
-    assert blow_up(complete(6, 5), 2).hyper.t == 10
-    with pytest.raises(ResourceLimitError, match=r"C\(6,3\) candidate edges exceed limit 10"):
+    # 10 candidates of one pair each: 10 pairs in the simplicity table
+    assert simplify_reduction(complete(5, 2), 2, 1, seed=0).n == 10
+    assert blow_up(Hypergraph(5, 5, [(0, 1, 2, 3, 4)]), 2).hyper.t == 10  # 1*C(5,2)
+    assert blow_up(Hypergraph(10, 0, []), 1).hyper.m == 0  # edgeless counts as one edge
+    assert is_simple(Hypergraph(2, 5, combinations(range(5), 2)))  # 10 pairs
+    # every element of the 5-set lies in a second set: all C(5,2) pairs are stored
+    assert is_simple_system(SetSystem(5, (tuple(range(5)), *((x,) for x in range(5)))))
+    shape = "^{} exceeds limit 10$"
+    with pytest.raises(ResourceLimitError, match=shape.format(r"candidate edges = C\(6,3\)")):
         complete(6, 3)
-    with pytest.raises(ResourceLimitError, match="limit 10"):
+    with pytest.raises(ResourceLimitError, match=shape.format(r"candidate edges = C\(6,3\)")):
         random_hypergraph(6, 3, 0.0, seed=0)
-    with pytest.raises(ResourceLimitError, match=r"4\*4 universe exceeds limit 10"):
+    with pytest.raises(ResourceLimitError, match=shape.format(r"universe k\*k = 16")):
         greedy_hard_setsystem(4)
-    with pytest.raises(ResourceLimitError, match="per blown-up edge exceed limit 10"):
-        blow_up(complete(7, 6), 2)
-    with pytest.raises(ResourceLimitError, match=r"10\*2 candidate edges exceed limit 10"):
-        simplify_reduction(complete(5, 3), 2, 2, seed=0)
+    with pytest.raises(ResourceLimitError,
+                       match=shape.format(r"blow-up entries = 6\*C\(5,2\)")):
+        blow_up(complete(6, 5), 2)
+    with pytest.raises(ResourceLimitError, match=shape.format(r"blow-up entries = C\(11,1\)")):
+        blow_up(Hypergraph(11, 0, []), 1)
+    with pytest.raises(ResourceLimitError, match=shape.format(r"candidate edges m\*P = 20")):
+        simplify_reduction(complete(5, 2), 2, 2, seed=0)
+    # 10 candidates of three pairs each: the kept edges' pairs pass the limit
+    with pytest.raises(ResourceLimitError, match=shape.format("simplicity pairs = 12")):
+        simplify_reduction(complete(5, 3), 2, 1, seed=0)
+    with pytest.raises(ResourceLimitError, match=shape.format("simplicity pairs = 11")):
+        is_simple(Hypergraph(2, 6, combinations(range(6), 2)))
+    with pytest.raises(ResourceLimitError, match=shape.format("simplicity pairs = 15")):
+        is_simple_system(SetSystem(6, (tuple(range(6)), *((x,) for x in range(6)))))
     # parameter errors still come first
     with pytest.raises(ParameterError):
         complete(3, 4)

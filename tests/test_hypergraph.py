@@ -10,7 +10,7 @@ from math import comb
 
 from turancover import hypergraph
 from turancover.errors import ParameterError
-from turancover.formats import _array_instance, serialize_instance
+from turancover.formats import _array_instance, serialize_instance, serialize_setsystem
 from turancover.generators import complete, random_hypergraph, simplify_reduction
 from turancover.hypergraph import (
     BlowUp,
@@ -22,6 +22,7 @@ from turancover.hypergraph import (
     is_vertex_cover,
 )
 from turancover.rounding import recursive_threshold
+from turancover.setcover import SetSystem
 
 
 def test_edges_are_canonicalized():
@@ -317,6 +318,9 @@ def test_instance_fields_that_are_not_integers_are_named_so(bad):
         (lambda: BlowUp(B.hyper, B.labels, bad, 4, 2), "base uniformity"),
         (lambda: BlowUp(B.hyper, B.labels, 3, bad, 2), "base vertex count"),
         (lambda: BlowUp(B.hyper, B.labels, 3, 4, bad), "subset size"),
+        # SetSystem(3, [(0.5, 1), (2,)]) was built, and greedy_set_cover raised TypeError
+        (lambda: SetSystem(3, [(bad, 1), (2,)]), "element"),
+        (lambda: SetSystem(bad, []), "universe size"),
     ]
     named = re.escape(repr(bad))
     for build, what in cases:
@@ -333,6 +337,11 @@ def test_instance_fields_are_stored_as_ints():
                np.int64(3), np.uint8(4), np.int16(2))
     assert C == B
     assert {type(v) for v in (C.base_t, C.base_n, C.k, *chain.from_iterable(C.labels))} == {int}
+    # SetSystem(3, [(True, 2), (0,)]) was written "2 True 2", which parse_setsystem refuses
+    S = SetSystem(np.int64(3), [(True, 2), (np.uint8(0),)])
+    assert (S.n, S.sets) == (3, ((1, 2), (0,)))
+    assert {type(v) for v in (S.n, *chain.from_iterable(S.sets))} == {int}
+    assert serialize_setsystem(S) == "SS 3 2\n2 1 2\n1 0\n"
 
 
 def test_matching_ids_are_all_checked_before_any_edge_is_compared():

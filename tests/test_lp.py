@@ -202,7 +202,8 @@ def test_non_integer_size_guard_rejected(monkeypatch, value):
     monkeypatch.setenv("TURANCOVER_SIZE_GUARD", value)
     with pytest.raises(ParameterError) as info:
         solve_vc_lp(G, mode="exact")
-    assert str(info.value) == f"TURANCOVER_SIZE_GUARD must be an integer, got {value!r}"
+    assert str(info.value) == \
+        f"TURANCOVER_SIZE_GUARD must be a non-negative integer, got {value!r}"
 
 
 def test_size_guard_argument_sets_the_float_guard(monkeypatch):

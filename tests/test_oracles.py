@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from turancover.errors import ParameterError, ResourceLimitError
-from turancover.generators import combinatorial_lines, complete, random_hypergraph, three_tent
+from turancover.generators import (combinatorial_lines, complete, f_free_random,
+                                   random_hypergraph, three_tent)
 from turancover.hypergraph import Hypergraph, blow_up, dual, is_vertex_cover
 from turancover.lp import solve_vc_lp
 from turancover.oracles import (
@@ -126,6 +127,27 @@ def test_tent_roles_are_checked():
     # three concurrent edges but a crossing edge meeting one of them twice
     H = Hypergraph(3, 7, [(0, 1, 4), (0, 2, 5), (0, 3, 6), (1, 4, 5)])
     assert find_tents(H) == []
+
+
+def test_tent_apex_is_the_only_shared_vertex():
+    # edges 1 and 2 share 10 besides the apex 6: no copy of three_tent looks like this
+    H = Hypergraph(3, 11, [(2, 6, 7), (6, 8, 10), (6, 9, 10), (7, 8, 9)])
+    assert contains_subhypergraph(H, three_tent()) is None
+    assert find_tents(H) == []
+    # f_free_random purges every copy of three_tent, so no tent is left to find
+    assert find_tents(f_free_random(12, 3, [three_tent()], p=0.25, seed=10)) == []
+
+
+def test_find_tents_agrees_with_the_tent_embedding():
+    tent = three_tent()
+    with_tents = 0
+    for seed in range(300):
+        n, p = ((8, 0.12), (9, 0.18))[seed % 2]
+        H = random_hypergraph(n, 3, p, seed)
+        found = contains_subhypergraph(H, tent) is not None
+        assert bool(find_tents(H)) == found, seed
+        with_tents += found
+    assert 100 < with_tents < 250  # both answers are well represented
 
 
 def test_pair_blow_up_is_tent_free():

@@ -616,9 +616,9 @@ def test_trials_guard_refuses_before_solving(monkeypatch):
         raise AssertionError("solved")
 
     monkeypatch.setattr(rounding, "solve_vc_lp", refuse)
-    with pytest.raises(ResourceLimitError, match="41 trials exceed limit 40"):
+    with pytest.raises(ResourceLimitError, match="^trials = 41 exceeds limit 40$"):
         t2_cover_blowup(B2, seed=1, trials=41, mode="float")
-    with pytest.raises(ResourceLimitError, match="41 trials exceed limit 40"):
+    with pytest.raises(ResourceLimitError, match="^trials = 41 exceeds limit 40$"):
         ahtp_cover_blowup(B2, RoundingParams(t=3, trials=41), mode="float")
     monkeypatch.delenv("TURANCOVER_SIZE_GUARD")
     with pytest.raises(ResourceLimitError, match=f"limit {rounding.TRIALS_GUARD}$"):
