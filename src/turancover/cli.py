@@ -114,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="check a certificate or structure")
     ver.add_argument("what", choices=["cover", "matching", "simple"])
+    ver.add_argument("--size-guard", type=int, default=None)
     return top
 
 
@@ -251,8 +252,8 @@ def _run_verify(args) -> str:
             raise VerificationError("claimed cover is not U, SPRIME and PARITY combined")
         if cover.lp_opt is not None and cover.lp_opt_residual > cover.lp_opt:
             raise VerificationError("claimed residual LP optimum exceeds the LP optimum")
-        if isinstance(cover.lp_opt, Fraction) and \
-                cover.lp_opt != solve_vc_lp(H, mode="exact").objective:
+        if isinstance(cover.lp_opt, Fraction) and cover.lp_opt != solve_vc_lp(
+                H, mode="exact", size_guard=args.size_guard).objective:
             raise VerificationError("claimed LP optimum is not the instance's exact optimum")
         return "OK\n"
     if matching is None:

@@ -36,15 +36,19 @@ the strict form the serializers write (a ``HG`` header at the very
 start, single spaces, LF line ends, only the bytes ``[0-9 \n]`` in the
 blocks, edges in lexicographic order, labels strictly increasing and
 sorted) with a few numpy passes, validates it completely and builds the
-instance without validating it again.  Any other input, and any input
-the array path would reject, goes through the line-by-line parser, so
-comments, blank lines, extra whitespace, ``--dedup`` and every error
-message and line number are the line parser's.  The array path runs
+instance, holding only its edge array, without validating it again.
+Any other input, and any input the array path would reject, goes
+through the line-by-line parser, so comments, blank lines, extra
+whitespace, ``--dedup`` and every error message and line number are the
+line parser's.  The array path runs
 only where it pays: when numpy is already loaded (importing it takes
 longer than the line parser spends on any pipeline document, so a
 short-lived process that needs no numpy never loads it for parsing)
 and the input has at least ``_ARRAY_MIN_BYTES`` bytes (below that the
-line parser is faster).
+line parser is faster).  The serializers write the edge lines of an
+instance that holds an edge array from that array (``_edge_rows``), so
+an instance read by the array path crosses the next pipe without its
+edge tuples ever being built.
 """
 
 from __future__ import annotations
@@ -152,8 +156,22 @@ def _rows(rows) -> str:
     return "".join(" ".join(map(name, row)) + "\n" for row in rows)
 
 
+def _edge_rows(H: Hypergraph) -> str:
+    """The edge lines of H.  Where H holds ``edge_array`` and n is at most
+    its m*t entries, they are joined from a table of the n id strings
+    indexed by that array, about twice as fast as from the tuples and
+    with no tuples built; anything else goes through ``_rows``."""
+    E = vars(H).get("edge_array")
+    if E is None or H.n > E.size:
+        return _rows(H.edges)
+    import numpy as np
+
+    names = np.array(list(map(str, range(H.n))), dtype=object)
+    return "".join([" ".join(row) + "\n" for row in names[E].tolist()])
+
+
 def serialize_hypergraph(H: Hypergraph) -> str:
-    return f"HG {H.t} {H.n} {H.m}\n" + _rows(H.edges)
+    return f"HG {H.t} {H.n} {H.m}\n" + _edge_rows(H)
 
 
 def serialize_blowup(B: BlowUp) -> str:
@@ -289,7 +307,7 @@ def _array_instance(text: str):
             return None
     else:
         edges = np.empty((0, t), dtype=np.intp)
-    H = Hypergraph._from_canonical(t, n, tuple(map(tuple, edges.tolist())), edges)
+    H = Hypergraph._from_canonical(t, n, array=edges)
     offset = int(ends[m]) + 1
     if not text.startswith("LABELS\n", offset):
         return H, offset, lines

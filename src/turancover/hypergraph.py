@@ -5,16 +5,24 @@ strictly increasing tuple of t distinct ids, and the edge list is sorted
 lexicographically with duplicates rejected.  The canonical form makes
 equality structural and keeps every downstream artifact reproducible.
 
+A ``Hypergraph`` holds its edges in two forms: ``edges``, a tuple of id
+tuples, and ``edge_array``, a read-only numpy ``(m, t)`` array.  It
+keeps the form it was built from and derives the other on first use,
+once, cached.  The validating constructor, the pure-Python blow-up, the
+line parser and the generators build tuples; the array blow-up, the
+array parser and the threshold loop's residuals build arrays only, so
+that the float pipeline, which reads only ``edge_array``, never pays
+for tuples.  Equality, hashing, ``repr`` and pickling do not depend on
+which forms an instance holds.
+
 All types are immutable after construction and all operations are pure
-functions, so values can be shared freely between threads.  The one
-derived value, ``Hypergraph.edge_array``, is built lazily, cached and
-read-only.
+functions, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -34,23 +42,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """A t-uniform hypergraph in canonical form.
 
     ``n`` may exceed the ids actually used (isolated vertices are fine).
     An edgeless hypergraph with n = 0 is allowed so that blow-ups of
-    edgeless inputs stay representable.
+    edgeless inputs stay representable.  Frozen: ``t``, ``n`` and the
+    edge forms cannot be assigned.
     """
 
-    t: int
-    n: int
-    edges: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        t = _index(self.t, "uniformity")
-        n = _index(self.n, "vertex count")
-        edges = _int_rows(self.edges, "vertex id")
+    def __init__(self, t: int, n: int, edges):
+        t = _index(t, "uniformity")
+        n = _index(n, "vertex count")
+        edges = _int_rows(edges, "vertex id")
         if t < 2:
             raise ParameterError(f"uniformity must be at least 2, got {t}")
         if n < 0 or (n < t and not (n == 0 and not edges)):
@@ -67,42 +71,76 @@ class Hypergraph:
         for a, b in zip(norm, norm[1:]):
             if a == b:
                 raise ParameterError(f"duplicate edge {a}")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
+        self.__dict__.update(t=t, n=n, edges=tuple(norm))
 
     @classmethod
-    def _from_canonical(cls, t: int, n: int, edges: tuple, array=None) -> "Hypergraph":
-        """Trusted constructor: skips ``__post_init__``.
+    def _from_canonical(cls, t: int, n: int, edges: tuple | None = None,
+                        array=None) -> "Hypergraph":
+        """Trusted constructor: checks nothing.
 
-        The caller guarantees what ``__post_init__`` would check and
-        establish: a valid shape, and ``edges`` a tuple of strictly
-        increasing t-tuples of ids below n, sorted and distinct.  A given
-        ``array`` must equal ``edge_array``; it is made read-only and
-        cached as such.
+        The caller gives ``edges``, ``array`` or both, and guarantees what
+        the validating constructor would check and establish: a valid
+        shape, and edges that are strictly increasing t-tuples of ids
+        below n, sorted and distinct, as a tuple of tuples or as an
+        ``(m, t)`` intp array, equal where both are given.  The array is
+        made read-only.
         """
         H = object.__new__(cls)
-        object.__setattr__(H, "t", t)
-        object.__setattr__(H, "n", n)
-        object.__setattr__(H, "edges", edges)
+        H.__dict__.update(t=t, n=n)
+        if edges is not None:
+            H.__dict__["edges"] = edges
         if array is not None:
             array.flags.writeable = False
             H.__dict__["edge_array"] = array
         return H
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        """Equal shapes and edges; the tuples are compared where both
+        sides hold them, else the arrays."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.t, self.n) != (other.t, other.n):
+            return False
+        if "edges" in vars(self) and "edges" in vars(other):
+            return self.edges == other.edges
+        E, F = self.edge_array, other.edge_array
+        return E.shape == F.shape and bool((E == F).all())
+
+    def __hash__(self):
+        return hash((self.t, self.n, self.edges))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(t={self.t!r}, n={self.n!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return type(self), (self.t, self.n, self.edges)
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        form = vars(self).get("edges")
+        return len(form if form is not None else self.edge_array)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The edges as a tuple of id tuples, built from ``edge_array`` on
+        first use where the instance was built from arrays."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def edge_array(self):
-        """The edges as a read-only numpy ``(m, t)`` array of ``intp`` ids.
-
-        Built on first use; numpy is imported only then.
+        """The edges as a read-only numpy ``(m, t)`` array of ``intp`` ids,
+        built from ``edges`` on first use where the instance was built
+        from tuples; numpy is imported only then.
         """
         import numpy as np
 
-        arr = np.array(self.edges, dtype=np.intp).reshape(self.m, self.t)
+        arr = np.array(self.edges, dtype=np.intp).reshape(len(self.edges), self.t)
         arr.flags.writeable = False
         return arr
 
@@ -131,7 +169,7 @@ class BlowUp:
             raise ParameterError(f"subset size {k} not in [1, {base_t})")
         if len(labels) != self.hyper.n:
             raise ParameterError("one label per blow-up vertex required")
-        if self.hyper.edges and self.hyper.t != comb(base_t, k):
+        if self.hyper.m and self.hyper.t != comb(base_t, k):
             raise ParameterError("blow-up uniformity does not match C(base_t, k)")
         norm = []
         for lab in labels:
@@ -216,13 +254,11 @@ def _array_blow_up(base: Hypergraph, k: int) -> BlowUp:
     the codes present: the marked codes, decoded digit by digit, are the
     labels in order, and the table's running count numbers them, which
     gives every edge's label ids, ``edge_array``, without a sort.  The
-    edge tuples are zipped from the columns of an object array of
-    ``range`` ints, so each id is one shared int object, where ``tolist``
-    on ``edge_array`` would build a fresh int for every entry, and no
-    list per edge is built on the way; label ids are base ids, below 257
-    in practice, which CPython shares anyway.  A sort by ``np.unique``
-    would serve any n**k below 2**62, but took about 1.4 times as long on
-    the benchmark's pair blow-ups.
+    instance holds that array only: building the edge tuples from it took
+    most of this function's time on the benchmark's pair blow-ups, and
+    the float pipeline never reads them.  A sort by ``np.unique`` would
+    serve any n**k below 2**62, but took about 1.4 times as long on those
+    blow-ups.
     """
     import numpy as np
 
@@ -240,8 +276,7 @@ def _array_blow_up(base: Hypergraph, k: int) -> BlowUp:
     rank -= 1
     ids = rank[codes]
     labels = found[:, None] // n ** np.arange(k - 1, -1, -1) % n
-    edges = tuple(zip(*np.array(range(len(found)), dtype=object)[ids.T].tolist()))
-    hyper = Hypergraph._from_canonical(comb(base.t, k), len(found), edges, ids)
+    hyper = Hypergraph._from_canonical(comb(base.t, k), len(found), array=ids)
     return BlowUp._from_canonical(hyper, tuple(map(tuple, labels.tolist())), base.t, n, k)
 
 
@@ -262,9 +297,20 @@ def _id_set(ids, bound: int, what: str) -> set[int]:
 
 
 def is_vertex_cover(H: Hypergraph, cover) -> bool:
-    """True when every edge of H contains a vertex of ``cover``."""
+    """True when every edge of H contains a vertex of ``cover``.
+
+    An instance that holds only ``edge_array`` is checked on it, through
+    a flag per vertex, unless n exceeds its m*t entries; anything else
+    on its tuples.
+    """
     cov = _id_set(cover, H.n, "vertex id")
-    return all(not cov.isdisjoint(e) for e in H.edges)
+    if "edges" in vars(H) or H.n > H.edge_array.size:
+        return all(not cov.isdisjoint(e) for e in H.edges)
+    import numpy as np
+
+    chosen = np.zeros(H.n, dtype=bool)
+    chosen[list(cov)] = True
+    return bool(chosen[H.edge_array].any(axis=1).all())
 
 
 def _first_non_cover_row(H: Hypergraph, incidence) -> int | None:

@@ -17,7 +17,8 @@ through the binding bundled with scipy
 (``scipy.optimize._highspy._core``), its constraint matrix straight
 from ``Hypergraph.edge_array``; float mode may answer before that (the
 uniform rung below).  The binding is loaded from its extension file on
-its own (``_highs_core``): importing it the ordinary way runs
+its own (``_extension``, which loads scipy's LAPACK for the rung the
+same way): importing it the ordinary way runs
 ``scipy/optimize/__init__.py`` first, about 0.45 s and 40 MB per
 process that nothing here uses.  Both sides are read off that one
 solve: the primal x and the dual y (the negated row duals).  Exact mode
@@ -94,36 +95,37 @@ returns that unique optimum too, up to HiGHS's tolerances, so the rung
 changes no support and no cover, only trailing float digits and the
 matching.
 
-The rung holds A densely, n' float32 columns, and starts from B = all
-edges.  Each round forms the co-degree matrix ``G = A[B]^T A[B]`` with
-one BLAS product.  Entry (u, v) of G counts the edges of B through u
-and v, so every partial sum is an integer of at most m < 2**24, which
-float32 adds exactly in any order: G, and G in float64, is exact.  G is
-positive definite exactly when ``A[B]`` has full column rank, so the
-rung factors it by Cholesky in float64.  A singular G can still factor
-in floats, with a pivot left at rounding level, so every pivot must
-exceed ``_PIVOT_FLOOR`` = 1e-8 times its diagonal entry.  Over 4000
-small pair blow-ups, singular Grams left pivots of at most 7e-15 of
-their diagonal entry and nonsingular ones at least 5e-3
-(``BENCH_17.json``).  G must stay the exact integer matrix: the floor
-tells singular from nonsingular only because G carries no rounding of
-its own, and without the floor the rung accepts instances whose
-x = 1/t is optimal but not unique (``tests/test_lp.py``).  The rung
-then solves ``G z = 1`` once and sets ``y = A[B] z``, the least-norm
-solution of ``A[B]^T y = 1``.  That solve factors G again, by LU:
-numpy has no triangular solve, and importing ``scipy.linalg`` costs
-about 0.34 s.  No refinement step is needed: the load check below
-bounds the solve's error, and over the 180 ``float_pairs`` LPs of
-seeds 201-220 the worst ``|load - 1|`` was 2.4e-15.  The rung accepts
+The rung never holds A whole.  Each round forms the co-degree matrix
+``G = A[B]^T A[B]`` (``_gram``), summed over one BLAS product per block
+of rows of ``A[B]``, at most 2.5 MiB of float32 each, built in one
+reused buffer from the rows of ``edge_array`` that B keeps.  Entry
+(u, v) of G counts the edges of B through u and v, so every partial sum
+is an integer of at most m < 2**24, which float32 adds exactly in any
+order: G, and G in float64, is exact.  G is positive definite exactly when
+``A[B]`` has full column rank, so the rung factors it by Cholesky in
+float64, with LAPACK's ``dpotrf`` from scipy's ``_flapack``, loaded by
+``_extension`` once the gates below pass.  A singular G can still
+factor in floats, with a pivot left at rounding level, so every pivot
+must exceed ``_PIVOT_FLOOR`` = 1e-8 times its diagonal entry; a
+factorization that fails (``info != 0``) rejects too.  Over 4000 small
+pair blow-ups, singular Grams left pivots of at most 7e-15 of their
+diagonal entry and nonsingular ones at least 5e-3 (``BENCH_17.json``).
+G must stay the exact integer matrix: the floor tells singular from
+nonsingular only because G carries no rounding of its own, and without
+the floor the rung accepts instances whose x = 1/t is optimal but not
+unique (``tests/test_lp.py``).  The rung then solves ``G z = 1`` once,
+by ``dpotrs`` from the same factor, so G is factored once per round,
+and sets ``y = A[B] z``, the least-norm solution of ``A[B]^T y = 1``.
+No refinement step is needed: the load check below bounds the solve's
+error, and over the 180 ``float_pairs`` LPs of seeds 201-220 the worst
+``|load - 1|`` was 2.4e-15.  The rung accepts
 if y exceeds ``FLOAT_SUPPORT_TOL`` on all of B and every vertex load
 is within 1e-9 of 1, and returns x, that y and n'/t as both objectives; y can be
 positive on all m edges.  If y is not positive somewhere, those edges
-leave B and the rung goes again while |B| >= n'.  Their rows of A are
-zeroed in place, which leaves G the same: a copy of ``A[B]`` would hold
-a second incidence, and raised the benchmark's peak RSS by 5 MB where
-a second round ran.  Each round shrinks B, so the loop ends.  A failed
-factorization or a low pivot ends the rung at once, as no subset of B
-has full rank either.
+leave B, which only shortens the list of kept rows the next G is summed
+over, and the rung goes again while |B| >= n'.  Each round shrinks B,
+so the loop ends.  A failed factorization or a low pivot ends the rung
+at once, as no subset of B has full rank either.
 
 The rung is tried only where these gates hold:
 
@@ -132,17 +134,19 @@ The rung is tried only where these gates hold:
   t columns of ``A[B]`` are then equal, so no B can certify;
 - n' <= m < 2**24.  Full column rank needs n' edges, and exact float32
   sums need m below 2**24;
-- the dense arrays, 4*m*n' bytes of incidence and 8*n'**2 of G, take
-  no more than HiGHS would hold for the covering model, about 200 bytes
-  per unit of n + m*t (the guard in ``_solve_pair``).  On the
-  benchmark's pair blow-ups that is 6.8 MB against 13.9 MB.
+- a dense incidence and G, 4*m*n' + 8*n'**2 bytes, would take no more
+  than HiGHS would hold for the covering model, about 200 bytes per
+  unit of n + m*t (the guard in ``_solve_pair``).  On the benchmark's
+  pair blow-ups that is 6.8 MB against 13.9 MB.  The rung holds at most
+  2.5 MiB of the incidence, so it stays inside this bound, which decides
+  where the rung is tried.
 
 Every rejection runs the covering solve as it would without the rung.
 A rejection costs the rung's own rounds on top: 0.04-0.5 ms on sparse
 pair blow-ups of 28x30 to 91x100, and up to 16 ms on 190x388, where
-many rounds run, against a covering solve of 3-57 ms.  An acceptance
-takes 5-12 ms on the benchmark's pair blow-ups, whose covering solve
-takes 72-154 ms (``BENCH_17.json``).  Exact mode does not
+many rounds run, against a covering solve of 3-57 ms (``BENCH_17.json``).
+An acceptance takes 4.2-8.4 ms on the benchmark's pair blow-ups
+(``BENCH_25.json``), whose covering solve takes 72-154 ms.  Exact mode does not
 try the rung: its ladder needs a rational y, and the rung's y is a
 float.
 """
@@ -373,7 +377,7 @@ def _basis_pair(H: Hypergraph, basis):
     and their rows struck out, nonsingular like it: ``A[T,S] x_S = 1``
     and ``A[T,S]^T y_T = 1`` each have one solution.
     """
-    basic = _highs_core().HighsBasisStatus.kBasic
+    basic = _extension(_HIGHS).HighsBasisStatus.kBasic
     S = [v for v, status in enumerate(basis.col_status) if status == basic]
     T = [ei for ei, status in enumerate(basis.row_status) if status != basic]
     rows = [[int(v in e) for v in S] for e in (set(H.edges[ei]) for ei in T)]
@@ -394,45 +398,49 @@ def _exact_pair(x: dict, y: dict):
             LPSolution("dual", y, _total(y.values()), "exact"))
 
 
-_BINDING_NAME = "scipy.optimize._highspy._core"
-_binding_lock = threading.Lock()
+_HIGHS = "scipy.optimize._highspy._core"
+_LAPACK = "scipy.linalg._flapack"
+_extension_lock = threading.Lock()
 
 
-def _highs_core():
-    """HiGHS's binding bundled with scipy, loaded without ``scipy.optimize``.
+def _extension(name: str):
+    """The scipy extension module ``name``, loaded without its package.
 
-    An ordinary import of the binding first runs
+    An ordinary import of HiGHS's binding first runs
     ``scipy/optimize/__init__.py``, which loads ``scipy.linalg``,
-    ``scipy.fft``, ``linprog`` and more that nothing here uses.  So the
-    extension file is found next to scipy and executed on its own,
-    registered under its full name first, so that a later
-    ``import scipy.optimize`` reuses this module (pybind11 refuses to
-    register its types twice).  A binding already imported is used as it
-    is; a scipy without the file at that place gets the ordinary import.
-    The lock keeps two threads from executing the extension at once.
+    ``scipy.fft``, ``linprog`` and more that nothing here uses, and an
+    ordinary import of ``_flapack`` runs ``scipy/linalg/__init__.py``,
+    about 0.34 s.  So the extension file is found in scipy's directory,
+    located by its import spec without running ``scipy/__init__.py``
+    either (about 8 ms), and executed on its own, registered under its
+    full name first, so that a later ordinary import reuses this module
+    (pybind11 refuses to register its types twice).  A module already
+    imported is used as it is; a scipy without the file at that place
+    gets the ordinary import.  The lock keeps two threads from executing
+    an extension at once.
     """
-    with _binding_lock:
-        core = sys.modules.get(_BINDING_NAME)
-        if core is not None:
-            return core
-        import scipy
+    with _extension_lock:
+        module = sys.modules.get(name)
+        if module is not None:
+            return module
+        from importlib import import_module
         from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-        from importlib.util import module_from_spec
+        from importlib.util import find_spec, module_from_spec
 
-        finder = FileFinder(os.path.join(scipy.__path__[0], "optimize", "_highspy"),
+        scipy_dir = find_spec("scipy").submodule_search_locations[0]
+        finder = FileFinder(os.path.join(scipy_dir, *name.split(".")[1:-1]),
                             (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(_BINDING_NAME)
+        spec = finder.find_spec(name)
         if spec is None:
-            from scipy.optimize._highspy import _core
-            return _core
-        core = module_from_spec(spec)
-        sys.modules[_BINDING_NAME] = core
+            return import_module(name)
+        module = module_from_spec(spec)
+        sys.modules[name] = module
         try:
-            spec.loader.exec_module(core)
+            spec.loader.exec_module(module)
         except BaseException:
-            del sys.modules[_BINDING_NAME]
+            del sys.modules[name]
             raise
-        return core
+        return module
 
 
 _thread = threading.local()
@@ -458,7 +466,7 @@ def _dominated(H: Hypergraph):
 
 def _highs(H: Hypergraph, exact: bool = True):
     """One HiGHS dual-simplex solve of the covering program, through the
-    binding bundled with scipy, loaded by ``_highs_core`` so that
+    binding bundled with scipy, loaded by ``_extension`` so that
     ``scipy.optimize`` itself is never imported.
 
     The program goes in as ``minimize sum(x)  subject to  -A x <= -1,
@@ -490,7 +498,7 @@ def _highs(H: Hypergraph, exact: bool = True):
     """
     import numpy as np
 
-    _core = _highs_core()
+    _core = _extension(_HIGHS)
 
     highs = getattr(_thread, "highs", None) if exact else None
     if highs is None:
@@ -525,12 +533,45 @@ def _highs(H: Hypergraph, exact: bool = True):
 
 
 # HiGHS holds about 200 bytes per unit of n + m*t of the covering model
-# (the guard in ``_solve_pair``); the rung's dense arrays may take as much
+# (the guard in ``_solve_pair``); the rung's gate lets a dense incidence and G take as much
 _HIGHS_BYTES_PER_UNIT = 200
 # a Cholesky pivot below this fraction of its diagonal entry is taken for 0
 _PIVOT_FLOOR = 1e-8
 # the largest violation of A^T y = 1 an accepted rung may leave
 _MATCHING_TOL = 1e-9
+# bytes of float32 incidence rows built at a time while G is summed (``_gram``)
+_GRAM_BLOCK_BYTES = 5 << 19  # 2.5 MiB
+
+
+def _gram(E, size: int):
+    """The co-degree matrix ``A^T A`` in float32, where row i of the 0/1
+    incidence A has its ones at the ``size`` columns listed in row i of ``E``.
+
+    A is never held whole: G is summed over blocks of its rows, as many
+    as fit ``_GRAM_BLOCK_BYTES`` (at least one), each set up in one
+    reused buffer and multiplied into one reused product buffer.  Every
+    entry is an integer of at most m < 2**24, so float32 sums it exactly
+    in any order.  Smaller blocks were slower: glibc hands freed heap
+    back to the system beyond twice the largest chunk it has unmapped,
+    so with 1-2 MiB blocks the other temporaries of a benchmark operation
+    were re-faulted every time (380-740 page faults per ``float_pairs``
+    operation against 30-40, and 85 against 96-99 operations per
+    second).  Larger blocks raised ``cli_pipes``' peak RSS.
+    """
+    import numpy as np
+
+    G = np.zeros((size, size), dtype=np.float32)
+    product = np.empty_like(G)
+    block = np.empty((min(max(_GRAM_BLOCK_BYTES // (4 * size), 1), len(E)), size),
+                     dtype=np.float32)
+    at = np.arange(len(block))[:, None]
+    for start in range(0, len(E), len(block)):
+        rows = E[start:start + len(block)]
+        A = block[:len(rows)]
+        A.fill(0)
+        A[at[:len(rows)], rows] = 1
+        G += np.matmul(A.T, A, out=product)
+    return G
 
 
 def _uniform_pair(H: Hypergraph):
@@ -538,10 +579,12 @@ def _uniform_pair(H: Hypergraph):
     unique covering optimum, or return None (module docstring).
 
     Each round factors the exact co-degree matrix G of the edges B left
-    (all of them at first), solves ``G z = 1`` once and sets y = A[B] z,
-    the least-norm solution of ``A[B]^T y = 1``; it accepts a y that is
-    positive on B, drops the edges where it is not and goes again, and
-    gives up once G is singular or fewer than n' edges are left.
+    (all of them at first) by LAPACK's ``dpotrf``, solves ``G z = 1``
+    from that factor by ``dpotrs`` and sets y = A[B] z, the least-norm
+    solution of ``A[B]^T y = 1``; it accepts a y that is positive on B,
+    keeps only the edges where it is and goes again, and gives up once G
+    is singular or fewer than n' edges are left.  LAPACK is loaded only
+    once the gates pass.
     """
     import numpy as np
 
@@ -553,23 +596,21 @@ def _uniform_pair(H: Hypergraph):
         return None
     if 4 * H.m * size + 8 * size * size > _HIGHS_BYTES_PER_UNIT * (H.n + H.m * H.t):
         return None
-    column = np.zeros(H.n, dtype=np.intp)
-    column[used] = np.arange(size)
-    E = column[E]
-    A = np.zeros((H.m, size), dtype=np.float32)
-    A[np.arange(H.m)[:, None], E] = 1
+    lapack = _extension(_LAPACK)
+    if size < H.n:  # number the non-isolated vertices 0..n'-1
+        column = np.zeros(H.n, dtype=np.intp)
+        column[used] = np.arange(size)
+        E = column[E]
     kept = np.arange(H.m)
     ones = np.ones(size)
     while kept.size >= size:
-        # integer sums below m < 2**24: exact in float32, whatever the order
-        G = (A.T @ A).astype(np.float64)
-        try:
-            L = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
+        G = _gram(E, size).astype(np.float64)
+        diagonal = np.diagonal(G).copy()
+        # G is symmetric, so G.T is G in the column order LAPACK factors in place
+        L, info = lapack.dpotrf(G.T, lower=1, clean=0, overwrite_a=1)
+        if info or not (np.diagonal(L) ** 2 > _PIVOT_FLOOR * diagonal).all():
             return None
-        if not (np.diagonal(L) ** 2 > _PIVOT_FLOOR * np.diagonal(G)).all():
-            return None
-        y = np.linalg.solve(G, ones)[E].sum(axis=1)
+        y = lapack.dpotrs(L, ones, lower=1)[0][E].sum(axis=1)
         positive = y > FLOAT_SUPPORT_TOL
         if positive.all():
             loads = np.bincount(E.ravel(), weights=np.repeat(y, H.t), minlength=size)
@@ -579,8 +620,6 @@ def _uniform_pair(H: Hypergraph):
             x = dict.fromkeys(used.tolist(), 1 / H.t)
             return (LPSolution("primal", x, obj, "float"),
                     LPSolution("dual", dict(zip(kept.tolist(), y.tolist())), obj, "float"))
-        # zero rows add nothing to G: a copy of A[B] would hold a second incidence
-        A[kept[~positive]] = 0
         E, kept = E[positive], kept[positive]
     return None
 

@@ -181,27 +181,34 @@ def find_tents(H: Hypergraph, limit=None) -> list[tuple[int, int, int, int]]:
     apex, plus a crossing edge that meets each of the three in exactly
     one vertex, those three meeting points pairwise distinct: for t = 3,
     a copy of ``three_tent``.  Result tuples list the three concurrent
-    edges sorted ascending, the crossing edge last.  Every 4-subset of
-    edges is tried in each of its four crossing-edge roles, so a subset
-    can appear more than once with different roles.
+    edges sorted ascending, the crossing edge last, ordered by their
+    sorted 4-set of edge ids and then by the crossing edge.
+
+    Found by apex: every triple of edges through one vertex that meet
+    pairwise only there, then every edge through a vertex of each of the
+    three besides the apex that meets each of them once.  Such an edge
+    misses the apex, so its meeting points lie in the three edges' rests,
+    which are pairwise disjoint: the points are distinct.  The limit
+    still counts the 4*C(m, 4) checks of trying every 4-set of edges in
+    every crossing role, which returns the same list.
     """
     check_comb(H.m, 4, 4, TENT_CHECK_LIMIT, "tent checks", limit)
     sets = [frozenset(e) for e in H.edges]
+    through = {}
+    for i, e in enumerate(H.edges):
+        for v in e:
+            through.setdefault(v, set()).add(i)
     found = []
-    for quad in combinations(range(len(sets)), 4):
-        for cross in quad:
-            rest = tuple(i for i in quad if i != cross)
-            a, b, c = (sets[i] for i in rest)
-            apex = a & b
-            if len(apex) != 1 or a & c != apex or b & c != apex:
+    for apex, star in through.items():
+        for trio in combinations(sorted(star), 3):
+            legs = [sets[i] - {apex} for i in trio]
+            if legs[0] & legs[1] or legs[0] & legs[2] or legs[1] & legs[2]:
                 continue
-            e4 = sets[cross]
-            meets = [e4 & s for s in (a, b, c)]
-            if any(len(x) != 1 for x in meets):
-                continue
-            if len(meets[0] | meets[1] | meets[2]) != 3:
-                continue
-            found.append((*rest, cross))
+            near = [set().union(*(through[v] for v in leg)) for leg in legs]
+            for cross in near[0] & near[1] & near[2]:
+                if all(len(sets[cross] & sets[i]) == 1 for i in trio):
+                    found.append((*trio, cross))
+    found.sort(key=lambda tent: (sorted(tent), tent[3]))
     return found
 
 

@@ -32,7 +32,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress
 from numbers import Real
 
 from .errors import ParameterError, VerificationError
@@ -258,12 +257,15 @@ def recursive_threshold(instance, gamma, mode: str = "exact",
         if not hot:
             break
         taken |= hot
-        # the solve above built current.edge_array; the survivors of a
-        # canonical edge list are canonical
-        keep = [hot.isdisjoint(e) for e in current.edges]
-        current = Hypergraph._from_canonical(
-            current.t, current.n, tuple(compress(current.edges, keep)),
-            current.edge_array[keep])
+        # the solve above loaded numpy and built current.edge_array; the
+        # survivors of a canonical edge list are canonical, and stay arrays only
+        import numpy as np
+
+        E = current.edge_array
+        hit = np.zeros(current.n, dtype=bool)
+        hit[list(hot)] = True
+        current = Hypergraph._from_canonical(current.t, current.n,
+                                             array=E[~hit[E].any(axis=1)])
         solution = solve_vc_lp(current, mode=mode, size_guard=size_guard)
     if mode == "exact" and len(taken) * cut > root.objective - solution.objective:
         raise VerificationError(

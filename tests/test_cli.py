@@ -255,6 +255,18 @@ def test_verify_cover_checks_the_breakdown():
     assert run(["verify", "cover"], doc.replace("U=", "U=0"))[:2] == (0, "OK\n")
 
 
+def test_verify_cover_solves_under_its_size_guard():
+    # round threshold wrote a rational LP OPT under a raised exact guard; n*m
+    # is 80840, so verify needs the same guard to re-solve it
+    doc = chain(["gen", "random", "--n", "40", "--t", "3", "--p", "0.2", "--seed", "1"],
+                ["round", "threshold", "--mode", "exact", "--size-guard", "1000000"])
+    assert "LP OPT=40/3 " in doc
+    assert run(["verify", "cover"], doc) == (
+        4, "", "resource limit: exact LP size n*m = 80840 exceeds limit 50000\n")
+    assert run(["verify", "cover", "--size-guard", "80840"], doc) == (0, "OK\n", "")
+    assert run(["verify", "cover", "--size-guard", "80839"], doc)[0] == 4
+
+
 def test_verify_cover_checks_the_lp_line(capsys, monkeypatch):
     # each edit printed OK: a RESIDUAL above OPT, values of two kinds, and
     # a rational OPT that is not the instance's optimum; only a rational
@@ -268,8 +280,8 @@ def test_verify_cover_checks_the_lp_line(capsys, monkeypatch):
     lineno = doc[:doc.index(line)].count("\n") + 1
 
     solves = []
-    monkeypatch.setattr(cli, "solve_vc_lp",
-                        lambda H, mode: solves.append(mode) or lp.solve_vc_lp(H, mode))
+    monkeypatch.setattr(cli, "solve_vc_lp", lambda H, mode, size_guard: (
+        solves.append(mode) or lp.solve_vc_lp(H, mode, size_guard)))
 
     def verify(lp_line):
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc.replace(line, lp_line)))

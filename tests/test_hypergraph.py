@@ -1,6 +1,8 @@
 """Structural tests for hypergraphs, blow-ups, and feasibility checks."""
 
+import pickle
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from math import comb
 
 from turancover import hypergraph
 from turancover.errors import ParameterError
+from turancover import formats
 from turancover.formats import _array_instance, serialize_instance, serialize_setsystem
 from turancover.generators import complete, random_hypergraph, simplify_reduction
 from turancover.hypergraph import (
@@ -157,6 +160,77 @@ def test_edgeless_blow_ups_are_equal_on_both_paths():
         B = blow_up(base, 2)
         assert _blow_up_fields(B) == ((), (), 0, 6, base.n, 4, 2, [])
         _assert_same_blow_up(hypergraph._array_blow_up(base, 2), B)
+
+
+def _forms(instance):
+    H = instance.hyper if isinstance(instance, BlowUp) else instance
+    return {"edges", "edge_array"} & set(vars(H))
+
+
+def _assert_one_instance(from_arrays, from_tuples):
+    """Two builds of one instance, holding the array form and the tuple
+    form alone, behave as one value whichever form each side holds."""
+    assert _forms(from_arrays) == {"edge_array"} and _forms(from_tuples) == {"edges"}
+    pair = (from_arrays, from_tuples)
+    hypers = [x.hyper if isinstance(x, BlowUp) else x for x in pair]
+    # compared, counted, written and checked from the arrays: no tuples are
+    # built, unless n passes the m*t array entries
+    assert from_arrays == from_tuples and from_tuples == from_arrays
+    assert not from_arrays != from_tuples
+    assert hypers[0].m == hypers[1].m
+    assert serialize_instance(from_arrays) == serialize_instance(from_tuples)
+    n = hypers[0].n
+    for cover in ((), range(0, n, 2), range(1, n, 3), range(n)):
+        assert is_vertex_cover(hypers[0], cover) == is_vertex_cover(hypers[1], cover)
+    assert is_vertex_cover(hypers[0], ()) == (hypers[0].m == 0)
+    if hypers[0].n <= hypers[0].m * hypers[0].t:
+        assert _forms(from_arrays) == {"edge_array"}
+    assert hash(from_arrays) == hash(from_tuples)
+    assert repr(from_arrays) == repr(from_tuples)
+    assert pickle.dumps(hypers[0]) == pickle.dumps(hypers[1])
+    for x in pair:
+        clone = pickle.loads(pickle.dumps(x))
+        assert clone == x and hash(clone) == hash(x)
+    with pytest.raises(FrozenInstanceError):
+        hypers[0].n = 3
+    with pytest.raises(FrozenInstanceError):
+        del hypers[1].t
+
+
+_FORM_BASES = (Hypergraph(4, 0, []), Hypergraph(4, 9, []), Hypergraph(3, 3, [(0, 1, 2)]),
+               Hypergraph(4, 6, [(0, 1, 2, 3), (1, 2, 3, 5)]),
+               random_hypergraph(9, 4, 0.5, seed=3), random_hypergraph(20, 8, 0.03, seed=1))
+
+
+@pytest.mark.parametrize("base", _FORM_BASES, ids=lambda G: f"{G.t}-{G.n}-{G.m}")
+def test_array_and_tuple_blow_ups_are_one_instance(base):
+    for k in sorted({1, 2, base.t - 1}):
+        if base.n ** k > 2**20:  # the array path's table of n**k flags
+            continue
+        _assert_one_instance(hypergraph._array_blow_up(base, k),
+                             hypergraph._tuple_blow_up(base, k))
+
+
+@pytest.mark.parametrize("base", _FORM_BASES, ids=lambda G: f"{G.t}-{G.n}-{G.m}")
+def test_array_and_line_parsed_instances_are_one_instance(base):
+    # an edgeless blow-up reads back as a Hypergraph, which the base cases cover
+    for instance in (base, *(blow_up(base, k) for k in (1, 2) if base.m)):
+        text = serialize_instance(instance)
+        parsed, offset, _ = _array_instance(text)
+        assert offset == len(text)
+        _assert_one_instance(parsed, formats._parse_instance(formats._Cursor(text), False))
+
+
+def test_unequal_instances_differ_in_either_form():
+    G = random_hypergraph(9, 4, 0.5, seed=3)
+    missing = next(e for e in combinations(range(G.n), G.t) if e not in G.edges)
+    swapped = Hypergraph(G.t, G.n, (missing, *G.edges[1:]))  # one edge differs
+    arrays = Hypergraph._from_canonical(G.t, G.n, array=np.array(G.edges, dtype=np.intp))
+    for H in (swapped, Hypergraph(G.t, G.n, G.edges[1:])):
+        for other in (H, Hypergraph._from_canonical(H.t, H.n, array=H.edge_array.copy())):
+            assert arrays != other and other != arrays and G != other
+    assert arrays != Hypergraph(G.t, G.n + 1, G.edges)
+    assert _forms(arrays) == {"edge_array"}
 
 
 @settings(max_examples=60, deadline=None)

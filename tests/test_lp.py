@@ -291,7 +291,7 @@ _STEP2_INSTANCES = [
 def test_ladder_step2_solves_the_support_exactly(monkeypatch):
     calls = _spy(monkeypatch, "_basis_pair")
     _forbid(monkeypatch, "_simplex_pair")
-    basic = lp._highs_core().HighsBasisStatus.kBasic
+    basic = lp._extension(lp._HIGHS).HighsBasisStatus.kBasic
     objectives = []
     for expected, ((n, t, p, seed, k), shape) in enumerate(_STEP2_INSTANCES, start=1):
         H = blow_up(random_hypergraph(n, t, p, seed), k).hyper
@@ -326,7 +326,7 @@ def _force_step3(monkeypatch, H):
     """Certify H with HiGHS patched to zero vectors and an empty basis, which
     fail steps 1 and 2."""
     reference = solve_vc_lp(H).objective
-    empty = lp._highs_core().HighsBasis()
+    empty = lp._extension(lp._HIGHS).HighsBasis()
     monkeypatch.setattr(lp, "_highs", lambda H: (0.0, np.zeros(H.n), np.zeros(H.m), empty))
     calls = _spy(monkeypatch, "_simplex_pair")
     assert _assert_certified(H).objective == reference
@@ -452,21 +452,20 @@ def _covering_only(monkeypatch):
 
 
 def _cholesky_calls(monkeypatch):
-    """Record each Cholesky the rung makes: its smallest pivot over the
-    matching diagonal entry of G, or None where the factorization failed."""
+    """Record each Cholesky the rung makes, by LAPACK's ``dpotrf`` as the
+    loader hands it over: its smallest pivot over the matching diagonal
+    entry of G, or None where the factorization failed."""
     calls = []
-    real = np.linalg.cholesky
+    lapack = lp._extension(lp._LAPACK)
+    real = lapack.dpotrf
 
-    def spy(G):
-        try:
-            L = real(G)
-        except np.linalg.LinAlgError:
-            calls.append(None)
-            raise
-        calls.append((np.diagonal(L) ** 2 / np.diagonal(G)).min())
-        return L
+    def spy(G, **kwargs):
+        diagonal = np.diagonal(G).copy()  # the rung factors G in place
+        L, info = real(G, **kwargs)
+        calls.append(None if info else (np.diagonal(L) ** 2 / diagonal).min())
+        return L, info
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(lapack, "dpotrf", spy)
     return calls
 
 
@@ -589,7 +588,7 @@ def test_the_memory_gate_admits_an_instance_at_its_bound(monkeypatch):
 def test_a_rejected_rung_falls_back_to_the_covering_solve(monkeypatch, reason, shape):
     H = _sampled_pair_blow_up(*shape).hyper
     n_used = _used(H).size
-    core = lp._highs_core()
+    core = lp._extension(lp._HIGHS)
     cleared = []
     for name in ("clearModel", "clearSolver"):
         real = getattr(core._Highs, name)
@@ -598,11 +597,17 @@ def test_a_rejected_rung_falls_back_to_the_covering_solve(monkeypatch, reason, s
     made = _count_highs_objects(monkeypatch)
     covering = _spy(monkeypatch, "_highs")
     calls = _cholesky_calls(monkeypatch)
+    lapack = lp._extension(lp._LAPACK)
+    solves = []
+    monkeypatch.setattr(lapack, "dpotrs", lambda *a, real=lapack.dpotrs, **k: (
+        solves.append(a) or real(*a, **k)))
     primal, dual = lp._solve_pair(H, "float")
     # the rung built no HiGHS model: the covering solve's is the only one,
     # dropped without being emptied
     assert len(covering) == 1 and len(made) == 1
     assert cleared == []
+    # only a factorization with every pivot above the floor is solved from
+    assert len(solves) == sum(ratio is not None and ratio > lp._PIVOT_FLOOR for ratio in calls)
     full_rank = _incidence_rank(H, range(H.m)) == n_used
     if reason == "infeasible":
         # every round factors, and the edges left fall below n'
@@ -623,6 +628,26 @@ def test_a_rejected_rung_falls_back_to_the_covering_solve(monkeypatch, reason, s
     assert repr((primal, dual)) == repr(lp._solve_pair(H, "float"))
 
 
+def test_a_failed_factorization_rejects_before_any_solve(monkeypatch):
+    # dpotrf's info != 0 rejects, whatever the factor holds
+    H = blow_up(complete(8, 4), 2).hyper
+    lapack = lp._extension(lp._LAPACK)
+    monkeypatch.setattr(lapack, "dpotrf", lambda G, real=lapack.dpotrf, **kwargs: (
+        real(G, **kwargs)[0], 1))
+    monkeypatch.setattr(lapack, "dpotrs", None)
+    assert lp._uniform_pair(H) is None
+
+
+def test_the_rung_numbers_the_non_isolated_vertices():
+    # the regular pair blow-up of complete(8, 4), shifted past three isolated
+    # vertices: the rung certifies 1/t on the others only
+    B = blow_up(complete(8, 4), 2).hyper
+    H = Hypergraph(B.t, B.n + 3, [[v + 3 for v in e] for e in B.edges])
+    pair = lp._uniform_pair(H)
+    assert pair is not None and min(pair[0].values) == 3
+    _assert_uniform_and_unique(H, *pair)
+
+
 def test_the_pivot_floor_is_what_rejects_the_not_unique_instance(monkeypatch):
     # with no floor the rung would return x = 1/t, though another optimum exists
     H = _sampled_pair_blow_up(8, 4, 40, 2).hyper
@@ -632,17 +657,25 @@ def test_the_pivot_floor_is_what_rejects_the_not_unique_instance(monkeypatch):
     assert lp._uniform_pair(H) is None
 
 
-def test_every_accepted_rung_is_the_covering_optimum_over_a_seeded_sweep():
-    # pair blow-ups of random bases of varying density; wherever the rung
-    # accepts, the covering solve's x is 1/t on every non-isolated vertex
+@functools.cache
+def _seeded_sweep():
+    """Pair blow-ups of 160 random bases of varying density."""
     rng = random.Random(17)
-    accepted = rejected = 0
+    sweep = []
     for seed in range(160):
         n = rng.randint(7, 11)
         t = rng.randint(3, min(6, n - 2))
         total = math.comb(n, t)
         m = rng.randint(max(2, total // 20), min(total, 200))
-        H = _sampled_pair_blow_up(n, t, m, seed).hyper
+        sweep.append(((n, t, m, seed), _sampled_pair_blow_up(n, t, m, seed).hyper))
+    return tuple(sweep)
+
+
+def test_every_accepted_rung_is_the_covering_optimum_over_a_seeded_sweep():
+    # wherever the rung accepts, the covering solve's x is 1/t on every
+    # non-isolated vertex
+    accepted = rejected = 0
+    for (n, t, m, seed), H in _seeded_sweep():
         pair = lp._uniform_pair(H)
         if pair is None:
             rejected += 1
@@ -654,6 +687,29 @@ def test_every_accepted_rung_is_the_covering_optimum_over_a_seeded_sweep():
         expected[_used(H)] = 1 / H.t
         assert np.abs(x - expected).max() <= 1e-9, (n, t, m, seed)
     assert accepted >= 40 and rejected >= 40
+
+
+@pytest.mark.parametrize("budget", [lp._GRAM_BLOCK_BYTES, 1000, 1])
+def test_the_block_gram_is_the_dense_gram_over_the_seeded_sweep(monkeypatch, budget):
+    # every G the rung forms, in blocks of the default size, of 4 to 20 rows
+    # (with a short last block) or of one row, is A^T A of the kept rows'
+    # dense incidence; the 28x40 instance drops edges, so its later rounds
+    # sum over kept rows only
+    gram = lp._gram
+    monkeypatch.setattr(lp, "_GRAM_BLOCK_BYTES", budget)
+    later_rounds = 0
+    for H in (*(H for _, H in _seeded_sweep()), _sampled_pair_blow_up(8, 4, 40, 4).hyper):
+        grams = _spy(monkeypatch, "_gram")
+        lp._uniform_pair(H)
+        monkeypatch.setattr(lp, "_gram", gram)
+        for round_, (E, size) in enumerate(grams):
+            assert (len(E) == H.m) == (round_ == 0)
+            A = np.zeros((len(E), size))
+            A[np.arange(len(E))[:, None], E] = 1
+            G = gram(E, size)
+            assert G.dtype == np.float32 and np.array_equal(G, A.T @ A)
+        later_rounds += max(len(grams) - 1, 0)
+    assert later_rounds >= 1
 
 
 def test_exact_mode_confirms_the_unique_uniform_optimum():
@@ -715,7 +771,7 @@ def test_ladder_step1_matches_the_per_value_oracle(xs, ys):
 
 def _count_highs_objects(monkeypatch):
     """Record the thread of every ``_Highs`` built, starting with no cached object."""
-    core = lp._highs_core()
+    core = lp._extension(lp._HIGHS)
     real = core._Highs
     made = []
 
@@ -797,7 +853,7 @@ def test_concurrent_exact_solves_use_one_object_per_thread(monkeypatch):
 def test_float_solves_drop_their_fresh_object_unemptied(monkeypatch):
     # a reused float object keeps memory that clearModel does not hand back;
     # a fresh one per solve is dropped as it is
-    core = lp._highs_core()
+    core = lp._extension(lp._HIGHS)
     calls = []
     for name in ("clearModel", "clearSolver"):
         real = getattr(core._Highs, name)
@@ -814,7 +870,7 @@ def test_float_solves_drop_their_fresh_object_unemptied(monkeypatch):
 def test_a_solve_after_one_that_raised_still_certifies(monkeypatch):
     H = _corpus_blow_ups()[7]
     expected = repr(lp._solve_pair(H, "exact"))
-    core = lp._highs_core()
+    core = lp._extension(lp._HIGHS)
     real_run = core._Highs.run
 
     def crash(self):
@@ -1051,7 +1107,7 @@ def test_binding_imported_through_scipy_optimize_first_is_reused():
         from turancover import lp
         from turancover.generators import complete
         assert lp.solve_vc_lp(complete(4, 3), mode="float").objective == 4 / 3
-        print(lp._highs_core() is _core)
+        print(lp._extension(lp._HIGHS) is _core)
     """) == "True\n"
 
 
@@ -1068,7 +1124,7 @@ def test_linprog_after_a_solve_shares_the_binding_bit_for_bit():
 
         H = blow_up(random_hypergraph(14, 5, 0.15, seed=6), 4).hyper
         solved = {exact: lp._highs(H, exact=exact) for exact in (True, False)}
-        core = lp._highs_core()
+        core = lp._extension(lp._HIGHS)
         assert "scipy.optimize" not in sys.modules
         from scipy.optimize import linprog
         E = H.edge_array
@@ -1086,6 +1142,28 @@ def test_linprog_after_a_solve_shares_the_binding_bit_for_bit():
     """) == "True\n"
 
 
+def test_lapack_loads_past_the_rungs_gates_and_serves_scipy_linalg():
+    assert _fresh("""
+        import sys
+        from turancover import lp
+        from turancover.generators import complete
+        from turancover.hypergraph import Hypergraph, blow_up
+
+        # the benchmark's warm-up instance: its degree-1 vertices fail a gate
+        lp.solve_vc_lp(Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)]), mode="float")
+        print(lp._LAPACK in sys.modules, end=" ")
+        assert lp._uniform_pair(blow_up(complete(8, 4), 2).hyper) is not None
+        # neither load ran scipy/__init__.py, nor that of scipy.linalg
+        print(lp._LAPACK in sys.modules, "scipy" in sys.modules, "scipy.linalg" in sys.modules,
+              end=" ")
+        import scipy.linalg
+        import numpy as np
+        G = np.array([[4.0, 2.0], [2.0, 3.0]])
+        assert np.allclose(scipy.linalg.cholesky(G, lower=True), np.linalg.cholesky(G))
+        print(scipy.linalg.lapack._flapack is lp._extension(lp._LAPACK))
+    """) == "False True False False True\n"
+
+
 def test_concurrent_first_solves_load_the_binding_once():
     assert _fresh("""
         import sys
@@ -1100,7 +1178,7 @@ def test_concurrent_first_solves_load_the_binding_once():
 
         def solve():
             start.wait()
-            found.append((lp.solve_vc_lp(H, mode="float").objective, lp._highs_core()))
+            found.append((lp.solve_vc_lp(H, mode="float").objective, lp._extension(lp._HIGHS)))
 
         threads = [threading.Thread(target=solve) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -1118,17 +1196,21 @@ def test_concurrent_first_solves_load_the_binding_once():
 
 
 def test_binding_falls_back_to_the_ordinary_import(tmp_path):
-    # scipy's first path entry has no optimize/_highspy: the import system finds it
+    # scipy's first path entry has no optimize/_highspy and no linalg: the
+    # import system finds both extensions
     assert _fresh(f"""
         import sys
         import scipy
         scipy.__path__.insert(0, {str(tmp_path)!r})
         from turancover import lp
-        from turancover.hypergraph import Hypergraph
+        from turancover.generators import complete
+        from turancover.hypergraph import Hypergraph, blow_up
+        assert lp._uniform_pair(blow_up(complete(8, 4), 2).hyper) is not None
+        print("scipy.linalg" in sys.modules, "scipy.optimize" in sys.modules, end=" ")
         # a single edge: its vertices have degree 1, so the solve reaches HiGHS
         assert lp.solve_vc_lp(Hypergraph(3, 3, [(0, 1, 2)]), mode="float").objective == 1
         print("scipy.optimize" in sys.modules)
-    """) == "True\n"
+    """) == "True False True\n"
 
 
 def test_failed_load_leaves_no_module_behind():
@@ -1151,7 +1233,7 @@ def test_failed_load_leaves_no_module_behind():
             lp.solve_vc_lp(H, mode="float")
         except ImportError as error:
             print(error, end=" ")
-        print(lp._BINDING_NAME in sys.modules, end=" ")
+        print(lp._HIGHS in sys.modules, end=" ")
         ExtensionFileLoader.exec_module = real
         print(lp.solve_vc_lp(H, mode="float").objective == 1)
     """) == "refused False True\n"

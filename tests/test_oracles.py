@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 
 import pytest
@@ -136,6 +137,52 @@ def test_tent_apex_is_the_only_shared_vertex():
     assert find_tents(H) == []
     # f_free_random purges every copy of three_tent, so no tent is left to find
     assert find_tents(f_free_random(12, 3, [three_tent()], p=0.25, seed=10)) == []
+
+
+def _find_tents_reference(H):
+    """The quadruple scan ``find_tents`` replaced: every 4-subset of edges in
+    each of its four crossing-edge roles, in that order."""
+    sets = [frozenset(e) for e in H.edges]
+    found = []
+    for quad in combinations(range(len(sets)), 4):
+        for cross in quad:
+            rest = tuple(i for i in quad if i != cross)
+            a, b, c = (sets[i] for i in rest)
+            apex = a & b
+            if len(apex) != 1 or a & c != apex or b & c != apex:
+                continue
+            e4 = sets[cross]
+            meets = [e4 & s for s in (a, b, c)]
+            if any(len(x) != 1 for x in meets):
+                continue
+            if len(meets[0] | meets[1] | meets[2]) != 3:
+                continue
+            found.append((*rest, cross))
+    return found
+
+
+def test_find_tents_returns_what_the_quadruple_scan_returns():
+    cases = [three_tent(), combinatorial_lines(2), complete(6, 3), complete(7, 2),
+             Hypergraph(3, 7, [(0, 1, 4), (0, 2, 5), (0, 3, 6), (1, 4, 5)]),
+             # two crossing edges on one triple
+             Hypergraph(3, 10, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (2, 4, 6)]),
+             # 4-uniform: edges through a vertex of each leg that meet a leg
+             # twice or hold the apex cross nothing; the last one does
+             Hypergraph(4, 11, [(0, 1, 2, 3), (0, 4, 5, 6), (0, 7, 8, 9), (1, 2, 4, 7),
+                                (0, 1, 4, 7), (3, 6, 9, 10)]),
+             # the search indexes the vertices on an edge, not all n of them
+             Hypergraph(3, 10**15, three_tent().edges)]
+    cases += [random_hypergraph(n, t, p, seed) for seed in range(40)
+              for n, t, p in ((9, 3, 0.2), (8, 4, 0.12), (7, 2, 0.5))]
+    cases += [blow_up(random_hypergraph(7, 3, 0.35, seed), 2).hyper for seed in range(3)]
+    with_tents = 0
+    for H in cases:
+        tents = find_tents(H)
+        assert tents == _find_tents_reference(H)
+        with_tents += bool(tents)
+        assert all(len(set(tent)) == 4 for tent in tents)
+    assert with_tents >= 40  # the comparison is not all empty lists
+    assert any(len(tents) > 1 for tents in map(find_tents, cases))
 
 
 def test_find_tents_agrees_with_the_tent_embedding():
