@@ -107,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("quantity", choices=["tau", "nu", "taustar", "tents", "rho", "alpha"])
     orc.add_argument("--mode", choices=["exact", "float"], default="exact",
                      help="LP mode for taustar")
-    orc.add_argument("--limit", type=int, default=None, help="search budget override")
+    orc.add_argument("--limit", type=int, default=None,
+                     help="taustar: the LP's size (n*m exact, n+m*t float); tau, nu, alpha: "
+                          "search nodes; tents: tent checks; rho: pattern edges")
 
     sc = commands.add_parser("setcover", help="set cover routines")
     sc.add_argument("routine", choices=["greedy"])

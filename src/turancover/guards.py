@@ -6,7 +6,9 @@ a count they refuse).  The limit is the explicit ``size_guard=``/``limit=``,
 else the ``TURANCOVER_SIZE_GUARD`` override, else the operation's default;
 either source must be an int, not a bool, of at least 0 (else
 ParameterError).  A count above it is a ResourceLimitError reading
-``<what> = <count> exceeds limit <limit>``.
+``<what> = <count> exceeds limit <limit>``.  An exact search, whose size
+is not known in advance, runs under a ``NodeBudget`` of that many nodes
+instead and is refused with ``search budget exceeded`` once it passes it.
 """
 
 import operator
@@ -18,6 +20,7 @@ from .errors import ParameterError, ResourceLimitError
 
 ENV_VAR = "TURANCOVER_SIZE_GUARD"
 ENUMERATION_GUARD = 1_000_000
+BRUTE_NODE_LIMIT = 2_000_000
 
 
 def _index(value, what: str) -> int:
@@ -70,6 +73,44 @@ def check_limit(count: int, default: int, what: str, limit=None) -> int:
     if count > cap:
         raise ResourceLimitError(f"{what} = {count} exceeds limit {cap}")
     return cap
+
+
+class NodeBudget:
+    """A depth-first search's node budget: ``limit`` nodes, resolved by the
+    one limit rule with ``BRUTE_NODE_LIMIT`` as the default.  The limit is
+    checked when the budget is made, before the search looks at its input.
+    """
+
+    __slots__ = ("left",)
+
+    def __init__(self, limit=None):
+        self.left = resolve_limit(limit, BRUTE_NODE_LIMIT)
+
+    def search(self, root, visit) -> None:
+        """Visit ``root`` and its descendants depth first, in order, on an
+        explicit stack, so no depth exhausts Python's recursion limit.
+
+        ``visit(node)`` is called once per node, after the node is paid
+        for, and returns the node's children as an iterable, or None to
+        end the whole search.  The children are read lazily, so a
+        generator makes each child only once the subtrees of its earlier
+        siblings are searched, as a recursive search would.  Visiting a
+        node past the budget raises ResourceLimitError.
+        """
+        stack = [iter((root,))]
+        while stack:
+            for node in stack[-1]:
+                self.left -= 1
+                if self.left < 0:
+                    raise ResourceLimitError("search budget exceeded")
+                children = visit(node)
+                if children is None:
+                    return
+                if children:  # an empty tuple is a leaf; a generator is always pushed
+                    stack.append(iter(children))
+                break
+            else:
+                stack.pop()
 
 
 def check_comb(n: int, k: int, per: int, default: int, what: str, limit=None) -> None:

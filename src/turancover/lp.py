@@ -574,9 +574,18 @@ def _gram(E, size: int):
     return G
 
 
-def _uniform_pair(H: Hypergraph):
+def _float_pair(obj, primal, dual, side):
+    """A float (primal, dual) pair of objective ``obj``, each side's values
+    built by calling ``primal`` or ``dual``; with ``side`` 0 or 1 only that
+    side is built and the other is None."""
+    return (LPSolution("primal", primal(), obj, "float") if side != 1 else None,
+            LPSolution("dual", dual(), obj, "float") if side != 0 else None)
+
+
+def _uniform_pair(H: Hypergraph, side=None):
     """Float rung: certify x = 1/t on every non-isolated vertex as the
-    unique covering optimum, or return None (module docstring).
+    unique covering optimum, or return None (module docstring); ``side``
+    as in ``_float_pair``.
 
     Each round factors the exact co-degree matrix G of the edges B left
     (all of them at first) by LAPACK's ``dpotrf``, solves ``G z = 1``
@@ -616,16 +625,18 @@ def _uniform_pair(H: Hypergraph):
             loads = np.bincount(E.ravel(), weights=np.repeat(y, H.t), minlength=size)
             if np.abs(loads - 1).max() > _MATCHING_TOL:
                 return None
-            obj = size / H.t
-            x = dict.fromkeys(used.tolist(), 1 / H.t)
-            return (LPSolution("primal", x, obj, "float"),
-                    LPSolution("dual", dict(zip(kept.tolist(), y.tolist())), obj, "float"))
+            return _float_pair(size / H.t, lambda: dict.fromkeys(used.tolist(), 1 / H.t),
+                               lambda: dict(zip(kept.tolist(), y.tolist())), side)
         E, kept = E[positive], kept[positive]
     return None
 
 
-def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
-    """Optimal (primal, dual) pair from HiGHS; see the module docstring."""
+def _solve_pair(H: Hypergraph, mode: str, size_guard=None, side=None):
+    """Optimal (primal, dual) pair from HiGHS; see the module docstring.
+
+    In float mode ``side`` 0 or 1 builds only that side (``_float_pair``);
+    exact mode builds both, the certificate needing each.
+    """
     if mode == "exact":
         check_limit(H.n * H.m, EXACT_SIZE_GUARD, "exact LP size n*m", size_guard)
     elif mode == "float":
@@ -638,13 +649,11 @@ def _solve_pair(H: Hypergraph, mode: str, size_guard=None):
         zero = _ZERO if mode == "exact" else 0.0
         return LPSolution("primal", {}, zero, mode), LPSolution("dual", {}, zero, mode)
     if mode == "float":
-        pair = _uniform_pair(H)
+        pair = _uniform_pair(H, side)
         if pair is not None:
             return pair
         obj, x, y, _ = _highs(H, exact=False)
-        obj = float(obj)
-        return (LPSolution("primal", _float_values(x), obj, "float"),
-                LPSolution("dual", _float_values(y), obj, "float"))
+        return _float_pair(float(obj), lambda: _float_values(x), lambda: _float_values(y), side)
     _, x, y, basis = _highs(H)
     for step in (lambda: _rationalized_pair(x, y), lambda: _basis_pair(H, basis)):
         primal, dual = _exact_pair(*step())
@@ -666,7 +675,7 @@ def solve_vc_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSoluti
     a Fraction objective.  An edgeless instance yields the empty
     solution with objective 0.
     """
-    return _solve_pair(H, mode, size_guard)[0]
+    return _solve_pair(H, mode, size_guard, 0)[0]
 
 
 def solve_matching_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LPSolution:
@@ -675,7 +684,7 @@ def solve_matching_lp(H: Hypergraph, mode: str = "exact", size_guard=None) -> LP
     Both sides come from the same solve, so in float mode this objective
     equals ``solve_vc_lp``'s bit for bit.
     """
-    return _solve_pair(H, mode, size_guard)[1]
+    return _solve_pair(H, mode, size_guard, 1)[1]
 
 
 def check_complementary_slackness(

@@ -3,8 +3,9 @@
 Exact cover/matching/independence numbers via branch and bound, an
 exhaustive scanner for tent configurations, sub-hypergraph embedding
 search, and the edge-density parameter used to size random constructions.
-These are deliberately independent of the LP machinery (the optional LP
-pruning bound can be switched off) so they can serve as oracles for it.
+They use nothing of the LP machinery, so they can serve as oracles for
+it.  Every search runs under one ``guards.NodeBudget``, on an explicit
+stack.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .errors import ParameterError, ResourceLimitError
-from .guards import check_comb, check_limit, resolve_limit
+from .errors import ParameterError
+from .guards import NodeBudget, check_comb, check_limit
 from .hypergraph import Hypergraph, dual
 from .setcover import greedy_set_cover
 
@@ -28,9 +29,7 @@ __all__ = [
     "rho",
 ]
 
-BRUTE_NODE_LIMIT = 2_000_000
 TENT_CHECK_LIMIT = 5_000_000
-PATTERN_EDGE_LIMIT = 6
 RHO_EDGE_LIMIT = 20
 
 
@@ -47,20 +46,6 @@ class Embedding:
     edge_map: dict
 
 
-class _NodeBudget:
-    """A search's node budget, ``BRUTE_NODE_LIMIT`` nodes by default."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, limit):
-        self.left = resolve_limit(limit, BRUTE_NODE_LIMIT)
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise ResourceLimitError("search budget exceeded")
-
-
 def _greedy_matching_size(edge_sets) -> int:
     """Admissible cover lower bound: pairwise disjoint edges each need a
     distinct cover vertex."""
@@ -73,75 +58,57 @@ def _greedy_matching_size(edge_sets) -> int:
     return count
 
 
-def brute_tau(H: Hypergraph, limit=None, lp_bound: bool = True) -> int:
+def brute_tau(H: Hypergraph, limit=None) -> int:
     """Exact minimum vertex cover size.
 
     Branches on the vertices of the lowest-id uncovered edge, pruning
-    with a greedy disjoint-edge lower bound per node.  When ``lp_bound``
-    is set the fractional covering optimum is used once at the root for
-    early termination; oracle-vs-LP tests pass lp_bound=False to stay
-    independent of the solver under test.
+    with a greedy disjoint-edge lower bound per node, and stops once a
+    cover meets the root's bound.
     """
-    budget = _NodeBudget(limit)
+    budget = NodeBudget(limit)
     edge_sets = [frozenset(e) for e in H.edges]
     if not edge_sets:
         return 0
     # a vertex cover of H is a set cover of its dual
     best = len(greedy_set_cover(dual(H)).picked)
     root_lb = _greedy_matching_size(edge_sets)
-    if lp_bound:
-        from .lp import solve_vc_lp
-
-        frac = solve_vc_lp(H).objective
-        root_lb = max(root_lb, -(-frac.numerator // frac.denominator))
     if best == root_lb:
         return best
 
-    def descend(uncovered, size):
+    def visit(node):
         nonlocal best
-        budget.spend()
+        uncovered, size = node
         if not uncovered:
-            if size < best:
-                best = size
-            return
+            best = min(best, size)
+            return None if best == root_lb else ()
         if size + _greedy_matching_size(uncovered) >= best:
-            return
-        pivot_edge = uncovered[0]
-        for v in sorted(pivot_edge):
-            if best == root_lb:
-                return
-            descend([e for e in uncovered if v not in e], size + 1)
+            return ()
+        return (([e for e in uncovered if v not in e], size + 1) for v in sorted(uncovered[0]))
 
-    descend(edge_sets, 0)
+    budget.search((edge_sets, 0), visit)
     return best
 
 
-def brute_nu(H: Hypergraph, limit=None, lp_bound: bool = True) -> int:
+def brute_nu(H: Hypergraph, limit=None) -> int:
     """Exact maximum matching size by include/exclude over edges in id order."""
-    budget = _NodeBudget(limit)
+    budget = NodeBudget(limit)
     edge_sets = [frozenset(e) for e in H.edges]
     m = len(edge_sets)
     best = 0
-    root_ub = m
-    if lp_bound and m:
-        from .lp import solve_matching_lp
 
-        frac = solve_matching_lp(H).objective
-        root_ub = frac.numerator // frac.denominator
-
-    def descend(i, used, count):
+    def visit(node):
         nonlocal best
-        budget.spend()
+        i, used, count = node
         if count > best:
             best = count
-        if i == m or best == root_ub or count + (m - i) <= best:
-            return
+        if i == m or count + (m - i) <= best:
+            return ()
         e = edge_sets[i]
         if used.isdisjoint(e):
-            descend(i + 1, used | e, count + 1)
-        descend(i + 1, used, count)
+            return (i + 1, used | e, count + 1), (i + 1, used, count)
+        return ((i + 1, used, count),)
 
-    descend(0, frozenset(), 0)
+    budget.search((0, frozenset(), 0), visit)
     return best
 
 
@@ -151,26 +118,25 @@ def max_independent_set(H: Hypergraph, limit=None) -> int:
     Independent include/exclude search over vertices; complements
     brute_tau for the identity independence + cover = n.
     """
-    budget = _NodeBudget(limit)
+    budget = NodeBudget(limit)
     edges_at = [[] for _ in range(H.n)]
     for e in H.edges:
         edges_at[max(e)].append(frozenset(e))
     best = 0
 
-    def descend(v, chosen, count):
+    def visit(node):
         nonlocal best
-        budget.spend()
+        v, chosen, count = node
         if count > best:
             best = count
         if v == H.n or count + (H.n - v) <= best:
-            return
+            return ()
         # taking v is allowed unless it completes an edge inside chosen
-        completes = any(e - {v} <= chosen for e in edges_at[v])
-        if not completes:
-            descend(v + 1, chosen | {v}, count + 1)
-        descend(v + 1, chosen, count)
+        if any(e - {v} <= chosen for e in edges_at[v]):
+            return ((v + 1, chosen, count),)
+        return (v + 1, chosen | {v}, count + 1), (v + 1, chosen, count)
 
-    descend(0, frozenset(), 0)
+    budget.search((0, frozenset(), 0), visit)
     return best
 
 
@@ -218,43 +184,32 @@ def contains_subhypergraph(H: Hypergraph, F: Hypergraph, limit=None) -> Embeddin
     Backtracks over pattern edges in id order; host edges are tried in id
     order and unmatched pattern vertices are assigned over the remaining
     host-edge vertices in sorted permutation order, so the result is
-    deterministic.  Patterns are capped at 6 edges.
+    deterministic.  A pattern of any size is searched under the node
+    budget.
     """
-    budget = _NodeBudget(limit)
-    if F.m > PATTERN_EDGE_LIMIT:
-        raise ResourceLimitError(f"pattern has {F.m} edges, limit {PATTERN_EDGE_LIMIT}")
+    budget = NodeBudget(limit)
     if F.t != H.t:
         return None
     host_sets = [frozenset(e) for e in H.edges]
+    found = None
 
-    def extend(fi, vmap, used_hv, used_he):
-        budget.spend()
+    def visit(node):
+        nonlocal found
+        fi, vmap, used_hv, used_he = node
         if fi == F.m:
-            return Embedding(dict(vmap), {i: used_he[i] for i in range(F.m)})
+            found = Embedding(vmap, dict(enumerate(used_he)))
+            return None
         fedge = F.edges[fi]
-        mapped = [(u, vmap[u]) for u in fedge if u in vmap]
+        mapped = [vmap[u] for u in fedge if u in vmap]
         free = sorted(u for u in fedge if u not in vmap)
-        for hi, hset in enumerate(host_sets):
-            if hi in used_he.values():
-                continue
-            if any(img not in hset for _, img in mapped):
-                continue
-            slots = sorted(hset - used_hv)
-            if len(slots) < len(free):
-                continue
-            used_he[fi] = hi
-            for images in permutations(slots, len(free)):
-                for u, w in zip(free, images):
-                    vmap[u] = w
-                result = extend(fi + 1, vmap, used_hv | set(images), used_he)
-                if result is not None:
-                    return result
-                for u in free:
-                    del vmap[u]
-            del used_he[fi]
-        return None
+        return ((fi + 1, {**vmap, **dict(zip(free, images))}, used_hv | set(images),
+                 used_he + (hi,))
+                for hi, hset in enumerate(host_sets)
+                if hi not in used_he and all(img in hset for img in mapped)
+                for images in permutations(sorted(hset - used_hv), len(free)))
 
-    return extend(0, {}, frozenset(), {})
+    budget.search((0, {}, frozenset(), ()), visit)
+    return found
 
 
 def rho(F: Hypergraph, limit=None) -> Fraction:

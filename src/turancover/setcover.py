@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .errors import ParameterError, VerificationError
-from .guards import ENUMERATION_GUARD, _index, _int_rows, check_limit
+from .guards import ENUMERATION_GUARD, NodeBudget, _index, _int_rows, check_limit
 
 __all__ = [
     "SetSystem",
@@ -28,9 +28,6 @@ __all__ = [
     "greedy_ratio_check",
     "brute_set_cover",
 ]
-
-BRUTE_SET_LIMIT = 30
-
 
 @dataclass(frozen=True)
 class SetSystem:
@@ -205,10 +202,10 @@ def brute_set_cover(system: SetSystem, limit: int | None = None) -> int:
     """Exact minimum cover size by branch and bound.
 
     Branches on the sets containing the lowest uncovered element; prunes
-    with a count/max-set-size bound.  Guarded to at most ``limit``
-    (default 30) sets.
+    with a count/max-set-size bound.  Searched under a ``NodeBudget`` of
+    ``limit`` nodes.
     """
-    check_limit(system.m, BRUTE_SET_LIMIT, "brute-force sets", limit)
+    budget = NodeBudget(limit)
     if system.n == 0:
         return 0
     member_sets = [set(s) for s in system.sets]
@@ -219,16 +216,15 @@ def brute_set_cover(system: SetSystem, limit: int | None = None) -> int:
     best = len(greedy_set_cover(system).picked)
     max_size = max(len(s) for s in member_sets)
 
-    def descend(uncovered, count):
+    def visit(node):
         nonlocal best
+        uncovered, count = node
         if not uncovered:
             best = min(best, count)
-            return
+            return ()
         if count + -(-len(uncovered) // max_size) >= best:
-            return
-        x = min(uncovered)
-        for sid in containing[x]:
-            descend(uncovered - member_sets[sid], count + 1)
+            return ()
+        return ((uncovered - member_sets[sid], count + 1) for sid in containing[min(uncovered)])
 
-    descend(frozenset(range(system.n)), 0)
+    budget.search((frozenset(range(system.n)), 0), visit)
     return best

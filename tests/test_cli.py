@@ -475,6 +475,22 @@ def test_unbounded_inputs_exit_4_before_allocating(monkeypatch, capsys, argv, st
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("gen, argv", [
+    # n*m = 80,840 is past the exact LP guard, which the searches no longer solve under
+    (["--n", "40", "--t", "3", "--p", "0.2"], ["oracle", "tau", "--limit", "1000"]),
+    # the first descent takes one node per edge (m = 1212) or vertex (n = 1200),
+    # deeper than Python's default recursion limit of 1000
+    (["--n", "40", "--t", "3", "--p", "0.12"], ["oracle", "nu", "--limit", "5000"]),
+    (["--n", "1200", "--t", "2", "--p", "0.0005"], ["oracle", "alpha", "--limit", "5000"]),
+], ids=["tau", "nu", "alpha"])
+def test_searches_end_in_their_node_budget(monkeypatch, capsys, gen, argv):
+    assert cli.main(["gen", "random", *gen, "--seed", "1"]) == 0
+    monkeypatch.delenv("TURANCOVER_SIZE_GUARD", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert cli.main(argv) == 4
+    assert capsys.readouterr() == ("", "resource limit: search budget exceeded\n")
+
+
 def _nonascii_input(tmp_path):
     path = tmp_path / "latin1.hg"
     path.write_bytes(b"HG 3 3 1\n0 1 \xe9\n")

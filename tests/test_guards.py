@@ -2,6 +2,7 @@
 same values and every guard refuses in the same words."""
 
 import re
+import sys
 from math import comb
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from turancover.errors import ParameterError, ResourceLimitError
 from turancover.generators import combinatorial_lines, complete, three_tent
-from turancover.guards import ENV_VAR, check_comb, check_limit, check_power
-from turancover.hypergraph import blow_up
+from turancover.guards import ENV_VAR, NodeBudget, check_comb, check_limit, check_power
+from turancover.hypergraph import Hypergraph, blow_up
 from turancover.lp import solve_matching_lp, solve_vc_lp
 from turancover.oracles import (brute_nu, brute_tau, contains_subhypergraph, find_tents,
                                 max_independent_set, rho)
@@ -41,9 +42,9 @@ CASES = {
                             r"line templates = 4\^2"),
     "find_tents": (lambda g: find_tents(H, limit=g), 840, r"tent checks = 4\*C\(10,4\)"),
     "rho": (lambda g: rho(three_tent(), limit=g), 4, "pattern edges = 4"),
-    "brute_set_cover": (lambda g: brute_set_cover(SYSTEM, limit=g), 3, "brute-force sets = 3"),
-    "brute_tau": (lambda g: brute_tau(H, limit=g, lp_bound=False), 13, None),
-    "brute_nu": (lambda g: brute_nu(H, limit=g, lp_bound=False), 64, None),
+    "brute_set_cover": (lambda g: brute_set_cover(SYSTEM, limit=g), 6, None),
+    "brute_tau": (lambda g: brute_tau(H, limit=g), 13, None),
+    "brute_nu": (lambda g: brute_nu(H, limit=g), 64, None),
     "max_independent_set": (lambda g: max_independent_set(H, limit=g), 29, None),
     "contains_subhypergraph": (lambda g: contains_subhypergraph(three_tent(), three_tent(),
                                                                 limit=g), 5, None),
@@ -77,6 +78,38 @@ def test_every_limit_argument_admits_exactly_its_count(monkeypatch, name):
         f"{counted} exceeds limit {count - 1}"
     with pytest.raises(ResourceLimitError, match=f"^{refusal}$"):
         call(count - 1)
+
+
+def test_a_node_budget_visits_in_preorder_and_makes_children_lazily():
+    # the binary tree of the prefixes of length <= 3, ending the search at "101"
+    visited, made = [], []
+
+    def children(node):
+        for bit in "01":
+            made.append(node + bit)
+            yield node + bit
+
+    def visit(node):
+        visited.append(node)
+        if node == "101":
+            return None
+        return children(node) if len(node) < 3 else ()
+
+    NodeBudget(100).search("", visit)
+    assert visited == ["", "0", "00", "000", "001", "01", "010", "011", "1", "10", "100", "101"]
+    assert made == visited[1:]  # each child is made just before it is visited
+    with pytest.raises(ResourceLimitError, match="^search budget exceeded$"):
+        NodeBudget(11).search("", visit)
+
+
+def test_a_node_budget_searches_past_the_recursion_limit():
+    depth = 2 * sys.getrecursionlimit()
+    deepest = []
+    NodeBudget(depth + 1).search(0, lambda i: deepest.append(i) or ((i + 1,) if i < depth else ()))
+    assert deepest[-1] == depth and len(deepest) == depth + 1
+    # the oracles on such depths: one node per edge, or per vertex, on the first descent
+    assert brute_nu(Hypergraph(2, 2 * depth, [(2 * i, 2 * i + 1) for i in range(depth)])) == depth
+    assert max_independent_set(Hypergraph(2, depth, [])) == depth
 
 
 @settings(max_examples=300, deadline=None)

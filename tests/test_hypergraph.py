@@ -310,14 +310,17 @@ def _hypergraph_and_covers(draw):
     H = Hypergraph(t, n, edges)
     # everything but at most t-1 vertices always covers; a few arbitrary
     # sets at drawn positions put the first failure anywhere in 0..149,
-    # across the 64- and 128-cover word boundaries
+    # across the 64- and 128-cover word boundaries.  Each cover is drawn
+    # as one integer: the t-1 base-n digits of the vertices it leaves out,
+    # or the bitmask of an arbitrary set's vertices
     k = draw(st.integers(0, 150))
-    ids = st.integers(0, max(n - 1, 0))
-    covers = [[v for v in range(n) if v not in draw(st.sets(ids, max_size=t - 1))]
-              for _ in range(k)]
+    left_out = draw(st.lists(st.integers(0, max(n ** (t - 1) - 1, 0)), min_size=k, max_size=k))
+    covers = [[v for v in range(n) if v not in {r // n ** j % n for j in range(t - 1)}]
+              for r in left_out]
     if k:
         for i in draw(st.lists(st.integers(0, 149).map(lambda i: i % k), max_size=2)):
-            covers[i] = sorted(draw(st.sets(ids, max_size=n)))
+            mask = draw(st.integers(0, 2 ** n - 1))
+            covers[i] = [v for v in range(n) if mask >> v & 1]
     return H, covers
 
 

@@ -448,7 +448,7 @@ def _sampled_pair_blow_up(n, t, m, seed):
 
 
 def _covering_only(monkeypatch):
-    monkeypatch.setattr(lp, "_uniform_pair", lambda H: None)
+    monkeypatch.setattr(lp, "_uniform_pair", lambda H, side=None: None)
 
 
 def _cholesky_calls(monkeypatch):

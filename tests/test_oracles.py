@@ -50,13 +50,6 @@ def test_edgeless_everything_zero():
     assert max_independent_set(H) == 5
 
 
-def test_lp_bound_does_not_change_answers():
-    for seed in range(10):
-        G = random_hypergraph(8, 3, 0.4, seed)
-        assert brute_tau(G, lp_bound=False) == brute_tau(G, lp_bound=True)
-        assert brute_nu(G, lp_bound=False) == brute_nu(G, lp_bound=True)
-
-
 def _highest_degree_greedy(H):
     """Cover size of repeatedly taking a highest-degree vertex, ties to the
     lowest id: the initial bound brute_tau once computed itself."""
@@ -81,7 +74,7 @@ def test_greedy_on_the_dual_is_the_highest_degree_greedy(seed, t, extra, p):
 def test_node_budget_trips():
     G = complete(9, 3)
     with pytest.raises(ResourceLimitError):
-        brute_tau(G, limit=10, lp_bound=False)
+        brute_tau(G, limit=10)
 
 
 @settings(max_examples=50, deadline=None)
@@ -89,8 +82,8 @@ def test_node_budget_trips():
 def test_cover_matching_sandwich(seed, t):
     """nu <= ceil(tau*) <= tau <= t * tau* on anything brute-forceable."""
     G = random_hypergraph(t + 4, t, 0.35, seed)
-    tau = brute_tau(G, lp_bound=False)
-    nu = brute_nu(G, lp_bound=False)
+    tau = brute_tau(G)
+    nu = brute_nu(G)
     frac = solve_vc_lp(G).objective
     assert nu <= frac <= tau
     assert tau <= G.t * frac
@@ -101,7 +94,7 @@ def test_cover_matching_sandwich(seed, t):
 @given(st.integers(0, 10**6))
 def test_independent_set_complements_cover(seed):
     G = random_hypergraph(9, 3, 0.35, seed)
-    assert max_independent_set(G) + brute_tau(G, lp_bound=False) == G.n
+    assert max_independent_set(G) + brute_tau(G) == G.n
 
 
 def test_cover_witness_is_reconstructible():
@@ -234,10 +227,16 @@ def test_pattern_uniformity_mismatch_returns_none():
     assert contains_subhypergraph(complete(5, 3), pattern) is None
 
 
-def test_pattern_edge_cap():
-    big = complete(5, 3)  # ten edges is over the pattern cap
-    with pytest.raises(ResourceLimitError):
-        contains_subhypergraph(complete(6, 3), big)
+def test_a_pattern_of_any_size_is_searched_under_the_budget():
+    big = complete(5, 3)  # ten edges: a pattern of any size is searched
+    host = complete(6, 3)
+    emb = contains_subhypergraph(host, big)
+    assert emb is not None and len(set(emb.edge_map.values())) == big.m
+    for fi, e in enumerate(big.edges):
+        assert sorted(emb.vertex_map[v] for v in e) == list(host.edges[emb.edge_map[fi]])
+    with pytest.raises(ResourceLimitError, match="^search budget exceeded$"):
+        contains_subhypergraph(host, big, limit=big.m)  # one node per pattern edge and the leaf
+    assert contains_subhypergraph(host, big, limit=big.m + 1) == emb
 
 
 def test_density_of_tent():

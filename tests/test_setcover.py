@@ -68,10 +68,13 @@ def test_brute_cover_beats_greedy_sometimes():
     assert greedy == 3
 
 
-def test_brute_cover_set_limit():
-    sets = tuple((i,) for i in range(31))
-    with pytest.raises(ResourceLimitError):
-        brute_set_cover(SetSystem(31, sets))
+def test_brute_cover_node_budget():
+    # 31 sets, over the old 30-set cap; greedy takes 28 of them
+    sys_ = greedy_hard_setsystem(10)
+    assert sys_.m == 31 and len(greedy_set_cover(sys_).picked) == 28
+    assert brute_set_cover(sys_, limit=347) == 10
+    with pytest.raises(ResourceLimitError, match="^search budget exceeded$"):
+        brute_set_cover(sys_, limit=346)
 
 
 def test_simplicity_check():
