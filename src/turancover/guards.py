@@ -108,7 +108,7 @@ class NodeBudget:
                     return
                 if children:  # an empty tuple is a leaf; a generator is always pushed
                     stack.append(iter(children))
-                break
+                    break
             else:
                 stack.pop()
 

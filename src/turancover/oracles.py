@@ -119,9 +119,10 @@ def max_independent_set(H: Hypergraph, limit=None) -> int:
     brute_tau for the identity independence + cover = n.
     """
     budget = NodeBudget(limit)
-    edges_at = [[] for _ in range(H.n)]
+    # the rest of each edge, filed under its highest vertex
+    rests_at = [[] for _ in range(H.n)]
     for e in H.edges:
-        edges_at[max(e)].append(frozenset(e))
+        rests_at[max(e)].append(frozenset(e) - {max(e)})
     best = 0
 
     def visit(node):
@@ -132,7 +133,7 @@ def max_independent_set(H: Hypergraph, limit=None) -> int:
         if v == H.n or count + (H.n - v) <= best:
             return ()
         # taking v is allowed unless it completes an edge inside chosen
-        if any(e - {v} <= chosen for e in edges_at[v]):
+        if any(map(chosen.issuperset, rests_at[v])):
             return ((v + 1, chosen, count),)
         return (v + 1, chosen | {v}, count + 1), (v + 1, chosen, count)
 
