@@ -12,11 +12,13 @@ serialization.
 from __future__ import annotations
 
 import math
+import numbers
 import random
+import sys
 from itertools import combinations, product
 
 from .errors import ParameterError
-from .guards import ENUMERATION_GUARD, check_comb, check_limit, check_power, check_seed
+from .guards import ENUMERATION_GUARD, _index, check_comb, check_limit, check_power, check_seed
 from .hypergraph import Hypergraph
 from .oracles import contains_subhypergraph, rho
 from .setcover import SetSystem, _kept_flags
@@ -32,14 +34,31 @@ __all__ = [
 ]
 
 LINES_GUARD = 50_000
+_DRAW_CHUNK = 4096  # candidates per bulk draw: 32 KiB per temporary
 
 
-def _check_candidates(n: int, t: int) -> None:
+def _check_candidates(n, t) -> tuple[int, int]:
+    """(n, t) as ints, refused unless C(n, t) candidate edges of a valid
+    shape fit ``ENUMERATION_GUARD``."""
+    n = _index(n, "vertex count")
+    t = _index(t, "uniformity")
     if n < t:
         raise ParameterError(f"need at least {t} vertices, got {n}")
     check_comb(n, t, 1, ENUMERATION_GUARD, "candidate edges")
     if t < 2:  # the trusted constructor of the callers does not check it
         raise ParameterError(f"uniformity must be at least 2, got {t}")
+    return n, t
+
+
+def _check_probability(p) -> float:
+    """``p`` as a float, refused unless it is a real number in [0, 1].
+
+    A bool is refused too, though it is an int: ``True`` would be read
+    as probability 1.
+    """
+    if not isinstance(p, numbers.Real) or isinstance(p, bool) or not 0 <= p <= 1:
+        raise ParameterError(f"probability must be a real number in [0,1], got {p!r}")
+    return float(p)
 
 
 def complete(n: int, t: int) -> Hypergraph:
@@ -47,32 +66,89 @@ def complete(n: int, t: int) -> Hypergraph:
 
     Refused with ResourceLimitError above ``ENUMERATION_GUARD`` edges.
     """
-    _check_candidates(n, t)
+    n, t = _check_candidates(n, t)
     return Hypergraph._from_canonical(t, n, tuple(combinations(range(n), t)))
 
 
 def random_hypergraph(n: int, t: int, p: float, seed: int) -> Hypergraph:
     """Keep each of the C(n,t) possible edges independently with probability p.
 
-    Candidate edges are scanned in lexicographic order with one RNG draw
-    each, so the output is a pure function of (n, t, p, seed).  Refused
-    with ResourceLimitError above ``ENUMERATION_GUARD`` candidates, even
-    for p = 0.
+    Candidate edges are scanned in lexicographic order, and a candidate
+    is kept when its own ``random()`` draw from ``random.Random(seed)``
+    is below ``float(p)``, so the output is a pure function of
+    (n, t, p, seed).  Where numpy is already loaded the draws are read
+    in bulk and the instance holds ``edge_array`` only
+    (``_kept_edge_array``); otherwise one draw is made per candidate and
+    it holds tuples (``_kept_edges``), so that a short-lived process
+    that needs no numpy never loads it.  Both give the same instance.
+    ``p`` must be a real number in [0, 1], not a bool.  Refused with
+    ResourceLimitError above ``ENUMERATION_GUARD`` candidates, even for
+    p = 0.
     """
     check_seed(seed)
-    if not 0 <= p <= 1:
-        raise ParameterError(f"probability must lie in [0,1], got {p}")
-    _check_candidates(n, t)
+    p = _check_probability(p)
+    n, t = _check_candidates(n, t)
     rng = random.Random(seed)
-    edges = tuple(e for e in combinations(range(n), t) if rng.random() < p)
-    return Hypergraph._from_canonical(t, n, edges)
+    if "numpy" in sys.modules:
+        return Hypergraph._from_canonical(t, n, array=_kept_edge_array(n, t, p, rng))
+    return Hypergraph._from_canonical(t, n, _kept_edges(n, t, p, rng))
+
+
+def _kept_edges(n: int, t: int, p: float, rng: random.Random) -> tuple:
+    """The t-subsets of range(n), in lexicographic order, each kept when
+    its own ``rng.random()`` draw is below p."""
+    return tuple(e for e in combinations(range(n), t) if rng.random() < p)
+
+
+def _kept_edge_array(n: int, t: int, p: float, rng: random.Random):
+    """``_kept_edges`` as an ``(m, t)`` intp array, drawn in bulk.
+
+    ``random()`` takes two 32-bit Mersenne Twister words w0, w1 and
+    returns key / 2**53 for the 53-bit key ``(w0 >> 5) << 26 | w1 >> 6``,
+    so ``random() < p`` exactly when key < ceil(p * 2**53).
+    ``getrandbits(64 * size)`` consumes the words of ``size`` such draws
+    in the same order, the first as the least significant 32 bits, so
+    read as little-endian uint64 each candidate's word holds w0 in its
+    low half and w1 in its high half.  Candidates are drawn
+    ``_DRAW_CHUNK`` at a time, which keeps each temporary near 32 KiB.
+
+    A kept lexicographic rank r is unranked through the colex rank
+    R = C(n, t) - 1 - r = sum over positions j of C(n-1-c_j, t-j): with
+    k = t - j, position j takes the largest d = n-1-c_j in
+    [k-1, n-t+k-1] with C(d, k) <= R, found by one ``searchsorted`` per
+    position over a row of C(k-1+i, k), i = 0..n-t, and R drops by
+    C(d, k).  Every entry is at most C(n, t), so int64 holds it.
+    """
+    import numpy as np
+
+    total = math.comb(n, t)
+    cut = math.ceil(p * 2 ** 53)  # exact: p is a float
+    kept = []
+    for start in range(0, total, _DRAW_CHUNK):
+        size = min(_DRAW_CHUNK, total - start)
+        words = np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"),
+                              dtype="<u8")
+        key = words & 0xFFFFFFE0  # (w0 >> 5) << 5
+        key <<= 21
+        key |= words >> 38  # w1 >> 6
+        kept.append(np.flatnonzero(key < cut) + start)
+    rest = (total - 1) - np.concatenate(kept)
+    table = np.array([[math.comb(k - 1 + i, k) for i in range(n - t + 1)]
+                      for k in range(t, 0, -1)], dtype=np.int64)
+    edges = np.empty((len(rest), t), dtype=np.intp)
+    for j, row in enumerate(table):
+        i = np.searchsorted(row, rest, side="right") - 1
+        rest -= row[i]
+        edges[:, j] = n - t + j - i
+    return edges
 
 
 def f_free_random(n: int, t: int, family, p=None, seed: int = 0) -> Hypergraph:
     """Random hypergraph purged of every copy of the given patterns.
 
     Samples edges with probability p (default n to the power -1/rho,
-    with rho minimized over the family), then repeatedly locates the
+    with rho minimized over the family; a given p follows
+    ``random_hypergraph``'s rule), then repeatedly locates the
     first remaining copy of a family member in deterministic search
     order and deletes that copy's edges.  The survivor contains no copy
     of any member: one would have been found and deleted.  Every member
@@ -86,7 +162,9 @@ def f_free_random(n: int, t: int, family, p=None, seed: int = 0) -> Hypergraph:
     other = next((F.t for F in family if F.t != t), None)
     if other is not None:
         raise ParameterError(f"an excluded pattern is {other}-uniform, expected {t}")
-    _check_candidates(n, t)  # before n ** (-1/rho), which fails for n <= 0
+    if p is not None:
+        p = _check_probability(p)
+    n, t = _check_candidates(n, t)  # before n ** (-1/rho), which fails for n <= 0
     if p is None:
         density = min(rho(F) for F in family)
         p = float(n) ** (-1 / float(density))

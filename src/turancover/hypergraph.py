@@ -9,11 +9,12 @@ A ``Hypergraph`` holds its edges in two forms: ``edges``, a tuple of id
 tuples, and ``edge_array``, a read-only numpy ``(m, t)`` array.  It
 keeps the form it was built from and derives the other on first use,
 once, cached.  The validating constructor, the pure-Python blow-up, the
-line parser and the generators build tuples; the array blow-up, the
-array parser and the threshold loop's residuals build arrays only, so
-that the float pipeline, which reads only ``edge_array``, never pays
-for tuples.  Equality, hashing, ``repr`` and pickling do not depend on
-which forms an instance holds.
+line parser and the generators other than ``random_hypergraph`` build
+tuples; the array blow-up, the array parser, the threshold loop's
+residuals and ``random_hypergraph`` where numpy is loaded build arrays
+only, so that the float pipeline, which reads only ``edge_array``,
+never pays for tuples.  Equality, hashing, ``repr`` and pickling do not
+depend on which forms an instance holds.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -55,9 +57,90 @@ def test_random_hypergraph_extreme_probabilities():
     assert random_hypergraph(6, 3, 0.0, seed=0).m == 0
 
 
-def test_random_hypergraph_rejects_bad_probability():
-    with pytest.raises(ParameterError):
-        random_hypergraph(6, 3, 1.5, seed=0)
+def _reference_edges(n, t, p, seed):
+    rng = random.Random(seed)
+    return tuple(e for e in combinations(range(n), t) if rng.random() < p)
+
+
+def _both_paths(n, t, p, seed):
+    """The per-candidate and the bulk sampler on the same draws."""
+    q = generators._check_probability(p)
+    bulk = generators._kept_edge_array(n, t, q, random.Random(seed))
+    assert bulk.dtype.kind == "i" and bulk.shape[1:] == (t,)
+    return (generators._kept_edges(n, t, q, random.Random(seed)),
+            tuple(map(tuple, bulk.tolist())))
+
+
+@pytest.mark.parametrize("n, t", [(10, 4), (7, 7), (12, 2), (70, 68)])
+@pytest.mark.parametrize("p", [0.0, 1.0, 0, 1, 0.25, random.Random(5).random()])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_bulk_sampler_matches_the_per_candidate_draws(n, t, p, seed):
+    expected = _reference_edges(n, t, p, seed)
+    assert _both_paths(n, t, p, seed) == (expected, expected)
+    assert random_hypergraph(n, t, p, seed).edges == expected  # numpy is loaded here
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_bulk_sampler_across_a_chunk_boundary(monkeypatch, shift):
+    # C(10,4) = 210 candidates in chunks of 209, 210 and 211
+    monkeypatch.setattr(generators, "_DRAW_CHUNK", comb(10, 4) + shift)
+    for seed in (0, 3, 2 ** 64 - 1):
+        expected = _reference_edges(10, 4, 0.3, seed)
+        assert _both_paths(10, 4, 0.3, seed) == (expected, expected)
+
+
+@pytest.mark.parametrize("n, t, p, seed", [
+    (91, 2, 0.5, 4),  # 4095 candidates: one chunk less one
+    (24, 6, 0.03, 1),  # the largest pipeline instance: 33 chunks
+])
+def test_bulk_sampler_at_the_default_chunk(n, t, p, seed):
+    expected = _reference_edges(n, t, p, seed)
+    assert _both_paths(n, t, p, seed) == (expected, expected)
+
+
+def test_bulk_sampler_refuses_a_draw_equal_to_p():
+    # random() < p is strict: the candidate whose draw equals p is dropped,
+    # and exactly the candidates whose draws lie below p are kept
+    rng = random.Random(9)
+    draws = [rng.random() for _ in range(comb(8, 3))]
+    for i in (0, 17, 55):
+        kept, bulk = _both_paths(8, 3, draws[i], 9)
+        assert kept == bulk == _reference_edges(8, 3, draws[i], 9)
+        assert list(combinations(range(8), 3))[i] not in kept
+        assert len(kept) == sum(d < draws[i] for d in draws)
+
+
+def test_gen_random_prints_the_same_bytes_with_and_without_numpy():
+    # each side in a process of its own: the test session has numpy loaded,
+    # and numpy.random too, through hypothesis
+    argv = ["gen", "random", "--n", "24", "--t", "6", "--p", "0.03", "--seed", "221"]
+    script = ("import sys\n{}from turancover import cli\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "print(sorted(m for m in ('numpy', 'numpy.random') if m in sys.modules),"
+              " file=sys.stderr)\nsys.exit(rc)\n")
+    runs = [subprocess.run([sys.executable, "-c", script.format(head), *argv],
+                           capture_output=True, text=True, timeout=120)
+            for head in ("", "import numpy\n")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert [r.stderr for r in runs] == ["[]\n", "['numpy']\n"]
+    assert runs[0].stdout == runs[1].stdout
+    header, *lines = runs[0].stdout.splitlines()
+    expected = _reference_edges(24, 6, 0.03, 221)
+    assert header == f"HG 6 24 {len(expected)}"
+    assert lines == [" ".join(map(str, e)) for e in expected]
+
+
+def test_random_hypergraph_rejects_bad_probability(monkeypatch):
+    shape = r"^probability must be a real number in \[0,1\], got "
+    bad = ["0.5", None, True, False, 1.5, -0.25, math.nan, 2]
+    for p in bad:
+        with pytest.raises(ParameterError, match=shape):
+            random_hypergraph(6, 3, p, seed=0)
+    # f_free_random refuses the same values before it draws anything
+    monkeypatch.setattr(generators, "random_hypergraph", None)
+    for p in bad[:1] + bad[2:]:  # None is its default: p from the density
+        with pytest.raises(ParameterError, match=shape):
+            f_free_random(9, 3, [three_tent()], p=p, seed=0)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -65,7 +148,13 @@ def test_random_hypergraph_rejects_bad_probability():
     (lambda: f_free_random(8, 3, [], seed=0), "need at least one pattern to exclude"),
     (lambda: combinatorial_lines(0), "cube dimension must be positive, got 0"),
     (lambda: greedy_hard_setsystem(1), "block count must be at least 2, got 1"),
-], ids=["complete", "ffree", "lines", "hard-setcover"])
+    (lambda: complete(5.0, 3), "vertex count 5.0 is not an integer"),
+    (lambda: complete(5, 3.0), "uniformity 3.0 is not an integer"),
+    (lambda: random_hypergraph(5.0, 3, 0.5, 1), "vertex count 5.0 is not an integer"),
+    (lambda: f_free_random(12.0, 3, [three_tent()], seed=1),
+     "vertex count 12.0 is not an integer"),
+], ids=["complete", "ffree", "lines", "hard-setcover", "complete-float-n",
+        "complete-float-t", "random-float-n", "ffree-float-n"])
 def test_generator_parameter_errors(make, message):
     with pytest.raises(ParameterError) as info:
         make()
